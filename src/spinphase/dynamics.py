@@ -27,6 +27,7 @@ from .operators import (
     Tolerance,
     matrix_unit,
     residual,
+    _product,
 )
 from .deform import DeformedTriple
 from .phase import build_phase_operator
@@ -93,10 +94,19 @@ def two_mode_hamiltonian(s: int, omega1: float, omega2: float) -> Hamiltonian:
 
 
 def heisenberg_derivative(o: Operator, h: Hamiltonian) -> Operator:
-    """dO/dt = (1/i) [O, H] with hbar = 1."""
+    """dO/dt = (1/i) [O, H] with hbar = 1.
+
+    H is diagonal within tolerance.  When it is exactly diagonal and real, as
+    every Hamiltonian built here is, O is finite and the dimension is at
+    least 32, O H and H O are formed as a column and a row scaling of O:
+    O(n^2) instead of O(n^3), and bit for bit the dense products, each entry
+    having one nonzero term (see :mod:`spinphase.operators`).  An H with
+    off-diagonal entries inside the tolerance keeps the dense products, so
+    those entries still count.
+    """
     if o.dim != h.dim:
         raise ShapeError(f"shape mismatch: {o.dim} vs {h.dim}")
-    return Operator((o.mat @ h.op.mat - h.op.mat @ o.mat) / 1j)
+    return Operator((_product(o, h.op) - _product(h.op, o)) / 1j)
 
 
 def eigenoperator_residual(o: Operator, h: Hamiltonian, lam: complex) -> float:

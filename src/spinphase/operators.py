@@ -3,13 +3,29 @@
 Everything downstream (representations, phase operators, deformations,
 dynamics) is built from the small immutable :class:`Operator` wrapper around
 a square ``complex128`` matrix and a handful of pure functions on it.
-Dimensions stay small (a few tens), so plain dense numpy arithmetic is all
-we need.
+
+Products are dense numpy matmuls, except where an operand is exactly
+diagonal (every off-diagonal entry zero; no tolerance) and the dimension is
+at least 32 (below that BLAS costs no more than the checks).  Number
+operators, J0, Hamiltonians and ladder moduli are diagonal, so ``@``,
+:func:`commutator`, :func:`r_commutator` and the Heisenberg derivative form
+diag(d) @ B as the row scaling d_i * B_ij and B @ diag(d) as the column
+scaling B_ij * d_j: O(n^2) instead of O(n^3), which matters at the two-mode
+dimension (s+1)^2.  The scaling is exact, not an approximation: every entry
+of the dense product has one nonzero term, so both round the same single
+product.  ``+ 0.0`` turns the -0.0 a scaling leaves in some zero entries
+into +0.0, the sign the dense sum gives whenever one of its terms is +0.0
+(BLAS kernels differ only where every term is -0.0; the sign of a zero
+changes no residual or norm).  numpy's elementwise multiply and BLAS round
+complex times complex differently, and 0 * inf is NaN in the dense sum
+only, so a scaling is taken only when one operand is real and both are
+finite; every other product stays dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -114,6 +130,20 @@ class Operator:
     def dim(self) -> int:
         return self._dim
 
+    # Facts about the immutable entries that decide whether a product can be
+    # a row/column scaling (see _product); each is computed on first use.
+    @cached_property
+    def _diagonal(self) -> np.ndarray | None:
+        return _exact_diagonal(self.mat)
+
+    @cached_property
+    def _finite(self) -> bool:
+        return bool(np.isfinite(self.mat).all())
+
+    @cached_property
+    def _real(self) -> bool:
+        return not self.mat.imag.any()
+
     def relabel(self, label: str) -> "Operator":
         return Operator(self.mat, label)
 
@@ -139,7 +169,7 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_dim(other)
-        return Operator(self.mat @ other.mat)
+        return Operator(_product(self, other))
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_dim(other)
@@ -182,10 +212,46 @@ def matrix_unit(dim: int, row: int, col: int, value: complex = 1.0) -> Operator:
     return Operator(m)
 
 
+def _exact_diagonal(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of m if every off-diagonal entry of m is zero, else None."""
+    n = m.shape[0]
+    # Flattened in memory order (row- or column-major; either way the same
+    # entries are off the diagonal), the diagonal entries sit n + 1 apart, so
+    # past the first one the array splits into rows of n off-diagonal entries
+    # followed by the next diagonal entry.
+    off_diagonal = m.ravel(order="K")[1:].reshape(n - 1, n + 1)[:, :n]
+    return None if off_diagonal.any() else np.diagonal(m)
+
+
+def _scales(diag: Operator, other: Operator) -> bool:
+    """Whether diag is exactly diagonal and scaling other by it rounds like BLAS."""
+    return (
+        diag._diagonal is not None
+        and diag._finite
+        and other._finite
+        and (diag._real or other._real)
+    )
+
+
+# Below this dimension a BLAS product costs no more than the numpy calls that
+# decide whether a scaling is exact, so small products stay dense.
+_MIN_SCALING_DIM = 32
+
+
+def _product(a: Operator, b: Operator) -> np.ndarray:
+    """a.mat @ b.mat, as a row/column scaling when an operand is exactly diagonal."""
+    if a.dim >= _MIN_SCALING_DIM:
+        if _scales(a, b):
+            return a._diagonal[:, None] * b.mat + 0.0
+        if _scales(b, a):
+            return a.mat * b._diagonal[None, :] + 0.0
+    return a.mat @ b.mat
+
+
 def commutator(a: Operator, b: Operator) -> Operator:
     """AB - BA."""
     a._check_dim(b)
-    return Operator(a.mat @ b.mat - b.mat @ a.mat)
+    return Operator(_product(a, b) - _product(b, a))
 
 
 def r_commutator(a: Operator, b: Operator, r: float) -> Operator:
@@ -193,7 +259,7 @@ def r_commutator(a: Operator, b: Operator, r: float) -> Operator:
     a._check_dim(b)
     if r == 0:
         raise ParameterError("parameter r must be nonzero")
-    return Operator(r * (a.mat @ b.mat) - (1.0 / r) * (b.mat @ a.mat))
+    return Operator(r * _product(a, b) - (1.0 / r) * _product(b, a))
 
 
 def diag_function(

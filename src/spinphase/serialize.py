@@ -3,11 +3,15 @@
 Reruns of the same scenario must produce byte-identical files, so floats are
 always printed with 17 significant digits (enough to round-trip a double)
 instead of relying on repr shortest-form, and dict keys keep insertion order.
+JSON has no token for a non-finite float, so the emitter writes the ones
+Python's ``json`` module reads and writes: ``NaN``, ``Infinity`` and
+``-Infinity``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable
 
 import numpy as np
@@ -41,6 +45,8 @@ def _emit(obj: Any) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
         return format_float(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())

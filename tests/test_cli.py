@@ -1,12 +1,15 @@
 """CLI contract: exit codes, file outputs, and byte-identical reruns."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import spinphase
+from spinphase import operators
 from spinphase.cli import main
 from spinphase.serialize import operator_from_jsonable
 
@@ -66,6 +69,65 @@ class TestVerifyExitCodes:
             main(["verify", "--family", "witten", "--j", "3/2", "--r", "0.8", "--report", str(path)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_infinite_residual_report_is_json(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        rc = main(
+            ["verify", "--family", "hermitian_f", "--j", "1", "--q-phase", "3",
+             "--report", str(report)]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "residual=inf" in out  # stdout keeps format_float's text
+        payload = read_json(report)
+        assert payload["checks"][0]["name"] == "construction"
+        assert payload["checks"][0]["residual"] == float("inf")
+
+
+# one scenario per family, at dimensions (36 to 49) from where products are
+# scalings; oscillator / q_oscillator builds print U sqrt(N), whose zero
+# entries a bare column scaling leaves as -0.0
+_DIFFERENTIAL_SCENARIOS = [
+    ["--family", "su2", "--j", "35/2", "--theta0", "0.731"],
+    ["--family", "suq2", "--j", "35/2", "--q", "1.05", "--theta0", "4.9"],
+    ["--family", "witten", "--j", "35/2", "--r", "1.2", "--theta0", "0.731"],
+    ["--family", "ab_map", "--j", "35/2", "--q", "1.05", "--theta0", "4.9"],
+    ["--family", "f_deform", "--j", "35/2", "--theta0", "0.731"],
+    ["--family", "hermitian_f", "--j", "35/2", "--q", "1.05", "--theta0", "4.9"],
+    ["--family", "oscillator", "--s", "40", "--phi0", "4.9"],
+    ["--family", "q_oscillator", "--s", "40", "--phi0", "0.731"],
+    ["--family", "jordan_schwinger", "--s", "6", "--phi0", "4.9"],
+]
+
+
+class TestScalingPathDifferential:
+    """The row/column scaling path changes no CLI output byte."""
+
+    @staticmethod
+    def _outputs(tmp_path, capsys, flags, tag):
+        report = tmp_path / f"{tag}.json"
+        rc_verify = main(["verify", *flags, "--report", str(report)])
+        verify_out = capsys.readouterr()
+        rc_build = main(["build", *flags])
+        build_out = capsys.readouterr()
+        return rc_verify, verify_out, report.read_bytes(), rc_build, build_out
+
+    @pytest.mark.parametrize("flags", _DIFFERENTIAL_SCENARIOS, ids=lambda f: f[1])
+    def test_dense_only_gives_same_bytes(self, tmp_path, capsys, monkeypatch, flags):
+        found = []
+
+        def spy(m):
+            d = exact_diagonal(m)
+            found.append(d is not None)
+            return d
+
+        exact_diagonal = operators._exact_diagonal
+        monkeypatch.setattr(operators, "_exact_diagonal", spy)
+        scaled = self._outputs(tmp_path, capsys, flags, "scaled")
+        assert any(found)  # the scaling path ran
+        monkeypatch.setattr(operators, "_exact_diagonal", lambda m: None)
+        dense = self._outputs(tmp_path, capsys, flags, "dense")
+        assert scaled == dense
 
 
 class TestBuild:
@@ -305,10 +367,14 @@ class TestScenarioFile:
 
 class TestConsoleScript:
     def test_module_entry_point(self):
+        # the child imports the same spinphase as this process, installed or not
+        package_root = os.path.dirname(os.path.dirname(spinphase.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "spinphase.cli", "verify", "--family", "su2", "--j", "1/2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout

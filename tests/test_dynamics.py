@@ -10,6 +10,7 @@ from spinphase import (
     NotDiagonalError,
     ParameterError,
     Hamiltonian,
+    Operator,
     Tolerance,
     build_finite_oscillator,
     build_hermitian_deformation,
@@ -84,6 +85,19 @@ class TestHeisenbergDerivative:
         rep = build_su2(1)
         with pytest.raises(NotDiagonalError):
             Hamiltonian(rep.Jp)
+
+    def test_off_diagonal_entries_within_tolerance_count(self):
+        # diagonal within tolerance but not exactly: the derivative must use
+        # the dense products, off-diagonal entries included
+        rep = build_su2("35/2")
+        m = np.diag(rep.J0.diagonal()).astype(complex)
+        m[1, 2] = m[2, 1] = 2e-13
+        h = Hamiltonian(Operator(m))
+        got = heisenberg_derivative(rep.Jp, h).mat
+        want = (rep.Jp.mat @ h.op.mat - h.op.mat @ rep.Jp.mat) / 1j
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        exact = heisenberg_derivative(rep.Jp, Hamiltonian(Operator(np.diag(np.diagonal(m))))).mat
+        assert not np.array_equal(got, exact)
 
 
 class TestEigenoperatorResidual:
