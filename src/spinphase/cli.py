@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -239,6 +240,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.t_max <= 0:
         raise ParameterError(f"--t-max must be positive, got {args.t_max}")
+    if not math.isfinite(args.t_max):
+        raise ParameterError(f"--t-max must be finite, got {args.t_max}")
     if args.steps < 2:
         raise ParameterError(f"--steps must be >= 2, got {args.steps}")
     elements = None

@@ -6,6 +6,14 @@ instead of relying on repr shortest-form, and dict keys keep insertion order.
 JSON has no token for a non-finite float, so the emitter writes the ones
 Python's ``json`` module reads and writes: ``NaN``, ``Infinity`` and
 ``-Infinity``.
+
+Floats are formatted in bulk: a list of Python floats in JSON, and the re/im
+values of one time step in CSV, go through one ``%``-template.  That is
+exact: ``'%.17g' % x`` is byte for byte ``format(x, '.17g')``, and the two
+paths differ only on non-finite values (``nan``/``inf`` against ``NaN``,
+``Infinity``, ``-Infinity``).  A finite ``.17g`` number never contains an
+``n`` (only digits, ``-``, ``.``, ``e`` and ``+``), so text that does takes
+the per-value path instead.
 """
 
 from __future__ import annotations
@@ -52,6 +60,10 @@ def _emit(obj: Any) -> str:
         items = ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        if obj and {*map(type, obj)} == {float}:
+            text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
+            if "n" not in text:
+                return "[" + text + "]"
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -66,8 +78,8 @@ def operator_to_jsonable(op: Operator) -> dict:
     return {
         "dim": op.dim,
         "label": op.label,
-        "re": [[float(v) for v in row] for row in op.mat.real],
-        "im": [[float(v) for v in row] for row in op.mat.imag],
+        "re": op.mat.real.tolist(),
+        "im": op.mat.imag.tolist(),
     }
 
 
@@ -84,14 +96,31 @@ def trajectory_csv_lines(
     times: Iterable[float],
     element_tracks: Iterable[tuple[tuple[int, int], Iterable[complex]]],
 ) -> list[str]:
-    """Rows `t,row,col,re,im`, grouped by time then by element order."""
+    """Rows `t,row,col,re,im`, grouped by time then by element order.
+
+    Each time is formatted once, and the re/im values of one time step fill
+    one template (exact; see the module docstring).
+    """
+    times = list(times)
     tracks = [(rc, list(vals)) for rc, vals in element_tracks]
     lines = ["t,row,col,re,im"]
+    if not times or not tracks:
+        return lines
+    if any(len(vals) < len(times) for _, vals in tracks):
+        raise IndexError("every track needs one value per time")
+    # one row per time step: re, im of each element in turn
+    values = np.empty((len(times), len(tracks)), dtype=complex)
+    for k, (_, vals) in enumerate(tracks):
+        values[:, k] = vals[: len(times)]
+    cells = values.view(np.float64)
+    tails = [f",{row},{col}".replace("%", "%%") + ",%.17g,%.17g" for (row, col), _ in tracks]
     for i, t in enumerate(times):
-        for (row, col), vals in tracks:
-            v = vals[i]
-            lines.append(
-                f"{format_float(t)},{row},{col},"
-                f"{format_float(v.real)},{format_float(v.imag)}"
+        t_text = format_float(t)
+        text = (t_text + ("\n" + t_text).join(tails)) % tuple(cells[i].tolist())
+        if "n" in text:
+            text = "\n".join(
+                f"{t_text},{row},{col},{format_float(vals[i].real)},{format_float(vals[i].imag)}"
+                for (row, col), vals in tracks
             )
+        lines.extend(text.split("\n"))
     return lines

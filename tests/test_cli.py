@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,25 @@ class TestEvolve:
         lines = out.read_text().strip().splitlines()
         elements = {tuple(line.split(",")[1:3]) for line in lines[1:]}
         assert elements == {("1", "0"), ("2", "1")}
+
+    def test_repeated_element_prints_one_track(self, tmp_path, capsys):
+        base = ["evolve", "--family", "su2", "--j", "1", "--t-max", "3", "--steps", "4"]
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert main(base + ["--elements", "1,0", "--out", str(once)]) == 0
+        assert main(base + ["--elements", "1,0", "--elements", "1,0", "--out", str(twice)]) == 0
+        capsys.readouterr()
+        assert twice.read_bytes() == once.read_bytes()
+        assert len(once.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max_is_a_usage_error(self, t_max, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["evolve", "--family", "su2", "--j", "1", "--t-max", t_max, "--steps", "4"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"spinphase evolve: --t-max must be finite, got {t_max}\n"
 
     def test_grid_validation(self, capsys):
         assert main(["evolve", "--family", "su2", "--j", "1", "--t-max", "-1", "--steps", "3"]) == 2

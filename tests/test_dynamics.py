@@ -1,6 +1,7 @@
 """Heisenberg dynamics: eigen-operator relations, exact evolution, and the
 phase-operator derivation with its negative control."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from spinphase import (
     two_mode_hamiltonian,
 )
 from spinphase.deform import DeformedTriple
+from spinphase.scenarios import build_bundle, resolve_scenario
 
 TOL = Tolerance()
 SPINS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2)]
@@ -214,6 +216,65 @@ class TestTrajectory:
             trajectory(rep.Jp, h, [])
         with pytest.raises(ParameterError):
             trajectory(rep.Jp, h, [1.0, 0.5])
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_times_rejected(self, grid):
+        rep = build_su2(1)
+        h = dipole_hamiltonian(rep.J0, 1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            trajectory(rep.Jp, h, grid)
+
+    def test_repeated_element_keeps_one_track(self):
+        rep = build_su2("3/2")
+        h = dipole_hamiltonian(rep.J0, 1.0)
+        grid = np.linspace(0.0, 3.0, 4)
+        once = trajectory(rep.Jp, h, grid, [(2, 1), (1, 0)])
+        twice = trajectory(rep.Jp, h, grid, [(2, 1), (1, 0), (2, 1), (1, 0), (2, 1)])
+        assert twice == once
+        assert [rc for rc, _ in twice.element_tracks] == [(2, 1), (1, 0)]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"family": "su2", "j": "5/2", "muB": 1.7},
+            {"family": "suq2", "j": "7/2", "q": 1.3, "muB": -0.4},
+            {"family": "witten", "j": "2", "r": 1.2},
+            {"family": "ab_map", "j": "3", "q": 1.3, "split": "left"},
+            {"family": "f_deform", "j": "25/2"},
+            {"family": "hermitian_f", "j": "3/2", "q_phase": 7},
+            {"family": "oscillator", "s": 6, "omega": 2.3},
+            {"family": "q_oscillator", "s": 5},
+            {"family": "jordan_schwinger", "s": 3, "omega1": 0.7, "omega2": 2.9},
+        ],
+    )
+    def test_samples_equal_evolve_bit_for_bit(self, values):
+        bundle = build_bundle(resolve_scenario(values))
+        o, h = bundle.evolve_target, bundle.hamiltonian
+        grid = [0.0, 1e-300, 0.1, 1.0, np.pi, 17.25, 1e6, 1e300]
+        elements = list(zip(*np.nonzero(o.mat))) + [(0, 0), (o.dim - 1, 0)]
+        traj = trajectory(o, h, grid, elements)
+        assert traj.times == tuple(grid)
+        for i, t in enumerate(grid):
+            want = evolve(o, h, t).mat
+            for (r, c), vals in traj.element_tracks:
+                got = np.array([vals[i]])
+                assert got.view(np.uint64).tolist() == want[r : r + 1, c].view(np.uint64).tolist()
+                assert vals[i] == want[r, c] or np.isnan(want[r, c])
+
+    def test_memory_scales_with_output_not_dimension(self):
+        # dim 961: a steps x dim phase array would take about 300 MB
+        bundle = build_bundle(resolve_scenario({"family": "jordan_schwinger", "s": 30}))
+        o, h = bundle.evolve_target, bundle.hamiltonian
+        element = tuple(int(i) for i in np.argwhere(o.mat)[0])
+        grid = np.linspace(0.0, 10.0, 20000)
+        tracemalloc.start()
+        try:
+            traj = trajectory(o, h, grid, [element])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.element_tracks[0][1]) == 20000
+        assert peak < 16 * 2**20
 
 
 class TestPhaseDerivation:
