@@ -16,18 +16,19 @@ no timestamps; reports embed the library version and the resolved scenario).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .operators import AlgebraError, ParameterError
 from .report import CheckReport
-from .scenarios import FAMILIES, Scenario, build_bundle, resolve_scenario
+from .scenarios import FAMILIES, FAMILY_PARAMS, Scenario, build_bundle, resolve_scenario
 from .serialize import (
     dumps,
     format_float,
@@ -40,51 +41,8 @@ from .verify import run_verify
 
 __all__ = ["main", "run"]
 
-_SCENARIO_FLAGS = (
-    "family",
-    "j",
-    "s",
-    "q",
-    "q_phase",
-    "r",
-    "theta0",
-    "phi0",
-    "muB",
-    "omega",
-    "omega1",
-    "omega2",
-    "split",
-    "f_coeff",
-    "tol",
-)
-
-_SWEEPABLE = (
-    "j",
-    "s",
-    "q",
-    "q_phase",
-    "r",
-    "theta0",
-    "phi0",
-    "muB",
-    "omega",
-    "omega1",
-    "omega2",
-    "f_coeff",
-)
-
-# parameters each family actually consumes; sweeping anything else is an error
-_FAMILY_PARAMS = {
-    "su2": {"j", "theta0", "muB"},
-    "suq2": {"j", "q", "theta0", "muB"},
-    "witten": {"j", "r", "theta0", "muB"},
-    "ab_map": {"j", "q", "theta0", "muB"},
-    "f_deform": {"j", "f_coeff", "theta0", "muB"},
-    "hermitian_f": {"j", "q", "q_phase", "theta0", "muB"},
-    "oscillator": {"s", "omega", "phi0"},
-    "q_oscillator": {"s", "omega", "phi0"},
-    "jordan_schwinger": {"s", "omega1", "omega2", "muB", "phi0"},
-}
+_SCENARIO_FLAGS = tuple(f.name for f in dataclasses.fields(Scenario))
+_SWEEPABLE = tuple(name for name in _SCENARIO_FLAGS if name not in ("family", "split", "tol"))
 
 _CATEGORIES = ("algebra", "phase", "dynamics", "derivation")
 
@@ -146,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="swept parameter as name:start:stop:count (one or two)",
     )
-    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent grid points")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="ignored (>= 1); points run serially")
     p_sweep.add_argument("--out", help="output path (default: stdout)")
 
     return parser
@@ -162,6 +120,8 @@ def _default_tol() -> float:
         raise ParameterError(f"SPINPHASE_TOL is not a number: {raw!r}") from exc
     if value < 0:
         raise ParameterError(f"SPINPHASE_TOL must be nonnegative, got {value}")
+    if not math.isfinite(value):
+        raise ParameterError(f"SPINPHASE_TOL must be finite, got {value}")
     return value
 
 
@@ -283,6 +243,8 @@ def _parse_sweep_params(specs: list[str]) -> list[tuple[str, np.ndarray]]:
             start, stop, count = float(start_s), float(stop_s), int(count_s)
         except ValueError as exc:
             raise ParameterError(f"bad sweep grid in {spec!r}") from exc
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ParameterError(f"sweep start and stop must be finite, got {spec!r}")
         if count < 2:
             raise ParameterError(f"sweep count must be >= 2, got {count}")
         values = np.linspace(start, stop, count)
@@ -324,7 +286,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     default_tol = _default_tol()
     family = base.get("family")
     for name, _ in grids:
-        if family in _FAMILY_PARAMS and name not in _FAMILY_PARAMS[family]:
+        if family in FAMILIES and name not in FAMILY_PARAMS[family]:
             raise ParameterError(f"family {family} does not use parameter {name!r}")
     # validate the template once (swept params plugged with their first value)
     probe = dict(base)
@@ -332,24 +294,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         probe[name] = values[0]
     resolve_scenario(probe, default_tol)
 
-    if len(grids) == 1:
-        points = [{grids[0][0]: v} for v in grids[0][1]]
-    else:
-        points = [
-            {grids[0][0]: v1, grids[1][0]: v2}
-            for v1 in grids[0][1]
-            for v2 in grids[1][1]
-        ]
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [pool.submit(_sweep_point, base, pt, default_tol) for pt in points]
-        results = [f.result() for f in futures]
-
     names = [name for name, _ in grids]
+    points = [dict(zip(names, combo)) for combo in itertools.product(*(v for _, v in grids))]
     header = names + [f"max_{c}" for c in _CATEGORIES] + ["min_control", "all_pass", "error"]
     lines = [",".join(header)]
     ok = True
-    for pt, (summary, err) in zip(points, results):
+    for pt in points:
+        summary, err = _sweep_point(base, pt, default_tol)
         row = [format_float(float(pt[name])) for name in names]
         if err:
             ok = False

@@ -193,16 +193,6 @@ def trajectory(
     return Trajectory(tuple(times), tracks, o.label)
 
 
-def _phase_equation_sides(
-    u: Operator, corner: Operator, h: Hamiltonian, muB: float
-) -> tuple[Operator, Operator, Operator]:
-    """(numeric dU/dt, analytic dU/dt with boundary term, truncated form)."""
-    numeric = heisenberg_derivative(u, h)
-    analytic = (-1j * muB) * (u - corner)
-    truncated = (-1j * muB) * u
-    return numeric, analytic, truncated
-
-
 def derive_ladder_dynamics_from_phase(
     rep: Su2Rep,
     triple: DeformedTriple | None,
@@ -253,7 +243,8 @@ def derive_ladder_dynamics_from_phase(
         category="derivation",
     )
 
-    numeric, analytic, truncated = _phase_equation_sides(u, corner_p, h, muB)
+    numeric = heisenberg_derivative(u, h)
+    analytic = (-1j * muB) * (u - corner_p)
     report.add(
         "phase_equation_with_boundary",
         residual(numeric, analytic),
@@ -295,7 +286,7 @@ def derive_ladder_dynamics_from_phase(
 
     report.add(
         "phase_equation_without_boundary",
-        residual(numeric, truncated),
+        residual(numeric, (-1j * muB) * u),
         NEGATIVE_CONTROL_FLOOR * abs(muB),
         detail=(
             "negative control: dropping the boundary projector breaks the "

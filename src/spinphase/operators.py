@@ -24,6 +24,7 @@ finite; every other product stays dense.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
@@ -96,6 +97,8 @@ class Tolerance:
     def __post_init__(self) -> None:
         if self.abs_tol < 0:
             raise ParameterError("abs_tol must be nonnegative")
+        if not math.isfinite(self.abs_tol):
+            raise ParameterError(f"abs_tol must be finite, got {self.abs_tol}")
 
     def for_dim(self, dim: int) -> float:
         return self.abs_tol * dim if self.scale_with_dim else self.abs_tol

@@ -2,15 +2,20 @@
 
 A scenario names a family (su2, suq2, witten, ab_map, f_deform, hermitian_f,
 oscillator, q_oscillator, jordan_schwinger) plus the parameters the family
-needs.  Scenario files are flat JSON mirroring the CLI flag names; flags
-override file values.  Validation failures raise ParameterError/BadSpinError
-(CLI exit 2); mathematically impossible constructions surface later as
-check failures (CLI exit 1).
+needs.  ``FAMILY_PARAMS`` is the one place that states which parameters each
+family reads: the family list, the spin families, the report's scenario
+block, the parameters a scenario keeps and the ones a sweep may vary all
+derive from it.  Scenario files are flat JSON mirroring the CLI flag names;
+flags override file values, and every numeric value must be a finite number.
+Validation failures raise ParameterError/BadSpinError (CLI exit 2);
+mathematically impossible constructions surface later as check failures
+(CLI exit 1).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -40,6 +45,7 @@ from .su2 import Su2Rep, build_su2, parse_spin
 
 __all__ = [
     "FAMILIES",
+    "FAMILY_PARAMS",
     "SPIN_FAMILIES",
     "Scenario",
     "FamilyBundle",
@@ -48,9 +54,20 @@ __all__ = [
     "structure_function_for",
 ]
 
-SPIN_FAMILIES = ("su2", "suq2", "witten", "ab_map", "f_deform", "hermitian_f")
-OSCILLATOR_FAMILIES = ("oscillator", "q_oscillator", "jordan_schwinger")
-FAMILIES = SPIN_FAMILIES + OSCILLATOR_FAMILIES
+# the Scenario fields each family reads, in the order its report lists them
+FAMILY_PARAMS = {
+    "su2": ("j", "theta0", "muB"),
+    "suq2": ("j", "q", "theta0", "muB"),
+    "witten": ("j", "r", "theta0", "muB"),
+    "ab_map": ("j", "q", "theta0", "muB", "split"),
+    "f_deform": ("j", "theta0", "muB", "f_coeff"),
+    "hermitian_f": ("j", "q", "q_phase", "theta0", "muB"),
+    "oscillator": ("s", "phi0", "omega"),
+    "q_oscillator": ("s", "phi0", "omega"),
+    "jordan_schwinger": ("s", "phi0", "omega1", "omega2", "muB"),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
+SPIN_FAMILIES = tuple(f for f, params in FAMILY_PARAMS.items() if "j" in params)
 
 _DEFAULTS = {
     "theta0": 0.0,
@@ -88,33 +105,10 @@ class Scenario:
     def to_jsonable(self) -> dict:
         """Fully resolved flat form, keys mirroring the CLI flags."""
         out: dict[str, Any] = {"family": self.family}
-        if self.j is not None:
-            out["j"] = str(self.j)
-        if self.s is not None:
-            out["s"] = self.s
-        if self.q is not None:
-            out["q"] = self.q
-        if self.q_phase is not None:
-            out["q_phase"] = self.q_phase
-        if self.r is not None:
-            out["r"] = self.r
-        if self.family in SPIN_FAMILIES:
-            out["theta0"] = self.theta0
-            out["muB"] = self.muB
-        else:
-            out["phi0"] = self.phi0
-        if self.family == "oscillator":
-            out["omega"] = self.omega
-        if self.family == "q_oscillator":
-            out["omega"] = self.omega
-        if self.family == "jordan_schwinger":
-            out["omega1"] = self.omega1
-            out["omega2"] = self.omega2
-            out["muB"] = self.muB
-        if self.family == "ab_map":
-            out["split"] = self.split
-        if self.family == "f_deform":
-            out["f_coeff"] = self.f_coeff
+        for key in FAMILY_PARAMS[self.family]:
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = str(value) if key == "j" else value
         out["tol"] = self.tol.abs_tol
         return out
 
@@ -124,9 +118,12 @@ def _as_float(values: dict, key: str) -> float | None:
     if v is None:
         return None
     try:
-        return float(v)
-    except (TypeError, ValueError) as exc:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"flag {key} expects a number, got {v!r}") from exc
+    if not math.isfinite(x):
+        raise ParameterError(f"flag {key} must be finite, got {v!r}")
+    return x
 
 
 def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
@@ -151,7 +148,7 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
             raise ParameterError(f"family {family} requires --s")
         try:
             s = int(merged["s"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"--s expects an integer, got {merged['s']!r}") from exc
         if s < 1:
             raise ParameterError(f"s must be >= 1, got {s}")
@@ -160,10 +157,8 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
     q_phase = _as_float(merged, "q_phase")
     r = _as_float(merged, "r")
 
-    if family == "suq2" and (q is None or q <= 0):
-        raise ParameterError(f"suq2 requires real q > 0, got {q}")
-    if family == "ab_map" and (q is None or q <= 0):
-        raise ParameterError(f"ab_map requires real q > 0, got {q}")
+    if family in ("suq2", "ab_map") and (q is None or q <= 0):
+        raise ParameterError(f"{family} requires real q > 0, got {q}")
     if family == "witten":
         if r is None:
             raise ParameterError("witten requires --r")
@@ -181,24 +176,28 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
     if family == "ab_map" and split not in ("left", "symmetric"):
         raise ParameterError(f"split must be 'left' or 'symmetric', got {split!r}")
 
-    tol_val = merged.get("tol")
-    tol = Tolerance(float(tol_val) if tol_val is not None else default_tol)
+    tol_val = _as_float(merged, "tol")
+    tol = Tolerance(tol_val if tol_val is not None else default_tol)
 
+    # a family keeps only the deformation parameters it reads; a phase-valued
+    # q (hermitian_f --q-phase) replaces the real one
+    params = FAMILY_PARAMS[family]
+    q_phase = q_phase if "q_phase" in params else None
     return Scenario(
         family=family,
         j=j,
         s=s,
-        q=q if family in ("suq2", "ab_map") or (family == "hermitian_f" and q_phase is None) else None,
-        q_phase=q_phase if family == "hermitian_f" else None,
-        r=r if family == "witten" else None,
-        theta0=float(merged["theta0"]),
-        phi0=float(merged["phi0"]),
-        muB=float(merged["muB"]),
-        omega=float(merged["omega"]),
-        omega1=float(merged["omega1"]),
-        omega2=float(merged["omega2"]),
+        q=q if "q" in params and q_phase is None else None,
+        q_phase=q_phase,
+        r=r if "r" in params else None,
+        theta0=_as_float(merged, "theta0"),
+        phi0=_as_float(merged, "phi0"),
+        muB=_as_float(merged, "muB"),
+        omega=_as_float(merged, "omega"),
+        omega1=_as_float(merged, "omega1"),
+        omega2=_as_float(merged, "omega2"),
         split=split,
-        f_coeff=float(merged["f_coeff"]),
+        f_coeff=_as_float(merged, "f_coeff"),
         tol=tol,
     )
 

@@ -21,12 +21,11 @@ from .operators import (
     BadSpinError,
     Operator,
     Tolerance,
-    commutator,
     from_diagonal,
     residual,
 )
 
-__all__ = ["Su2Rep", "parse_spin", "spin_str", "build_su2", "casimir"]
+__all__ = ["Su2Rep", "parse_spin", "build_su2", "casimir"]
 
 
 def parse_spin(j: float | int | str | Fraction) -> Fraction:
@@ -46,15 +45,11 @@ def parse_spin(j: float | int | str | Fraction) -> Fraction:
             frac = Fraction(float(j)).limit_denominator(2)
             if abs(float(frac) - float(j)) > 1e-9:
                 raise BadSpinError(f"bad spin: {j!r} is not a half-integer")
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise BadSpinError(f"bad spin: cannot parse {j!r}") from exc
     if frac.denominator not in (1, 2) or frac <= 0:
         raise BadSpinError(f"bad spin: {j!r} is not a positive half-integer")
     return frac
-
-
-def spin_str(j: Fraction) -> str:
-    return str(j)
 
 
 @dataclass(frozen=True)
@@ -109,11 +104,3 @@ def casimir(rep: Su2Rep, tol: Tolerance = DEFAULT_TOL) -> Operator:
     if residual(c_up, c_down) > t or residual(c_up, scalar) > t:
         raise ArithmeticError("casimir orderings disagree; representation is corrupt")
     return c_up.relabel("C")
-
-
-def _ladder_check(rep: Su2Rep, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Worst residual over the defining relations; used by tests."""
-    t1 = residual(commutator(rep.J0, rep.Jp), rep.Jp)
-    t2 = residual(commutator(rep.J0, rep.Jm), -1.0 * rep.Jm)
-    t3 = residual(commutator(rep.Jp, rep.Jm), 2.0 * rep.J0)
-    return max(t1, t2, t3)

@@ -37,7 +37,7 @@ from .operators import (
 )
 from .phase import build_phase_operator, phase_number_commutator_residual, polar_decompose
 from .report import CheckReport
-from .scenarios import FamilyBundle, Scenario, build_bundle, structure_function_for
+from .scenarios import SPIN_FAMILIES, FamilyBundle, Scenario, build_bundle, structure_function_for
 from .su2 import casimir
 
 __all__ = ["run_verify", "collect_checks"]
@@ -152,7 +152,7 @@ def collect_checks(bundle: FamilyBundle) -> CheckReport:
     sc = bundle.scenario
     report = CheckReport()
 
-    if sc.family in ("su2", "suq2", "witten", "ab_map", "f_deform", "hermitian_f"):
+    if sc.family in SPIN_FAMILIES:
         rep = bundle.rep
         t = sc.tol.for_dim(rep.dim)
         _phase_suite(report, bundle)
@@ -302,34 +302,33 @@ def _oscillator_phase_checks(
     omega: float,
     h,
     t: float,
-    prefix: str = "",
 ) -> None:
     """Phase-equation checks shared by the plain and the q oscillator."""
     numeric = heisenberg_derivative(u, h)
     analytic = (-1j * omega) * (u - corner)
     report.add(
-        f"{prefix}phase_equation_with_boundary",
+        "phase_equation_with_boundary",
         residual(numeric, analytic),
         t,
         detail="(1/i)[U,H] = -i*omega*(U - (s+1)e^{i(s+1)phi0}|s><0|)",
         category="derivation",
     )
     report.add(
-        f"{prefix}boundary_term_annihilated",
+        "boundary_term_annihilated",
         (corner @ modulus).norm(),
         t,
         detail="|s><0| sqrt(level weights) = 0",
         category="derivation",
     )
     report.add(
-        f"{prefix}ladder_dynamics_from_phase",
+        "ladder_dynamics_from_phase",
         residual(numeric @ modulus, (-1j * omega) * ladder),
         t,
         detail="dU/dt * modulus reproduces the annihilation dynamics",
         category="derivation",
     )
     report.add(
-        f"{prefix}phase_equation_without_boundary",
+        "phase_equation_without_boundary",
         residual(numeric, (-1j * omega) * u),
         NEGATIVE_CONTROL_FLOOR * abs(omega),
         detail="negative control: the bare eigen-relation fails for U itself",

@@ -320,7 +320,8 @@ class TestSweep:
         args = ["sweep", "--family", "suq2", "--j", "1", "--param", "q:0.5:2:6"]
         main(args + ["--jobs", "1", "--out", str(a)])
         main(args + ["--jobs", "3", "--out", str(b)])
-        capsys.readouterr()
+        assert main(args + ["--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "spinphase sweep: --jobs must be >= 1, got 0\n"
         assert a.read_bytes() == b.read_bytes()
 
     def test_two_parameter_grid(self, tmp_path, capsys):
@@ -383,6 +384,166 @@ class TestScenarioFile:
         monkeypatch.setenv("SPINPHASE_TOL", "not-a-number")
         assert main(["verify", "--family", "su2", "--j", "1"]) == 2
         capsys.readouterr()
+
+
+# one small scenario per family and the scenario keys its report lists, in order
+_FAMILY_CASES = {
+    "su2": (["--j", "1"], ["j", "theta0", "muB"]),
+    "suq2": (["--j", "1", "--q", "1.3"], ["j", "q", "theta0", "muB"]),
+    "witten": (["--j", "1", "--r", "1.2"], ["j", "r", "theta0", "muB"]),
+    "ab_map": (["--j", "1", "--q", "1.3"], ["j", "q", "theta0", "muB", "split"]),
+    "f_deform": (["--j", "1"], ["j", "theta0", "muB", "f_coeff"]),
+    "hermitian_f": (["--j", "1", "--q", "1.3"], ["j", "q", "theta0", "muB"]),
+    "oscillator": (["--s", "2"], ["s", "phi0", "omega"]),
+    "q_oscillator": (["--s", "2"], ["s", "phi0", "omega"]),
+    "jordan_schwinger": (["--s", "2"], ["s", "phi0", "omega1", "omega2", "muB"]),
+}
+
+# a two-point grid for every sweepable name
+_SWEEP_GRIDS = {
+    "j": "1:2:2",
+    "s": "2:3:2",
+    "q": "1.1:1.2:2",
+    "q_phase": "7:8:2",
+    "r": "1.1:1.2:2",
+    "theta0": "0:1:2",
+    "phi0": "0:1:2",
+    "muB": "1:2:2",
+    "omega": "1:2:2",
+    "omega1": "1:2:2",
+    "omega2": "2:3:2",
+    "f_coeff": "0.1:0.2:2",
+}
+
+
+class TestFamilyParameters:
+    """Which parameters a family reads decides its report and its sweeps."""
+
+    @pytest.mark.parametrize(
+        "flags, keys",
+        [
+            (["--family", family, *flags], ["family", *keys, "tol"])
+            for family, (flags, keys) in _FAMILY_CASES.items()
+        ]
+        + [
+            (
+                ["--family", "hermitian_f", "--j", "1", "--q-phase", "7"],
+                ["family", "j", "q_phase", "theta0", "muB", "tol"],
+            )
+        ],
+        ids=[*_FAMILY_CASES, "hermitian_f-q_phase"],
+    )
+    def test_report_scenario_key_order(self, tmp_path, capsys, flags, keys):
+        report = tmp_path / "report.json"
+        assert main(["verify", *flags, "--report", str(report)]) == 0
+        capsys.readouterr()
+        assert list(read_json(report)["scenario"]) == keys
+
+    @pytest.mark.parametrize("family", list(_FAMILY_CASES))
+    @pytest.mark.parametrize("name", list(_SWEEP_GRIDS))
+    def test_sweep_accepts_exactly_the_read_parameters(self, capsys, family, name):
+        flags, keys = _FAMILY_CASES[family]
+        if family == "hermitian_f":
+            keys = keys + ["q_phase"]
+        rc = main(["sweep", "--family", family, *flags, "--param", f"{name}:{_SWEEP_GRIDS[name]}"])
+        err = capsys.readouterr().err
+        if name in keys:
+            assert rc in (0, 1)
+            assert err == ""
+        else:
+            assert rc == 2
+            assert err == f"spinphase sweep: family {family} does not use parameter {name!r}\n"
+
+    @pytest.mark.parametrize("name", ["zz", "family", "split", "tol"])
+    def test_unsweepable_name_message(self, capsys, name):
+        rc = main(["sweep", "--family", "suq2", "--j", "1", "--param", f"{name}:0:1:3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"spinphase sweep: cannot sweep {name!r}; choose from "
+            "j, s, q, q_phase, r, theta0, phi0, muB, omega, omega1, omega2, f_coeff\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, stray",
+        [
+            (["--family", "su2", "--j", "1"], ["--q", "2", "--q-phase", "5", "--r", "3"]),
+            (["--family", "suq2", "--j", "1", "--q", "1.3"], ["--q-phase", "5", "--r", "3"]),
+            (["--family", "witten", "--j", "1", "--r", "1.2"], ["--q", "2", "--q-phase", "5"]),
+            (["--family", "ab_map", "--j", "1", "--q", "1.3"], ["--q-phase", "5", "--r", "3"]),
+            (["--family", "f_deform", "--j", "1"], ["--q", "2", "--q-phase", "5", "--r", "3"]),
+            (["--family", "hermitian_f", "--j", "1", "--q", "1.3"], ["--r", "3"]),
+            # a phase-valued q replaces the real one
+            (["--family", "hermitian_f", "--j", "1", "--q-phase", "7"], ["--q", "1.3", "--r", "3"]),
+            (["--family", "oscillator", "--s", "2"], ["--q", "2", "--q-phase", "5", "--r", "3"]),
+            (["--family", "q_oscillator", "--s", "2"], ["--q", "2", "--q-phase", "5", "--r", "3"]),
+            (["--family", "jordan_schwinger", "--s", "2"], ["--q", "2", "--q-phase", "5", "--r", "3"]),
+        ],
+        ids=lambda v: " ".join(v),
+    )
+    def test_stray_deformation_flags_are_ignored(self, tmp_path, capsys, flags, stray):
+        plain, with_stray = tmp_path / "plain.json", tmp_path / "stray.json"
+        assert main(["verify", *flags, "--report", str(plain)]) == 0
+        plain_out = capsys.readouterr()
+        assert main(["verify", *flags, *stray, "--report", str(with_stray)]) == 0
+        assert capsys.readouterr() == plain_out
+        assert with_stray.read_bytes() == plain.read_bytes()
+
+
+# inputs that must be usage errors (exit 2, one line on stderr): values that
+# are no number, and numbers that are not finite
+_REJECTED_FILES = [
+    ("verify", '{"family": "su2", "j": "1", "theta0": "x"}'),
+    ("verify", '{"family": "su2", "j": "1", "tol": "abc"}'),
+    ("verify", '{"family": "oscillator", "s": 3, "omega": "fast"}'),
+    ("verify", '{"family": "su2", "j": [1]}'),
+    ("verify", '{"family": "su2", "j": Infinity}'),
+    ("verify", '{"family": "oscillator", "s": 1e400}'),
+    ("verify", '{"family": "su2", "j": "1", "tol": Infinity}'),
+    ("sweep", '{"family": ["su2"]}'),
+]
+
+_REJECTED_FLAGS = [
+    ["verify", "--family", "su2", "--j", "1", "--tol", "inf"],
+    ["verify", "--family", "su2", "--j", "1", "--tol", "nan"],
+    ["verify", "--family", "su2", "--j", "1", "--theta0", "nan"],
+    ["verify", "--family", "su2", "--j", "1", "--muB", "nan"],
+    ["verify", "--family", "hermitian_f", "--j", "1", "--q-phase", "inf"],
+    ["sweep", "--family", "su2", "--j", "1", "--param", "theta0:0:nan:3"],
+    ["sweep", "--family", "oscillator", "--param", "s:1:inf:3"],
+]
+
+
+class TestRejectedInput:
+    @staticmethod
+    def _assert_usage_error(rc, captured, command):
+        assert rc == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(f"spinphase {command}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, text", _REJECTED_FILES)
+    def test_bad_scenario_file_value(self, tmp_path, capsys, command, text):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        argv = [command, "--scenario", str(scenario)]
+        if command == "sweep":
+            argv += ["--param", "j:1:2:3"]
+        self._assert_usage_error(main(argv), capsys.readouterr(), command)
+
+    @pytest.mark.parametrize("argv", _REJECTED_FLAGS, ids=" ".join)
+    def test_non_finite_flag(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, argv[0])
+        assert "finite" in captured.err
+
+    def test_non_finite_tol_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPINPHASE_TOL", "inf")
+        rc = main(["verify", "--family", "su2", "--j", "1"])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, "verify")
+        assert captured.err == "spinphase verify: SPINPHASE_TOL must be finite, got inf\n"
 
 
 class TestConsoleScript:
