@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__
 from .operators import AlgebraError, ParameterError
 from .report import CheckReport
-from .scenarios import FAMILIES, FAMILY_PARAMS, Scenario, build_bundle, resolve_scenario
+from .families import FAMILY_TABLE
+from .scenarios import FAMILIES, Scenario, build_bundle, resolve_scenario
 from .serialize import (
     dumps,
     format_float,
@@ -286,7 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     default_tol = _default_tol()
     family = base.get("family")
     for name, _ in grids:
-        if family in FAMILIES and name not in FAMILY_PARAMS[family]:
+        if family in FAMILIES and name not in FAMILY_TABLE[family].params:
             raise ParameterError(f"family {family} does not use parameter {name!r}")
     # validate the template once (swept params plugged with their first value)
     probe = dict(base)

@@ -3,7 +3,9 @@
 A deformation replaces [J+, J-] = 2*J0 by [J+~, J-~] = f(J0~) for a structure
 function f that returns to 2x in some parameter limit.  Every builder here
 produces the deformed generators as explicit matrices on top of the standard
-representation and verifies its defining relations before returning.
+representation and verifies its defining relations before returning; the
+residuals it computed ride along on the result as named checks (``checks``),
+so a verifier reports them instead of computing them again.
 
 Diagonal weight factors with apparent 0/0 at the edge of the spectrum (the
 hermitian map, Witten's map) are evaluated elementwise on the nonzero ladder
@@ -33,6 +35,7 @@ from .operators import (
     r_commutator,
     residual,
 )
+from .report import CheckReport
 from .su2 import Su2Rep, build_su2, parse_spin
 
 __all__ = [
@@ -49,7 +52,6 @@ __all__ = [
     "build_hermitian_deformation",
     "build_suq2",
     "build_witten",
-    "witten_relation_tolerance",
     "build_scaled_deformation",
     "deformed_casimir",
 ]
@@ -219,13 +221,15 @@ def discrete_antiderivative(
 
 @dataclass(frozen=True)
 class DeformedTriple:
-    """Deformed generators plus a record of which map produced them."""
+    """Deformed generators, a record of which map produced them, and the
+    relations the builder verified (``checks``, named as in a verify report)."""
 
     Jp: Operator
     Jm: Operator
     J0: Operator
     provenance: dict
     hermitian_pair: bool
+    checks: CheckReport = field(default_factory=CheckReport)
 
     @property
     def dim(self) -> int:
@@ -234,46 +238,58 @@ class DeformedTriple:
 
 @dataclass(frozen=True)
 class WittenGenerators:
-    """Generators of Witten's second deformation at parameter r."""
+    """Generators of Witten's second deformation at parameter r, with the
+    relations build_witten verified as ``checks``."""
 
     W0: Operator
     Wp: Operator
     Wm: Operator
     r: float
+    checks: CheckReport = field(default_factory=CheckReport)
 
     @property
     def dim(self) -> int:
         return self.W0.dim
 
 
-def _scale_columns(base: Operator, weight: Callable[[float], complex], ms: np.ndarray) -> Operator:
-    """base @ diag(weight(m)), evaluated only where base has support."""
+def _scale(
+    base: Operator, weight: Callable[[float], complex], ms: np.ndarray, axis: int
+) -> Operator:
+    """diag(weight(m)) @ base (axis 0) or base @ diag(weight(m)) (axis 1),
+    evaluated only where base has support."""
     out = np.array(base.mat)
-    rows, cols = np.nonzero(out)
-    for r, c in zip(rows, cols):
-        out[r, c] *= weight(float(ms[c]))
+    for entry in zip(*np.nonzero(out)):
+        out[entry] *= weight(float(ms[entry[axis]]))
     return Operator(out)
 
 
-def _scale_rows(base: Operator, weight: Callable[[float], complex], ms: np.ndarray) -> Operator:
-    """diag(weight(m)) @ base, evaluated only where base has support."""
-    out = np.array(base.mat)
-    rows, cols = np.nonzero(out)
-    for r, c in zip(rows, cols):
-        out[r, c] *= weight(float(ms[r]))
-    return Operator(out)
+def _ladder_checks(
+    j0: Operator, jp: Operator, jm: Operator, t: float, hermitian: bool = False
+) -> CheckReport:
+    """[J0, J+-~] = +-J+-~ as checks at tolerance t, and J-~ = (J+~)^dagger
+    for a hermitian pair: one built as such (``hermitian``) or one whose
+    adjoint residual is within t."""
+    checks = CheckReport()
+    checks.add("j0_ladder_raising", residual(commutator(j0, jp), jp), t)
+    checks.add("j0_ladder_lowering", residual(commutator(j0, jm), -1.0 * jm), t)
+    adjoint = residual(jm, jp.adjoint())
+    if hermitian or adjoint <= t:
+        checks.add("adjoint_pair", adjoint, t)
+    return checks
 
 
-def _assert_ladder_relations(
-    triple: DeformedTriple, tol_val: float, check_j0: bool = True
-) -> None:
-    if check_j0:
-        res_p = residual(commutator(triple.J0, triple.Jp), triple.Jp)
-        res_m = residual(commutator(triple.J0, triple.Jm), -1.0 * triple.Jm)
-        if max(res_p, res_m) > tol_val:
-            raise ArithmeticError(
-                f"[J0~, J+-~] = +-J+-~ violated: residual {max(res_p, res_m):.3e}"
-            )
+def _ladder_triple(
+    jp: Operator, jm: Operator, j0: Operator, provenance: dict, t: float,
+    hermitian: bool = False,
+) -> DeformedTriple:
+    """The triple, raising unless [J0, J+-~] = +-J+-~ holds; J+~, J-~ are a
+    hermitian pair as _ladder_checks decides."""
+    checks = _ladder_checks(j0, jp, jm, t, hermitian)
+    worst = max(c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering"))
+    if worst > t:
+        raise ArithmeticError(f"[J0~, J+-~] = +-J+-~ violated: residual {worst:.3e}")
+    hermitian = bool(checks.named("adjoint_pair"))
+    return DeformedTriple(jp.relabel("J+~"), jm.relabel("J-~"), j0, provenance, hermitian, checks)
 
 
 def build_split_deformation(
@@ -302,17 +318,10 @@ def build_split_deformation(
     if split == "custom":
         if raising_weight is None or lowering_weight is None:
             raise ParameterError("custom split requires both weight functions")
-        jp_t = _scale_columns(rep.Jp, raising_weight, ms)
-        jm_t = _scale_rows(rep.Jm, lowering_weight, ms)
-        triple = DeformedTriple(
-            jp_t.relabel("J+~"),
-            jm_t.relabel("J-~"),
-            rep.J0,
-            {"map": "ab_map", "params": {"split": "custom"}},
-            residual(jm_t, jp_t.adjoint()) <= t,
-        )
-        _assert_ladder_relations(triple, t)
-        return triple
+        jp_t = _scale(rep.Jp, raising_weight, ms, 1)
+        jm_t = _scale(rep.Jm, lowering_weight, ms, 0)
+        prov = {"map": "ab_map", "params": {"split": "custom"}}
+        return _ladder_triple(jp_t, jm_t, rep.J0, prov, t)
 
     if g is None:
         raise ParameterError("left/symmetric splits require a solved g")
@@ -337,16 +346,9 @@ def build_split_deformation(
         a_weight = {k: np.sqrt(max(v, 0.0)) for k, v in ab.items()}
         b_weight = a_weight
 
-    jp_t = _scale_columns(rep.Jp, lambda m: a_weight[round(2 * m)], ms)
-    jm_t = _scale_rows(rep.Jm, lambda m: b_weight[round(2 * m)], ms)
-    triple = DeformedTriple(
-        jp_t.relabel("J+~"),
-        jm_t.relabel("J-~"),
-        rep.J0,
-        {"map": "ab_map", "params": {"split": split}},
-        residual(jm_t, jp_t.adjoint()) <= t,
-    )
-    _assert_ladder_relations(triple, t)
+    jp_t = _scale(rep.Jp, lambda m: a_weight[round(2 * m)], ms, 1)
+    jm_t = _scale(rep.Jm, lambda m: b_weight[round(2 * m)], ms, 0)
+    triple = _ladder_triple(jp_t, jm_t, rep.J0, {"map": "ab_map", "params": {"split": split}}, t)
 
     # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
     f_diag = from_diagonal([g.value(float(m)) - g.value(float(m) - 1.0) for m in ms])
@@ -389,16 +391,11 @@ def build_hermitian_deformation(
     ms = rep.m_values()
     t = tol.for_dim(rep.dim)
     weight = _hermitian_ladder_weight(float(rep.j), f, t)
-    jp_t = _scale_rows(rep.Jp, weight, ms)
+    jp_t = _scale(rep.Jp, weight, ms, 0)
     jm_t = jp_t.adjoint()
     params = dict(f.params)
     params["f"] = f.description
-    triple = DeformedTriple(
-        jp_t.relabel("J+~"), jm_t.relabel("J-~"), rep.J0,
-        {"map": "hermitian_f", "params": params}, True,
-    )
-    _assert_ladder_relations(triple, t)
-    return triple
+    return _ladder_triple(jp_t, jm_t, rep.J0, {"map": "hermitian_f", "params": params}, t, True)
 
 
 def build_suq2(
@@ -419,10 +416,9 @@ def build_suq2(
     for i in range(dim - 1):
         m = -jv + i
         mat[i + 1, i] = np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q))
-    jp_t = Operator(mat, "J+~")
-    jm_t = jp_t.adjoint().relabel("J-~")
-    triple = DeformedTriple(jp_t, jm_t, rep.J0, {"map": "suq2", "params": {"q": float(q)}}, True)
-    _assert_ladder_relations(triple, t)
+    jp_t = Operator(mat)
+    jm_t = jp_t.adjoint()
+    triple = _ladder_triple(jp_t, jm_t, rep.J0, {"map": "suq2", "params": {"q": float(q)}}, t, True)
 
     g_up = diag_function(lambda m: q_number(m, q) * q_number(m + 1.0, q), rep.J0, tol)
     g_down = diag_function(lambda m: q_number(m, q) * q_number(m - 1.0, q), rep.J0, tol)
@@ -432,23 +428,6 @@ def build_suq2(
     if residual(c_up, c_down) > t or residual(c_up, scalar) > t:
         raise ArithmeticError("SU_q(2) casimir identity violated")
     return triple
-
-
-def witten_relation_tolerance(gens: "WittenGenerators", base: float) -> float:
-    """Tolerance for the Witten defining relations at this r.
-
-    The map's 1/(r - 1/r) prefactor amplifies rounding near r = 1 (the
-    relations hold exactly in exact arithmetic, but W0 is a difference of
-    nearly equal terms divided by r - 1/r), and for large j*|log r| the
-    generators themselves grow; both effects scale the achievable residual
-    above the flat base tolerance.
-    """
-    r = gens.r
-    dim = gens.dim
-    eps = float(np.finfo(float).eps)
-    cancellation = 1.0 / abs(r - 1.0 / r)
-    magnitude = (r + 1.0 / r) * (1.0 + gens.W0.norm()) * (1.0 + gens.Wp.norm())
-    return max(base, 64.0 * eps * dim * (cancellation + magnitude))
 
 
 def build_witten(
@@ -461,8 +440,12 @@ def build_witten(
 
         [W0, W+]_r = W+,   [W+, W-]_(1/r^2) = W0,   [W-, W0]_r = W-
 
-    hold exactly (each is asserted on construction, at a tolerance that
-    follows the map's conditioning; see witten_relation_tolerance).
+    hold exactly.  Each is asserted on construction, at a tolerance that
+    follows the map's conditioning: its 1/(r - 1/r) prefactor amplifies
+    rounding near r = 1 (W0 is a difference of nearly equal terms divided by
+    r - 1/r), and for large j*|log r| the generators themselves grow; both
+    scale the achievable residual above the flat tolerance.  The adjoint
+    pairing W- = (W+)^dagger is recorded at the flat tolerance.
     """
     if r <= 0 or r == 1.0:
         raise ParameterError(f"r must be positive and != 1, got {r}")
@@ -476,24 +459,33 @@ def build_witten(
         [scale * (1.0 - kappa * r ** (-2.0 * float(m))) for m in ms], "W0"
     )
 
+    # the ladder weight is r^(-x) times the hermitian map's at f = [2x]_r,
+    # whose radicand is positive for real r > 0
     norm = np.sqrt(r / (r + 1.0 / r))
-
-    def weight(x: float) -> float:
-        rad = q_number(x + jv, r) * q_number(x - 1.0 - jv, r) / ((x + jv) * (x - 1.0 - jv))
-        return float(r ** (-x) * norm * np.sqrt(rad))
-
-    wp = _scale_rows(rep.Jp, weight, ms).relabel("W+")
+    base = _hermitian_ladder_weight(jv, qbracket_structure(r), 0.0)
+    wp = _scale(rep.Jp, lambda x: float(r ** (-x) * norm * base(x)), ms, 0).relabel("W+")
     wm = wp.adjoint().relabel("W-")
 
-    gens = WittenGenerators(w0, wp, wm, float(r))
-    res = max(
-        residual(r_commutator(w0, wp, r), wp),
-        residual(r_commutator(wp, wm, 1.0 / r**2), w0),
-        residual(r_commutator(wm, w0, r), wm),
-    )
-    if res > witten_relation_tolerance(gens, tol.for_dim(rep.dim)):
-        raise ArithmeticError(f"Witten defining relations violated: residual {res:.3e}")
-    return gens
+    t = tol.for_dim(rep.dim)
+    eps = float(np.finfo(float).eps)
+    cancellation = 1.0 / abs(r - 1.0 / r)
+    magnitude = (r + 1.0 / r) * (1.0 + w0.norm()) * (1.0 + wp.norm())
+    t_w = max(t, 64.0 * eps * rep.dim * (cancellation + magnitude))
+    checks = CheckReport()
+    residuals = [
+        checks.add(name, residual(bracket, target), t_w, detail=detail).residual
+        for name, bracket, target, detail in (
+            ("witten_relation_raising", r_commutator(w0, wp, r), wp, "[W0, W+]_r = W+"),
+            ("witten_relation_pair", r_commutator(wp, wm, 1.0 / r**2), w0,
+             "[W+, W-]_{1/r^2} = W0"),
+            ("witten_relation_lowering", r_commutator(wm, w0, r), wm, "[W-, W0]_r = W-"),
+        )
+    ]
+    worst = max(residuals)
+    if worst > t_w:
+        raise ArithmeticError(f"Witten defining relations violated: residual {worst:.3e}")
+    checks.add("adjoint_pair", residual(wm, wp.adjoint()), t)
+    return WittenGenerators(w0, wp, wm, float(r), checks)
 
 
 def build_scaled_deformation(
@@ -525,8 +517,8 @@ def build_scaled_deformation(
     def wv(m: float, shift: float = 0.0) -> float:
         return w[round(2 * (m + shift))]
 
-    jp_t = _scale_columns(rep.Jp, lambda m: wv(m), ms).relabel("J+~")
-    jm_t = _scale_columns(rep.Jm, lambda m: wv(m), ms).relabel("J-~")
+    jp_t = _scale(rep.Jp, wv, ms, 1).relabel("J+~")
+    jm_t = _scale(rep.Jm, wv, ms, 1).relabel("J-~")
     j0_t = from_diagonal([float(m) * wv(float(m)) for m in ms], "J0~")
 
     def ratio_diag(num_shift: float, den_shift: float) -> Operator:
@@ -545,19 +537,24 @@ def build_scaled_deformation(
     coeff = ratio_diag(+1.0, -1.0)
     shift_w = from_diagonal([wv(float(m), 1.0) for m in ms])
     rhs = coeff @ (jp_t @ jm_t) + 2.0 * (shift_w @ j0_t)
-    res_list.append(residual(commutator(jp_t, jm_t), rhs))
+    checks = CheckReport()
+    res_list.append(
+        checks.add(
+            "structure_relation",
+            residual(commutator(jp_t, jm_t), rhs),
+            t,
+            detail="[J+~, J-~] matches the scaled-deformation closed form",
+        ).residual
+    )
     # keeping J0 undeformed collapses the first identity to the plain ladder rule
-    res_list.append(residual(commutator(rep.J0, jp_t), jp_t))
-    res_list.append(residual(commutator(rep.J0, jm_t), -1.0 * jm_t))
+    checks.extend(_ladder_checks(rep.J0, jp_t, jm_t, t))
+    res_list += [c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering")]
     worst = max(res_list)
     if worst > t:
         raise ArithmeticError(f"scaled-deformation identities violated: {worst:.3e}")
 
-    return DeformedTriple(
-        jp_t, jm_t, j0_t,
-        {"map": "f_deform", "params": {}},
-        residual(jm_t, jp_t.adjoint()) <= t,
-    )
+    hermitian = bool(checks.named("adjoint_pair"))
+    return DeformedTriple(jp_t, jm_t, j0_t, {"map": "f_deform", "params": {}}, hermitian, checks)
 
 
 def deformed_casimir(

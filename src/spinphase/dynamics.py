@@ -51,6 +51,7 @@ __all__ = [
     "eigenoperator_residual",
     "evolve",
     "derive_ladder_dynamics_from_phase",
+    "phase_derivation_checks",
     "trajectory",
 ]
 
@@ -193,6 +194,77 @@ def trajectory(
     return Trajectory(tuple(times), tracks, o.label)
 
 
+def phase_derivation_checks(
+    u: Operator,
+    moduli: tuple[Operator | None, Operator],
+    corner: Operator | None,
+    h: Hamiltonian,
+    rate: float,
+    ladder: Operator,
+    t: float,
+    details: dict[str, str],
+    lowering: tuple[Operator, Operator] | None = None,
+    rate_floor: float = 0.0,
+) -> CheckReport:
+    """Recover a ladder operator's dynamics from its phase unitary's equation.
+
+    The ladder is L U R with diagonal moduli (L, R) = ``moduli`` (L None for
+    the identity), and U obeys dU/dt = (1/i)[U, H] = -i*rate*(U - corner),
+    the corner being the boundary term closing U's cyclic shift.  Checks, in
+    order: the phase equation and corner R = 0 (with a corner only);
+    L dU/dt R = -i*rate*ladder; with ``lowering`` = (K, J-~), J-~ = K U^dag
+    (needs the corner), the adjoint equation and K dU^dag/dt = +i*rate*J-~;
+    and the negative control, (1/i)[U, H] missing -i*rate*U by at least
+    NEGATIVE_CONTROL_FLOOR*max(|rate|, rate_floor).  ``details`` maps each
+    check's name to its report text; all but the control are held to t.
+    """
+    left, right = moduli
+    report = CheckReport()
+
+    def add(name: str, res: float) -> None:
+        report.add(name, res, t, detail=details[name], category="derivation")
+
+    numeric = heisenberg_derivative(u, h)
+    if corner is not None:
+        add("phase_equation_with_boundary", residual(numeric, (-1j * rate) * (u - corner)))
+        add("boundary_term_annihilated", (corner @ right).norm())
+    moved = numeric @ right if left is None else left @ numeric @ right
+    name = "ladder_dynamics_from_phase" if lowering is None else "raising_dynamics_from_phase"
+    add(name, residual(moved, (-1j * rate) * ladder))
+    if lowering is not None:
+        k, jm = lowering
+        udag = u.adjoint()
+        numeric_m = heisenberg_derivative(udag, h)
+        analytic_m = (1j * rate) * (udag - corner.adjoint())
+        add("conjugate_phase_equation_with_boundary", residual(numeric_m, analytic_m))
+        add("lowering_dynamics_from_phase", residual(k @ numeric_m, (1j * rate) * jm))
+    report.add(
+        "phase_equation_without_boundary",
+        residual(numeric, (-1j * rate) * u),
+        NEGATIVE_CONTROL_FLOOR * max(abs(rate), rate_floor),
+        detail=details["phase_equation_without_boundary"],
+        category="control",
+        mode="ge",
+    )
+    return report
+
+
+_SPIN_DETAILS = {
+    "phase_equation_with_boundary": "(1/i)[U,H] = -i*muB*(U - (2j+1)e^{i(2j+1)theta0}|-j><j|)",
+    "boundary_term_annihilated": "the boundary projector times G vanishes (top state is killed)",
+    "raising_dynamics_from_phase": "dU/dt * G reproduces dJ+~/dt = -i*muB*J+~",
+    "conjugate_phase_equation_with_boundary": (
+        "(1/i)[U^dag,H] matches its closed form with boundary term"
+    ),
+    "lowering_dynamics_from_phase": "K * dU^dag/dt reproduces dJ-~/dt = +i*muB*J-~",
+    "phase_equation_without_boundary": (
+        "negative control: dropping the boundary projector breaks the "
+        "phase equation by muB*(2j+1); ladder dynamics alone cannot "
+        "reconstruct the phase dynamics"
+    ),
+}
+
+
 def derive_ladder_dynamics_from_phase(
     rep: Su2Rep,
     triple: DeformedTriple | None,
@@ -213,7 +285,9 @@ def derive_ladder_dynamics_from_phase(
 
     plus the negative control: with the boundary projector removed the phase
     equation itself fails by a residual of muB*(2j+1), so the phase dynamics
-    is *not* recoverable from the eigen-operator relation alone.
+    is *not* recoverable from the eigen-operator relation alone.  (ii), (iii)
+    and the control are phase_derivation_checks with the corner
+    (2j+1) e^{i(2j+1)theta0} |-j><j|.
     """
     if "muB" not in h.params:
         raise ParameterError("phase derivation needs a dipole hamiltonian (muB)")
@@ -228,12 +302,9 @@ def derive_ladder_dynamics_from_phase(
     t = tol.for_dim(dim)
 
     phase = build_phase_operator(rep.j, theta0)
-    u, udag = phase.U, phase.adjoint()
-    g = udag @ jp_t
+    u = phase.U
+    g = phase.adjoint() @ jp_t
     k = jm_t @ u
-    corner_p = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase)
-    corner_m = matrix_unit(dim, dim - 1, 0, dim * np.conj(phase.corner_phase))
-
     report = CheckReport()
     report.add(
         "weight_commutes_with_h",
@@ -242,58 +313,10 @@ def derive_ladder_dynamics_from_phase(
         detail="diagonal weights G = U^dag J+~ and K = J-~ U commute with H",
         category="derivation",
     )
-
-    numeric = heisenberg_derivative(u, h)
-    analytic = (-1j * muB) * (u - corner_p)
-    report.add(
-        "phase_equation_with_boundary",
-        residual(numeric, analytic),
-        t,
-        detail="(1/i)[U,H] = -i*muB*(U - (2j+1)e^{i(2j+1)theta0}|-j><j|)",
-        category="derivation",
-    )
-    report.add(
-        "boundary_term_annihilated",
-        (corner_p @ g).norm(),
-        t,
-        detail="the boundary projector times G vanishes (top state is killed)",
-        category="derivation",
-    )
-    report.add(
-        "raising_dynamics_from_phase",
-        residual(numeric @ g, (-1j * muB) * jp_t),
-        t,
-        detail="dU/dt * G reproduces dJ+~/dt = -i*muB*J+~",
-        category="derivation",
-    )
-
-    numeric_m = heisenberg_derivative(udag, h)
-    analytic_m = (1j * muB) * (udag - corner_m)
-    report.add(
-        "conjugate_phase_equation_with_boundary",
-        residual(numeric_m, analytic_m),
-        t,
-        detail="(1/i)[U^dag,H] matches its closed form with boundary term",
-        category="derivation",
-    )
-    report.add(
-        "lowering_dynamics_from_phase",
-        residual(k @ numeric_m, (1j * muB) * jm_t),
-        t,
-        detail="K * dU^dag/dt reproduces dJ-~/dt = +i*muB*J-~",
-        category="derivation",
-    )
-
-    report.add(
-        "phase_equation_without_boundary",
-        residual(numeric, (-1j * muB) * u),
-        NEGATIVE_CONTROL_FLOOR * abs(muB),
-        detail=(
-            "negative control: dropping the boundary projector breaks the "
-            "phase equation by muB*(2j+1); ladder dynamics alone cannot "
-            "reconstruct the phase dynamics"
-        ),
-        category="control",
-        mode="ge",
+    corner = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase)
+    report.extend(
+        phase_derivation_checks(
+            u, (None, g), corner, h, muB, jp_t, t, _SPIN_DETAILS, lowering=(k, jm_t)
+        )
     )
     return report

@@ -23,12 +23,10 @@ from .operators import (
     ParameterError,
     ShapeError,
     Tolerance,
-    commutator,
     from_diagonal,
     psd_sqrt,
-    residual,
 )
-from .deform import DeformedTriple, q_number
+from .deform import DeformedTriple, _ladder_checks, q_number
 from .phase import PhaseOperator
 
 __all__ = [
@@ -146,14 +144,10 @@ def jordan_schwinger(
         (np.kron(osc_a.N.mat, eye) - np.kron(eye, osc_b.N.mat)) / 2.0, "J0"
     )
     t = tol.for_dim(dim * dim)
-    triple = DeformedTriple(
-        jp, jm, j0, {"map": "jordan_schwinger", "params": {"s": osc_a.s}}, True
-    )
-    res = max(
-        residual(commutator(j0, triple.Jp), triple.Jp),
-        residual(commutator(j0, triple.Jm), -1.0 * triple.Jm),
-        residual(triple.Jm, triple.Jp.adjoint()),
-    )
+    checks = _ladder_checks(j0, jp, jm, t, hermitian=True)
+    res = max(c.residual for c in checks)
     if res > t:
         raise ArithmeticError(f"Jordan-Schwinger ladder relations violated: {res:.3e}")
-    return triple
+    return DeformedTriple(
+        jp, jm, j0, {"map": "jordan_schwinger", "params": {"s": osc_a.s}}, True, checks
+    )

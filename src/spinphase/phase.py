@@ -63,13 +63,18 @@ def build_phase_operator(j: float | int | str | Fraction, theta0: float = 0.0) -
 
 
 def polar_decompose(
-    rep: Su2Rep, theta0: float = 0.0, tol: Tolerance = DEFAULT_TOL
+    rep: Su2Rep,
+    theta0: float = 0.0,
+    tol: Tolerance = DEFAULT_TOL,
+    report: CheckReport | None = None,
 ) -> tuple[Operator, Operator, PhaseOperator]:
     """Factor the ladder pair as J+ = sqrt(J+J-) U = U sqrt(J-J+).
 
     Returns (sqrt(J+J-), sqrt(J-J+), phase).  All four reconstructions of
-    J+ and J- are verified; the corner element of U always multiplies a zero
-    modulus entry, so the result does not depend on theta0.
+    J+ and J- are verified, and added to ``report``, when given, as the
+    checks polar_raising_left/right and polar_lowering_left/right; the
+    corner element of U always multiplies a zero modulus entry, so the
+    result does not depend on theta0.
     """
     phase = build_phase_operator(rep.j, theta0)
     mod_p = psd_sqrt(rep.Jp @ rep.Jm, tol).relabel("sqrt(J+J-)")
@@ -77,39 +82,36 @@ def polar_decompose(
     u = phase.U
     udag = phase.adjoint()
     t = tol.for_dim(rep.dim)
-    worst = max(
-        residual(mod_p @ u, rep.Jp),
-        residual(u @ mod_m, rep.Jp),
-        residual(mod_m @ udag, rep.Jm),
-        residual(udag @ mod_p, rep.Jm),
-    )
+    checks = CheckReport() if report is None else report
+    residuals = [
+        checks.add(name, residual(product, target), t, category="phase").residual
+        for name, product, target in (
+            ("polar_raising_left", mod_p @ u, rep.Jp),
+            ("polar_raising_right", u @ mod_m, rep.Jp),
+            ("polar_lowering_left", mod_m @ udag, rep.Jm),
+            ("polar_lowering_right", udag @ mod_p, rep.Jm),
+        )
+    ]
+    worst = max(residuals)
     if worst > t:
         raise ArithmeticError(f"polar reconstruction failed: residual {worst:.3e}")
     return mod_p, mod_m, phase
 
 
-def _commutator_rhs(phase: PhaseOperator, sign: int) -> Operator:
-    """Analytic form of [exp(+-i*phi), J0] (hbar = 1).
-
-    For the upper sign: -U + (2j+1) exp(i(2j+1)theta0) |-j><j|; the lower
-    sign is the adjoint-conjugated mirror with |j><-j|.
-    """
-    dim = phase.dim
-    if sign > 0:
-        corner = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase)
-        return corner - phase.U
-    corner = matrix_unit(dim, dim - 1, 0, dim * np.conj(phase.corner_phase))
-    return -1.0 * (corner - phase.adjoint())
-
-
 def phase_number_commutator_residual(
     j: float | int | str | Fraction, theta0: float = 0.0
 ) -> float:
-    """Max residual of [exp(+-i*phi), J0] against its closed form."""
+    """Max residual of [exp(+-i*phi), J0] against its closed form.
+
+    [U, J0] = -U + (2j+1) exp(i(2j+1)theta0) |-j><j| (hbar = 1), and
+    [U^dag, J0] is minus its adjoint.
+    """
     rep = build_su2(j)
     phase = build_phase_operator(j, theta0)
-    res_plus = residual(commutator(phase.U, rep.J0), _commutator_rhs(phase, +1))
-    res_minus = residual(commutator(phase.adjoint(), rep.J0), _commutator_rhs(phase, -1))
+    dim = phase.dim
+    rhs = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase) - phase.U
+    res_plus = residual(commutator(phase.U, rep.J0), rhs)
+    res_minus = residual(commutator(phase.adjoint(), rep.J0), -1.0 * rhs.adjoint())
     return max(res_plus, res_minus)
 
 

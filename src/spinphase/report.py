@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 __all__ = ["CheckResult", "CheckReport"]
 
@@ -56,8 +57,13 @@ class CheckReport:
         self.checks.append(result)
         return result
 
-    def extend(self, other: "CheckReport") -> None:
-        self.checks.extend(other.checks)
+    def extend(self, other: Iterable[CheckResult]) -> None:
+        self.checks.extend(other)
+
+    def named(self, *names: str) -> list[CheckResult]:
+        """The checks called names, in that order; a name no check has is skipped."""
+        by_name = {c.name: c for c in self.checks}
+        return [by_name[name] for name in names if name in by_name]
 
     @property
     def all_pass(self) -> bool:

@@ -2,11 +2,13 @@
 
 A scenario names a family (su2, suq2, witten, ab_map, f_deform, hermitian_f,
 oscillator, q_oscillator, jordan_schwinger) plus the parameters the family
-needs.  ``FAMILY_PARAMS`` is the one place that states which parameters each
-family reads: the family list, the spin families, the report's scenario
-block, the parameters a scenario keeps and the ones a sweep may vary all
-derive from it.  Scenario files are flat JSON mirroring the CLI flag names;
-flags override file values, and every numeric value must be a finite number.
+needs.  ``families.FAMILY_TABLE`` is the one place that states which
+parameters each family reads: the family list, the report's scenario block,
+the parameters a scenario keeps and the ones a sweep may vary all derive
+from it, and its entries build the family's operators.  Scenario files are
+flat JSON mirroring the CLI flag names; flags override file values, defaults
+are the Scenario field defaults, and every numeric value must be a finite
+number.
 Validation failures raise ParameterError/BadSpinError (CLI exit 2);
 mathematically impossible constructions surface later as check failures
 (CLI exit 1).
@@ -14,72 +16,24 @@ mathematically impossible constructions surface later as check failures
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
-from .deform import (
-    DeformedTriple,
-    GridFunction,
-    build_hermitian_deformation,
-    build_scaled_deformation,
-    build_split_deformation,
-    build_suq2,
-    build_witten,
-    discrete_antiderivative,
-    qbracket_structure,
-)
-from .dynamics import (
-    Hamiltonian,
-    dipole_hamiltonian,
-    number_hamiltonian,
-    two_mode_hamiltonian,
-)
-from .operators import Operator, ParameterError, Tolerance
-from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
-from .su2 import Su2Rep, build_su2, parse_spin
+from .families import FAMILY_TABLE, FamilyBundle
+from .operators import ParameterError, Tolerance
+from .su2 import parse_spin
 
 __all__ = [
     "FAMILIES",
-    "FAMILY_PARAMS",
-    "SPIN_FAMILIES",
     "Scenario",
     "FamilyBundle",
     "build_bundle",
     "resolve_scenario",
-    "structure_function_for",
 ]
 
-# the Scenario fields each family reads, in the order its report lists them
-FAMILY_PARAMS = {
-    "su2": ("j", "theta0", "muB"),
-    "suq2": ("j", "q", "theta0", "muB"),
-    "witten": ("j", "r", "theta0", "muB"),
-    "ab_map": ("j", "q", "theta0", "muB", "split"),
-    "f_deform": ("j", "theta0", "muB", "f_coeff"),
-    "hermitian_f": ("j", "q", "q_phase", "theta0", "muB"),
-    "oscillator": ("s", "phi0", "omega"),
-    "q_oscillator": ("s", "phi0", "omega"),
-    "jordan_schwinger": ("s", "phi0", "omega1", "omega2", "muB"),
-}
-FAMILIES = tuple(FAMILY_PARAMS)
-SPIN_FAMILIES = tuple(f for f, params in FAMILY_PARAMS.items() if "j" in params)
-
-_DEFAULTS = {
-    "theta0": 0.0,
-    "phi0": 0.0,
-    "muB": 1.0,
-    "omega": 1.0,
-    "omega1": 1.0,
-    "omega2": 2.0,
-    "q": 1.0,
-    "split": "symmetric",
-    "f_coeff": 0.1,
-}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -105,7 +59,7 @@ class Scenario:
     def to_jsonable(self) -> dict:
         """Fully resolved flat form, keys mirroring the CLI flags."""
         out: dict[str, Any] = {"family": self.family}
-        for key in FAMILY_PARAMS[self.family]:
+        for key in FAMILY_TABLE[self.family].params:
             value = getattr(self, key)
             if value is not None:
                 out[key] = str(value) if key == "j" else value
@@ -134,20 +88,23 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
             f"unknown family {family!r}; choose one of {', '.join(FAMILIES)}"
         )
 
-    merged = dict(_DEFAULTS)
+    params = FAMILY_TABLE[family].params
+    merged = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
     merged.update({k: v for k, v in values.items() if v is not None})
 
     j = None
     s = None
-    if family in SPIN_FAMILIES:
-        if merged.get("j") is None:
+    if "j" in params:
+        if merged["j"] is None:
             raise ParameterError(f"family {family} requires --j")
         j = parse_spin(merged["j"])
     else:
-        if merged.get("s") is None:
+        if merged["s"] is None:
             raise ParameterError(f"family {family} requires --s")
         try:
             s = int(merged["s"])
+            if isinstance(merged["s"], float) and s != merged["s"]:
+                raise ValueError("not integral")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"--s expects an integer, got {merged['s']!r}") from exc
         if s < 1:
@@ -181,8 +138,8 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
 
     # a family keeps only the deformation parameters it reads; a phase-valued
     # q (hermitian_f --q-phase) replaces the real one
-    params = FAMILY_PARAMS[family]
     q_phase = q_phase if "q_phase" in params else None
+    reals = ("theta0", "phi0", "muB", "omega", "omega1", "omega2", "f_coeff")
     return Scenario(
         family=family,
         j=j,
@@ -190,124 +147,12 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
         q=q if "q" in params and q_phase is None else None,
         q_phase=q_phase,
         r=r if "r" in params else None,
-        theta0=_as_float(merged, "theta0"),
-        phi0=_as_float(merged, "phi0"),
-        muB=_as_float(merged, "muB"),
-        omega=_as_float(merged, "omega"),
-        omega1=_as_float(merged, "omega1"),
-        omega2=_as_float(merged, "omega2"),
         split=split,
-        f_coeff=_as_float(merged, "f_coeff"),
         tol=tol,
+        **{key: _as_float(merged, key) for key in reals},
     )
-
-
-@dataclass(frozen=True)
-class FamilyBundle:
-    """Everything the CLI commands need about a constructed scenario."""
-
-    scenario: Scenario
-    operators: dict
-    provenance: dict | None
-    metadata: dict
-    hamiltonian: Hamiltonian
-    evolve_target: Operator
-    eigenvalue: complex
-    rep: Su2Rep | None = None
-    triple: DeformedTriple | None = None
-    grid_g: GridFunction | None = None
-    witten: Any = None
-    oscillator: Any = None
-    q_oscillators: tuple | None = None
-
-
-def structure_function_for(sc: Scenario):
-    """f = [2x]_q with q real or the phase exp(i*2*pi/q_phase)."""
-    if sc.q_phase is not None:
-        arg = 2.0 * np.pi / float(sc.q_phase)
-        return qbracket_structure(cmath.rect(1.0, arg))
-    return qbracket_structure(float(sc.q))
 
 
 def build_bundle(sc: Scenario) -> FamilyBundle:
     """Construct the family's operators; algebraic failures propagate."""
-    tol = sc.tol
-    if sc.family in SPIN_FAMILIES:
-        rep = build_su2(sc.j)
-        ham = dipole_hamiltonian(rep.J0, sc.muB)
-        lam = -1j * sc.muB
-        meta = {"basis": "ascending_m", "j": str(sc.j), "theta0": sc.theta0}
-
-        if sc.family == "su2":
-            ops = {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0}
-            return FamilyBundle(sc, ops, None, meta, ham, rep.Jp, lam, rep=rep)
-
-        if sc.family == "suq2":
-            triple = build_suq2(sc.j, sc.q, tol)
-        elif sc.family == "hermitian_f":
-            triple = build_hermitian_deformation(sc.j, structure_function_for(sc), tol)
-        elif sc.family == "ab_map":
-            g = discrete_antiderivative(structure_function_for(sc), sc.j)
-            triple = build_split_deformation(rep, g, sc.split, tol=tol)
-            ops = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}
-            return FamilyBundle(
-                sc, ops, triple.provenance | {"hermitian_pair": triple.hermitian_pair},
-                meta, ham, triple.Jp, lam, rep=rep, triple=triple, grid_g=g,
-            )
-        elif sc.family == "f_deform":
-            coeff = sc.f_coeff
-            triple = build_scaled_deformation(rep, lambda c, m: 1.0 + coeff * m, tol)
-        elif sc.family == "witten":
-            gens = build_witten(sc.j, sc.r, tol)
-            ops = {"W0": gens.W0, "Wp": gens.Wp, "Wm": gens.Wm}
-            prov = {"map": "witten", "params": {"r": sc.r}, "hermitian_pair": True}
-            return FamilyBundle(
-                sc, ops, prov, meta, ham, gens.Wp, lam, rep=rep, witten=gens
-            )
-        else:  # pragma: no cover
-            raise ParameterError(f"unhandled family {sc.family}")
-
-        ops = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}
-        prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
-        return FamilyBundle(sc, ops, prov, meta, ham, triple.Jp, lam, rep=rep, triple=triple)
-
-    if sc.family == "oscillator":
-        osc = build_finite_oscillator(sc.s, sc.phi0, tol)
-        ham = number_hamiltonian(osc.N, sc.omega)
-        ops = {"N": osc.N, "a": osc.a, "adag": osc.adag, "U": osc.U.U}
-        meta = {"basis": "fock_ascending", "s": sc.s, "phi0": sc.phi0}
-        return FamilyBundle(sc, ops, None, meta, ham, osc.a, -1j * sc.omega, oscillator=osc)
-
-    if sc.family == "q_oscillator":
-        qosc = build_q_oscillator(sc.s, sc.phi0, tol)
-        ham = number_hamiltonian(qosc.N, sc.omega)
-        ops = {"a_q": qosc.a_q, "a_qdag": qosc.a_qdag, "Nprime": qosc.Nprime, "U": qosc.U.U}
-        meta = {
-            "basis": "fock_ascending",
-            "s": sc.s,
-            "phi0": sc.phi0,
-            "n0": qosc.n0,
-            "q_arg": qosc.q_arg,
-            "radicands": list(qosc.radicands),
-        }
-        return FamilyBundle(
-            sc, ops, None, meta, ham, qosc.a_q, -1j * sc.omega, oscillator=qosc
-        )
-
-    # jordan_schwinger
-    mode_a = build_q_oscillator(sc.s, sc.phi0, tol)
-    mode_b = build_q_oscillator(sc.s, sc.phi0, tol)
-    triple = jordan_schwinger(mode_a, mode_b, tol)
-    ham = two_mode_hamiltonian(sc.s, sc.omega1, sc.omega2)
-    ops = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}
-    meta = {
-        "basis": "fock_ascending",
-        "s": sc.s,
-        "product_dim": (sc.s + 1) ** 2,
-        "tensor_order": "mode A (x) mode B, row-major index n1*(s+1)+n2",
-    }
-    prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
-    return FamilyBundle(
-        sc, ops, prov, meta, ham, triple.Jp, -1j * (sc.omega2 - sc.omega1),
-        triple=triple, q_oscillators=(mode_a, mode_b),
-    )
+    return FAMILY_TABLE[sc.family].build(sc)

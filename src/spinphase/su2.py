@@ -24,6 +24,7 @@ from .operators import (
     from_diagonal,
     residual,
 )
+from .report import CheckReport
 
 __all__ = ["Su2Rep", "parse_spin", "build_su2", "casimir"]
 
@@ -95,12 +96,21 @@ def build_su2(j: float | int | str | Fraction) -> Su2Rep:
     return Su2Rep(twoj, jp, jm, j0)
 
 
-def casimir(rep: Su2Rep, tol: Tolerance = DEFAULT_TOL) -> Operator:
-    """J-J+ + J0(J0+1); verified against the other ordering and j(j+1)*I."""
+def casimir(
+    rep: Su2Rep, tol: Tolerance = DEFAULT_TOL, report: CheckReport | None = None
+) -> Operator:
+    """J-J+ + J0(J0+1); verified against the other ordering and j(j+1)*I.
+
+    The two residuals are added to ``report``, when given, as the checks
+    casimir_orderings and casimir_scalar.
+    """
     c_up = rep.Jm @ rep.Jp + rep.J0 @ rep.J0 + rep.J0
     c_down = rep.Jp @ rep.Jm + rep.J0 @ rep.J0 - rep.J0
     t = tol.for_dim(rep.dim)
     scalar = from_diagonal([rep.casimir_value] * rep.dim)
-    if residual(c_up, c_down) > t or residual(c_up, scalar) > t:
+    checks = CheckReport() if report is None else report
+    orderings = checks.add("casimir_orderings", residual(c_up, c_down), t)
+    on_scalar = checks.add("casimir_scalar", residual(c_up, scalar), t)
+    if orderings.residual > t or on_scalar.residual > t:
         raise ArithmeticError("casimir orderings disagree; representation is corrupt")
     return c_up.relabel("C")

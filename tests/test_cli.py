@@ -538,6 +538,42 @@ class TestRejectedInput:
         self._assert_usage_error(rc, captured, argv[0])
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("suq2", "suq2 requires real q > 0, got None"),
+            ("ab_map", "ab_map requires real q > 0, got None"),
+            ("hermitian_f", "hermitian_f requires --q > 0 or --q-phase, got q=None"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "build", "sweep"])
+    def test_missing_q(self, capsys, family, message, command):
+        # no q means no deformation was chosen: no default stands in for it
+        argv = [command, "--family", family]
+        argv += ["--param", "j:0.5:2:4"] if command == "sweep" else ["--j", "1"]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err == f"spinphase {command}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "build"])
+    def test_non_integral_s_in_file(self, tmp_path, capsys, command):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"family": "oscillator", "s": 3.7}')
+        rc = main([command, "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err == f"spinphase {command}: --s expects an integer, got 3.7\n"
+
+    @pytest.mark.parametrize("command", ["verify", "build"])
+    def test_integral_float_s_in_file(self, tmp_path, capsys, command):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"family": "oscillator", "s": 3.0}')
+        rc = main([command, "--scenario", str(scenario)])
+        from_file = capsys.readouterr()
+        assert rc == main([command, "--family", "oscillator", "--s", "3"]) == 0
+        assert capsys.readouterr() == from_file
+
     def test_non_finite_tol_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINPHASE_TOL", "inf")
         rc = main(["verify", "--family", "su2", "--j", "1"])
