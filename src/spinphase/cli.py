@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -70,6 +71,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, help="absolute tolerance (default 1e-12, scaled by dim)")
 
 
+@functools.cache  # one argparse tree per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinphase",

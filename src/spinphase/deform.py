@@ -1,21 +1,26 @@
 """Deformed SU(2) ladder algebras and the maps realizing them.
 
 A deformation replaces [J+, J-] = 2*J0 by [J+~, J-~] = f(J0~) for a structure
-function f that returns to 2x in some parameter limit.  Every builder here
-produces the deformed generators as explicit matrices on top of the standard
-representation and verifies its defining relations before returning; the
-residuals it computed ride along on the result as named checks (``checks``),
-so a verifier reports them instead of computing them again.
+function f that returns to 2x in some parameter limit.  Every deformed ladder
+is the su2 ladder times a diagonal weight, so each spin builder takes the
+standard representation (an ``Su2Rep``), computes its map as a vector of
+weights over the ladder steps m -> m+1, each from its own scalar float
+expression, and multiplies that vector into a copy of the su2 ladder
+(``_weighted``; SU_q(2) places its elements directly).  Each builder verifies
+its defining relations before returning; the residuals it computed ride along
+on the result as named checks (``checks``), so a verifier reports them instead
+of computing them again.
 
-Diagonal weight factors with apparent 0/0 at the edge of the spectrum (the
-hermitian map, Witten's map) are evaluated elementwise on the nonzero ladder
-elements only, where the denominators are provably nonzero.
+Weights with apparent 0/0 at the edge of the spectrum (the hermitian map,
+Witten's map) are evaluated on the ladder steps only, where the denominators
+are provably nonzero.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -36,13 +41,12 @@ from .operators import (
     residual,
 )
 from .report import CheckReport
-from .su2 import Su2Rep, build_su2, parse_spin
+from .su2 import Su2Rep, parse_spin
 
 __all__ = [
     "StructureFunction",
     "GridFunction",
     "DeformedTriple",
-    "WittenGenerators",
     "q_number",
     "linear_structure",
     "qbracket_structure",
@@ -235,31 +239,20 @@ class DeformedTriple:
     def dim(self) -> int:
         return self.Jp.dim
 
-
-@dataclass(frozen=True)
-class WittenGenerators:
-    """Generators of Witten's second deformation at parameter r, with the
-    relations build_witten verified as ``checks``."""
-
-    W0: Operator
-    Wp: Operator
-    Wm: Operator
-    r: float
-    checks: CheckReport = field(default_factory=CheckReport)
-
-    @property
-    def dim(self) -> int:
-        return self.W0.dim
+    @cached_property
+    def bracket(self) -> Operator:
+        """[J+~, J-~], formed once for every check that needs it."""
+        return commutator(self.Jp, self.Jm)
 
 
-def _scale(
-    base: Operator, weight: Callable[[float], complex], ms: np.ndarray, axis: int
-) -> Operator:
-    """diag(weight(m)) @ base (axis 0) or base @ diag(weight(m)) (axis 1),
-    evaluated only where base has support."""
-    out = np.array(base.mat)
-    for entry in zip(*np.nonzero(out)):
-        out[entry] *= weight(float(ms[entry[axis]]))
+def _weighted(ladder: Operator, weights, raising: bool) -> Operator:
+    """A copy of an su2 ladder (J+ below the diagonal, J- above) with the entry
+    between basis states i and i+1 multiplied by weights[i]; every other entry
+    keeps its bits, the -0 imaginary zeros of an adjoint included."""
+    out = np.array(ladder.mat)
+    i = np.arange(ladder.dim - 1)
+    rows, cols = (i + 1, i) if raising else (i, i + 1)
+    out[rows, cols] *= np.asarray(weights)
     return Operator(out)
 
 
@@ -311,50 +304,41 @@ def build_split_deformation(
     - "custom": caller supplies both weights directly (g is ignored and the
       structure relation is not implied).
     """
-    ms = rep.m_values()
+    support = rep.m_values()[:-1]
     t = tol.for_dim(rep.dim)
-    c_val = rep.casimir_value
 
     if split == "custom":
         if raising_weight is None or lowering_weight is None:
             raise ParameterError("custom split requires both weight functions")
-        jp_t = _scale(rep.Jp, raising_weight, ms, 1)
-        jm_t = _scale(rep.Jm, lowering_weight, ms, 0)
-        prov = {"map": "ab_map", "params": {"split": "custom"}}
-        return _ladder_triple(jp_t, jm_t, rep.J0, prov, t)
-
-    if g is None:
+        a = [raising_weight(float(m)) for m in support]
+        b = [lowering_weight(float(m)) for m in support]
+    elif g is None:
         raise ParameterError("left/symmetric splits require a solved g")
-    if split not in ("left", "symmetric"):
+    elif split not in ("left", "symmetric"):
         raise ParameterError(f"unknown split {split!r}")
-
-    support = [float(m) for m in ms[:-1]]
-    ab = {}
-    for m in support:
-        denom = c_val - m * (m + 1.0)
-        ab[round(2 * m)] = (g.p_value - g.value(m)) / denom
-
-    if split == "left":
-        a_weight = {k: v for k, v in ab.items()}
-        b_weight = {k: 1.0 for k in ab}
     else:
-        for k, v in ab.items():
-            if v < -t:
+        ab = (g.p_value - np.array(g.values[1:-1])) / (
+            rep.casimir_value - support * (support + 1.0)
+        )
+        if split == "left":
+            a, b = ab, np.ones_like(ab)
+        else:
+            negative = np.flatnonzero(ab < -t)
+            if negative.size:
+                k = negative[0]
                 raise SplitError(
-                    f"product A*B = {v:.6g} < 0 at m={k / 2}: needs non-hermitian split"
+                    f"product A*B = {ab[k]:.6g} < 0 at m={float(support[k])}: "
+                    "needs non-hermitian split"
                 )
-        a_weight = {k: np.sqrt(max(v, 0.0)) for k, v in ab.items()}
-        b_weight = a_weight
+            a = b = np.sqrt(np.maximum(ab, 0.0))
 
-    jp_t = _scale(rep.Jp, lambda m: a_weight[round(2 * m)], ms, 1)
-    jm_t = _scale(rep.Jm, lambda m: b_weight[round(2 * m)], ms, 0)
+    jp_t, jm_t = _weighted(rep.Jp, a, True), _weighted(rep.Jm, b, False)
     triple = _ladder_triple(jp_t, jm_t, rep.J0, {"map": "ab_map", "params": {"split": split}}, t)
-
-    # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
-    f_diag = from_diagonal([g.value(float(m)) - g.value(float(m) - 1.0) for m in ms])
-    res = residual(commutator(jp_t, jm_t), f_diag)
-    if res > t:
-        raise ArithmeticError(f"split map violates its structure relation: {res:.3e}")
+    if split != "custom":
+        # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
+        res = residual(triple.bracket, from_diagonal(np.diff(g.values)))
+        if res > t:
+            raise ArithmeticError(f"split map violates its structure relation: {res:.3e}")
     return triple
 
 
@@ -366,7 +350,8 @@ def _hermitian_ladder_weight(
     The map's radicand f((x+j)/2) f((x-1-j)/2) / ((x+j)(x-1-j)) is evaluated
     at half the nominal arguments so that the structure function itself (the
     f of [J+~, J-~] = f(J0~), normalized to f -> 2x) drives the map; with
-    f = [2x]_q this reproduces the SU_q(2) matrix elements exactly.
+    f = [2x]_q this reproduces the SU_q(2) matrix elements exactly.  It is
+    0/0 at x = -j, where J+ has no entry; callers take x > -j only.
     """
 
     def weight(x: float) -> float:
@@ -382,25 +367,28 @@ def _hermitian_ladder_weight(
 
 
 def build_hermitian_deformation(
-    j: float | int | str | Fraction,
-    f: StructureFunction,
-    tol: Tolerance = DEFAULT_TOL,
+    rep: Su2Rep, f: StructureFunction, tol: Tolerance = DEFAULT_TOL
 ) -> DeformedTriple:
     """Adjoint-preserving deformation J+~ = h(J0) J+, J-~ = (J+~)^dagger."""
-    rep = build_su2(j)
-    ms = rep.m_values()
     t = tol.for_dim(rep.dim)
     weight = _hermitian_ladder_weight(float(rep.j), f, t)
-    jp_t = _scale(rep.Jp, weight, ms, 0)
-    jm_t = jp_t.adjoint()
+    jp_t = _weighted(rep.Jp, [weight(float(x)) for x in rep.m_values()[1:]], True)
     params = dict(f.params)
     params["f"] = f.description
-    return _ladder_triple(jp_t, jm_t, rep.J0, {"map": "hermitian_f", "params": params}, t, True)
+    return _ladder_triple(
+        jp_t, jp_t.adjoint(), rep.J0, {"map": "hermitian_f", "params": params}, t, True
+    )
 
 
-def build_suq2(
-    j: float | int | str | Fraction, q: float, tol: Tolerance = DEFAULT_TOL
-) -> DeformedTriple:
+def _suq2_raising(rep: Su2Rep, q: float) -> Operator:
+    """J+ of SU_q(2): the step m -> m+1 has element sqrt([j-m]_q [j+m+1]_q)."""
+    jv = float(rep.j)
+    ms = map(float, rep.m_values()[:-1])
+    weights = [np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q)) for m in ms]
+    return Operator(np.diag(weights, -1))
+
+
+def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple:
     """The SU_q(2) representation with elements sqrt([j-m]_q [j+m+1]_q).
 
     q must be positive real; q = 1 returns the classical representation.
@@ -408,15 +396,9 @@ def build_suq2(
     """
     if q <= 0:
         raise ParameterError(f"q must be positive real, got {q}")
-    rep = build_su2(j)
     jv = float(rep.j)
-    dim = rep.dim
-    t = tol.for_dim(dim)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim - 1):
-        m = -jv + i
-        mat[i + 1, i] = np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q))
-    jp_t = Operator(mat)
+    t = tol.for_dim(rep.dim)
+    jp_t = _suq2_raising(rep, q)
     jm_t = jp_t.adjoint()
     triple = _ladder_triple(jp_t, jm_t, rep.J0, {"map": "suq2", "params": {"q": float(q)}}, t, True)
 
@@ -424,19 +406,18 @@ def build_suq2(
     g_down = diag_function(lambda m: q_number(m, q) * q_number(m - 1.0, q), rep.J0, tol)
     c_up = jm_t @ jp_t + g_up
     c_down = jp_t @ jm_t + g_down
-    scalar = from_diagonal([q_number(jv, q) * q_number(jv + 1.0, q)] * dim)
+    scalar = from_diagonal([q_number(jv, q) * q_number(jv + 1.0, q)] * rep.dim)
     if residual(c_up, c_down) > t or residual(c_up, scalar) > t:
         raise ArithmeticError("SU_q(2) casimir identity violated")
     return triple
 
 
-def build_witten(
-    j: float | int | str | Fraction, r: float, tol: Tolerance = DEFAULT_TOL
-) -> WittenGenerators:
+def build_witten(rep: Su2Rep, r: float, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple:
     """Witten's second deformation via the diagonal map on SU(2).
 
-    W0 is the printed closed form in r^(-2*J0); the ladder weight uses the
-    normalization sqrt(r/(r+1/r)), under which the three defining relations
+    The triple is (W+, W-, W0), under those labels.  W0 is the printed
+    closed form in r^(-2*J0); the ladder weight uses the normalization
+    sqrt(r/(r+1/r)), under which the three defining relations
 
         [W0, W+]_r = W+,   [W+, W-]_(1/r^2) = W0,   [W-, W0]_r = W-
 
@@ -449,7 +430,6 @@ def build_witten(
     """
     if r <= 0 or r == 1.0:
         raise ParameterError(f"r must be positive and != 1, got {r}")
-    rep = build_su2(j)
     jv = float(rep.j)
     ms = rep.m_values()
 
@@ -463,7 +443,8 @@ def build_witten(
     # whose radicand is positive for real r > 0
     norm = np.sqrt(r / (r + 1.0 / r))
     base = _hermitian_ladder_weight(jv, qbracket_structure(r), 0.0)
-    wp = _scale(rep.Jp, lambda x: float(r ** (-x) * norm * base(x)), ms, 0).relabel("W+")
+    weights = [float(r ** (-x) * norm * base(x)) for x in map(float, ms[1:])]
+    wp = _weighted(rep.Jp, weights, True).relabel("W+")
     wm = wp.adjoint().relabel("W-")
 
     t = tol.for_dim(rep.dim)
@@ -485,7 +466,7 @@ def build_witten(
     if worst > t_w:
         raise ArithmeticError(f"Witten defining relations violated: residual {worst:.3e}")
     checks.add("adjoint_pair", residual(wm, wp.adjoint()), t)
-    return WittenGenerators(w0, wp, wm, float(r), checks)
+    return DeformedTriple(wp, wm, w0, {"map": "witten", "params": {"r": float(r)}}, True, checks)
 
 
 def build_scaled_deformation(
@@ -506,37 +487,28 @@ def build_scaled_deformation(
     c_val = rep.casimir_value
     jv = float(rep.j)
 
-    w = {}
-    for k in range(-1, dim + 1):
-        m = -jv + k
-        val = float(weight(c_val, m))
-        if abs(val) <= t:
-            raise ParameterError(f"singular F: weight vanishes at m={m}")
-        w[round(2 * m)] = val
+    w = np.array([float(weight(c_val, -jv + k)) for k in range(-1, dim + 1)])
+    vanishing = np.flatnonzero(np.abs(w) <= t)
+    if vanishing.size:
+        raise ParameterError(f"singular F: weight vanishes at m={-jv + vanishing[0] - 1.0}")
 
-    def wv(m: float, shift: float = 0.0) -> float:
-        return w[round(2 * (m + shift))]
+    def w_at(shift: int) -> np.ndarray:
+        """w(J0 + shift) on the diagonal of J0; w[k] is w(C, m) at m = -j-1+k."""
+        return w[1 + shift : 1 + shift + dim]
 
-    jp_t = _scale(rep.Jp, wv, ms, 1).relabel("J+~")
-    jm_t = _scale(rep.Jm, wv, ms, 1).relabel("J-~")
-    j0_t = from_diagonal([float(m) * wv(float(m)) for m in ms], "J0~")
-
-    def ratio_diag(num_shift: float, den_shift: float) -> Operator:
-        return from_diagonal(
-            [1.0 - wv(float(m), num_shift) / wv(float(m), den_shift) for m in ms]
-        )
+    jp_t = _weighted(rep.Jp, w_at(0)[:-1], True).relabel("J+~")
+    jm_t = _weighted(rep.Jm, w_at(0)[1:], False).relabel("J-~")
+    j0_t = from_diagonal(ms * w_at(0), "J0~")
 
     # [J0~, J+-~] = {1 - w(J0 -+ 1)/w(J0)} J0~ J+-~  +- w(J0 -+ 1) J+-~
     res_list = []
     for sign, ladder in ((+1, jp_t), (-1, jm_t)):
-        coeff = ratio_diag(-sign, 0.0)
-        shift_w = from_diagonal([wv(float(m), -sign) for m in ms])
-        rhs = coeff @ (j0_t @ ladder) + float(sign) * (shift_w @ ladder)
+        coeff = from_diagonal(1.0 - w_at(-sign) / w_at(0))
+        rhs = coeff @ (j0_t @ ladder) + float(sign) * (from_diagonal(w_at(-sign)) @ ladder)
         res_list.append(residual(commutator(j0_t, ladder), rhs))
     # [J+~, J-~] = {1 - w(J0+1)/w(J0-1)} J+~ J-~ + 2 w(J0+1) J0~
-    coeff = ratio_diag(+1.0, -1.0)
-    shift_w = from_diagonal([wv(float(m), 1.0) for m in ms])
-    rhs = coeff @ (jp_t @ jm_t) + 2.0 * (shift_w @ j0_t)
+    coeff = from_diagonal(1.0 - w_at(1) / w_at(-1))
+    rhs = coeff @ (jp_t @ jm_t) + 2.0 * (from_diagonal(w_at(1)) @ j0_t)
     checks = CheckReport()
     res_list.append(
         checks.add(

@@ -37,7 +37,7 @@ from .operators import (
     _product,
 )
 from .deform import DeformedTriple
-from .phase import build_phase_operator
+from .phase import PhaseOperator
 from .report import CheckReport
 from .su2 import Su2Rep
 
@@ -267,15 +267,15 @@ _SPIN_DETAILS = {
 
 def derive_ladder_dynamics_from_phase(
     rep: Su2Rep,
+    phase: PhaseOperator,
     triple: DeformedTriple | None,
-    theta0: float,
     h: Hamiltonian,
     tol: Tolerance = DEFAULT_TOL,
 ) -> CheckReport:
     """Recover the deformed ladder dynamics from the phase equation of motion.
 
-    With J+~ = U G and J-~ = K U^dag (G = U^dag J+~ and K = J-~ U are the
-    diagonal weight factors), the checks are:
+    With U the unitary of ``phase``, J+~ = U G and J-~ = K U^dag (G = U^dag
+    J+~ and K = J-~ U are the diagonal weight factors), the checks are:
 
     (i)   G and K commute with H;
     (ii)  right-multiplying dU/dt = (1/i)[U, H] by G gives -i muB J+~, the
@@ -295,13 +295,11 @@ def derive_ladder_dynamics_from_phase(
     dim = rep.dim
     if h.dim != dim:
         raise ShapeError(f"shape mismatch: {h.dim} vs {dim}")
-    jp_t = rep.Jp if triple is None else triple.Jp
-    jm_t = rep.Jm if triple is None else triple.Jm
-    if jp_t.dim != dim:
-        raise ShapeError("triple dimension does not match the representation")
+    jp_t, jm_t = (rep.Jp, rep.Jm) if triple is None else (triple.Jp, triple.Jm)
+    if jp_t.dim != dim or phase.dim != dim:
+        raise ShapeError("triple or phase dimension does not match the representation")
     t = tol.for_dim(dim)
 
-    phase = build_phase_operator(rep.j, theta0)
     u = phase.U
     g = phase.adjoint() @ jp_t
     k = jm_t @ u

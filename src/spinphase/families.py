@@ -4,6 +4,8 @@
 (in report order), its build function and its check function; a spin
 family's check runs shared suites in a fixed order.  A relation the builder
 already verified is reported from the builder's checks, not computed again.
+A spin scenario's representation, phase operator and [J+~, J-~] are built
+once (``SpinParts``, ``DeformedTriple.bracket``) and every suite reads them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .deform import (
     build_witten,
     discrete_antiderivative,
     qbracket_structure,
+    _suq2_raising,
 )
 from .dynamics import (
     Hamiltonian,
@@ -50,6 +53,7 @@ from .report import CheckReport
 from .su2 import Su2Rep, build_su2, casimir
 
 if TYPE_CHECKING:
+    from .phase import PhaseOperator
     from .scenarios import Scenario
 
 __all__ = ["FAMILY_TABLE", "Family", "FamilyBundle", "SpinParts", "structure_function_for"]
@@ -75,10 +79,12 @@ class FamilyBundle:
 
 
 class SpinParts(NamedTuple):
-    """A spin family's representation, its generators as a triple (su2's own,
-    Witten's W+, W-, W0) and, for ab_map, the solved g."""
+    """A spin family's representation, the scenario's phase operator, its
+    generators as a triple (su2's own, Witten's W+, W-, W0) and, for ab_map,
+    the solved g; each is built once per scenario."""
 
     rep: Su2Rep
+    phase: PhaseOperator
     triple: DeformedTriple
     g: GridFunction | None = None
 
@@ -107,11 +113,13 @@ def structure_function_for(sc: Scenario):
 
 
 def _spin_bundle(
-    sc: Scenario, ops: dict, provenance: dict | None, parts: SpinParts
+    sc: Scenario, rep: Su2Rep, triple: DeformedTriple, ops: dict, provenance: dict | None,
+    g: GridFunction | None = None,
 ) -> FamilyBundle:
     meta = {"basis": "ascending_m", "j": str(sc.j), "theta0": sc.theta0}
-    ham = dipole_hamiltonian(parts.rep.J0, sc.muB)
-    return FamilyBundle(sc, ops, provenance, meta, ham, parts.triple.Jp, -1j * sc.muB, parts)
+    ham = dipole_hamiltonian(rep.J0, sc.muB)
+    parts = SpinParts(rep, build_phase_operator(rep.j, sc.theta0), triple, g)
+    return FamilyBundle(sc, ops, provenance, meta, ham, triple.Jp, -1j * sc.muB, parts)
 
 
 def _deformed_bundle(
@@ -119,29 +127,25 @@ def _deformed_bundle(
 ) -> FamilyBundle:
     ops = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}
     prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
-    return _spin_bundle(sc, ops, prov, SpinParts(rep, triple, g))
+    return _spin_bundle(sc, rep, triple, ops, prov, g)
 
 
 def _build_su2(sc: Scenario) -> FamilyBundle:
     rep = build_su2(sc.j)
     undeformed = DeformedTriple(rep.Jp, rep.Jm, rep.J0, {"map": "su2", "params": {}}, True)
-    ops = {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0}
-    return _spin_bundle(sc, ops, None, SpinParts(rep, undeformed))
+    return _spin_bundle(sc, rep, undeformed, {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0}, None)
 
 
 def _build_suq2(sc: Scenario) -> FamilyBundle:
-    return _deformed_bundle(sc, build_su2(sc.j), build_suq2(sc.j, sc.q, sc.tol))
+    rep = build_su2(sc.j)
+    return _deformed_bundle(sc, rep, build_suq2(rep, sc.q, sc.tol))
 
 
 def _build_witten(sc: Scenario) -> FamilyBundle:
     rep = build_su2(sc.j)
-    gens = build_witten(sc.j, sc.r, sc.tol)
-    triple = DeformedTriple(
-        gens.Wp, gens.Wm, gens.W0, {"map": "witten", "params": {"r": sc.r}}, True, gens.checks
-    )
-    ops = {"W0": gens.W0, "Wp": gens.Wp, "Wm": gens.Wm}
-    prov = triple.provenance | {"hermitian_pair": True}
-    return _spin_bundle(sc, ops, prov, SpinParts(rep, triple))
+    triple = build_witten(rep, sc.r, sc.tol)
+    ops = {"W0": triple.J0, "Wp": triple.Jp, "Wm": triple.Jm}
+    return _spin_bundle(sc, rep, triple, ops, triple.provenance | {"hermitian_pair": True})
 
 
 def _build_ab_map(sc: Scenario) -> FamilyBundle:
@@ -158,8 +162,9 @@ def _build_f_deform(sc: Scenario) -> FamilyBundle:
 
 
 def _build_hermitian_f(sc: Scenario) -> FamilyBundle:
-    triple = build_hermitian_deformation(sc.j, structure_function_for(sc), sc.tol)
-    return _deformed_bundle(sc, build_su2(sc.j), triple)
+    rep = build_su2(sc.j)
+    triple = build_hermitian_deformation(rep, structure_function_for(sc), sc.tol)
+    return _deformed_bundle(sc, rep, triple)
 
 
 def _oscillator_bundle(
@@ -237,11 +242,12 @@ def _unitarity(report: CheckReport, u: Operator, t: float) -> None:
 def _phase_suite(report: CheckReport, bundle: FamilyBundle) -> None:
     """Unitarity, the four polar reconstructions, and the phase commutator."""
     sc, rep, _, t = _spin(bundle)
-    _unitarity(report, build_phase_operator(rep.j, sc.theta0).U, t)
-    polar_decompose(rep, sc.theta0, sc.tol, report)
+    phase = bundle.parts.phase
+    _unitarity(report, phase.U, t)
+    polar_decompose(rep, phase, sc.tol, report)
     report.add(
         "phase_number_commutator",
-        phase_number_commutator_residual(rep.j, sc.theta0),
+        phase_number_commutator_residual(rep, phase),
         t,
         detail="[exp(+-i*phi), J0] matches its closed form incl. the corner term",
         category="phase",
@@ -286,33 +292,29 @@ def _su2_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
     _casimir_central(report, casimir(rep, sc.tol, report), rep.Jp, rep.Jm, t)
 
 
-def _g_diag(g: GridFunction, rep: Su2Rep, shift: float) -> Operator:
-    return from_diagonal([g.value(float(m) + shift) for m in rep.m_values()])
-
-
 def _qbracket_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
     """[J+~, J-~] = [2 J0]_q and the casimir built from its antiderivative g."""
     sc, rep, triple, t = _spin(bundle)
     f = structure_function_for(sc)
     f_diag = from_diagonal([f(float(m)) for m in rep.m_values()])
     report.add(
-        "structure_relation", residual(commutator(triple.Jp, triple.Jm), f_diag), t,
+        "structure_relation", residual(triple.bracket, f_diag), t,
         detail="[J+~, J-~] = f(J0) with f = [2x]_q",
     )
-    g = discrete_antiderivative(f, sc.j)
-    c_up = triple.Jm @ triple.Jp + _g_diag(g, rep, 0.0)
-    c_down = triple.Jp @ triple.Jm + _g_diag(g, rep, -1.0)
+    g = bundle.parts.g or discrete_antiderivative(f, sc.j)  # ab_map's build solved it
+    c_up = triple.Jm @ triple.Jp + from_diagonal(g.values[1:])  # g(J0), g on {-j-1, ..., j}
+    c_down = triple.Jp @ triple.Jm + from_diagonal(g.values[:-1])  # g(J0 - 1)
     report.add("casimir_orderings", residual(c_up, c_down), t)
     _casimir_central(report, c_up, triple.Jp, triple.Jm, t)
 
 
 def _matches_suq2(report: CheckReport, bundle: FamilyBundle) -> None:
-    sc, _, triple, t = _spin(bundle)
+    sc, rep, triple, t = _spin(bundle)
     if sc.q is not None:  # a phase-valued q has no SU_q(2) counterpart here
-        ref = build_suq2(sc.j, sc.q, sc.tol)
+        ref = _suq2_raising(rep, sc.q)
         report.add(
             "matches_suq2_representation",
-            max(residual(triple.Jp, ref.Jp), residual(triple.Jm, ref.Jm)),
+            max(residual(triple.Jp, ref), residual(triple.Jm, ref.adjoint())),
             t,
             detail="hermitian map at f = [2x]_q equals the SU_q(2) elements",
         )
@@ -323,12 +325,12 @@ def _alternate_split(report: CheckReport, bundle: FamilyBundle) -> None:
     other = "left" if sc.split == "symmetric" else "symmetric"
     try:
         alt = build_split_deformation(rep, bundle.parts.g, other, tol=sc.tol)
-    except SplitError as exc:
+    except (SplitError, ArithmeticError) as exc:
         report.add("alternate_split_structure", float("inf"), t, detail=str(exc))
         return
     report.add(
         "alternate_split_structure",
-        residual(commutator(alt.Jp, alt.Jm), commutator(triple.Jp, triple.Jm)),
+        residual(alt.bracket, triple.bracket),
         t,
         detail=f"{other} split realizes the same commutator",
     )
@@ -365,7 +367,7 @@ def _spin_dynamics(report: CheckReport, bundle: FamilyBundle) -> None:
     """The phase derivation of the ladder dynamics, then the dynamics itself."""
     sc, rep, triple, _ = _spin(bundle)
     h = bundle.hamiltonian
-    report.extend(derive_ladder_dynamics_from_phase(rep, triple, sc.theta0, h, sc.tol))
+    report.extend(derive_ladder_dynamics_from_phase(rep, bundle.parts.phase, triple, h, sc.tol))
     _dynamics_suite(report, bundle, triple.Jp, triple.Jm, triple.J0)
 
 

@@ -73,9 +73,7 @@ def _oscillator_phase(s: int, phi0: float) -> PhaseOperator:
     forces the n = 1..s reading.
     """
     dim = s + 1
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        mat[n - 1, n] = 1.0
+    mat = np.eye(dim, k=1, dtype=np.complex128)
     mat[dim - 1, 0] = np.exp(1j * dim * phi0)
     return PhaseOperator(dim, float(phi0), Operator(mat, "exp(i*Phi)"))
 

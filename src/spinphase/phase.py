@@ -23,7 +23,7 @@ from .operators import (
     residual,
 )
 from .report import CheckReport
-from .su2 import Su2Rep, build_su2, parse_spin
+from .su2 import Su2Rep, parse_spin
 
 __all__ = [
     "PhaseOperator",
@@ -53,30 +53,26 @@ class PhaseOperator:
 
 def build_phase_operator(j: float | int | str | Fraction, theta0: float = 0.0) -> PhaseOperator:
     """Cyclic-shift unitary with corner phase exp(i*(2j+1)*theta0)."""
-    jf = parse_spin(j)
-    dim = int(jf * 2) + 1
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim - 1):
-        mat[i + 1, i] = 1.0
+    dim = int(parse_spin(j) * 2) + 1
+    mat = np.eye(dim, k=-1, dtype=np.complex128)
     mat[0, dim - 1] = np.exp(1j * dim * theta0)
     return PhaseOperator(dim, float(theta0), Operator(mat, "exp(i*phi)"))
 
 
 def polar_decompose(
     rep: Su2Rep,
-    theta0: float = 0.0,
+    phase: PhaseOperator,
     tol: Tolerance = DEFAULT_TOL,
     report: CheckReport | None = None,
-) -> tuple[Operator, Operator, PhaseOperator]:
+) -> tuple[Operator, Operator]:
     """Factor the ladder pair as J+ = sqrt(J+J-) U = U sqrt(J-J+).
 
-    Returns (sqrt(J+J-), sqrt(J-J+), phase).  All four reconstructions of
-    J+ and J- are verified, and added to ``report``, when given, as the
-    checks polar_raising_left/right and polar_lowering_left/right; the
-    corner element of U always multiplies a zero modulus entry, so the
-    result does not depend on theta0.
+    Returns (sqrt(J+J-), sqrt(J-J+)) for the phase operator U = ``phase``.
+    All four reconstructions of J+ and J- are verified, and added to
+    ``report``, when given, as the checks polar_raising_left/right and
+    polar_lowering_left/right; the corner element of U always multiplies a
+    zero modulus entry, so the result does not depend on theta0.
     """
-    phase = build_phase_operator(rep.j, theta0)
     mod_p = psd_sqrt(rep.Jp @ rep.Jm, tol).relabel("sqrt(J+J-)")
     mod_m = psd_sqrt(rep.Jm @ rep.Jp, tol).relabel("sqrt(J-J+)")
     u = phase.U
@@ -95,19 +91,15 @@ def polar_decompose(
     worst = max(residuals)
     if worst > t:
         raise ArithmeticError(f"polar reconstruction failed: residual {worst:.3e}")
-    return mod_p, mod_m, phase
+    return mod_p, mod_m
 
 
-def phase_number_commutator_residual(
-    j: float | int | str | Fraction, theta0: float = 0.0
-) -> float:
+def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float:
     """Max residual of [exp(+-i*phi), J0] against its closed form.
 
     [U, J0] = -U + (2j+1) exp(i(2j+1)theta0) |-j><j| (hbar = 1), and
     [U^dag, J0] is minus its adjoint.
     """
-    rep = build_su2(j)
-    phase = build_phase_operator(j, theta0)
     dim = phase.dim
     rhs = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase) - phase.U
     res_plus = residual(commutator(phase.U, rep.J0), rhs)
@@ -116,9 +108,7 @@ def phase_number_commutator_residual(
 
 
 def phase_recovery_ambiguity(
-    j: float | int | str | Fraction,
-    theta0: float = 0.0,
-    tol: Tolerance = DEFAULT_TOL,
+    rep: Su2Rep, phase: PhaseOperator, tol: Tolerance = DEFAULT_TOL
 ) -> CheckReport:
     """Show that pinv(sqrt(J+J-)) J+ recovers exp(i*phi) except at the corner.
 
@@ -126,8 +116,6 @@ def phase_recovery_ambiguity(
     pseudo-inverse kills exactly the row holding the corner element: the
     reference-angle information is unrecoverable from the ladder operator.
     """
-    rep = build_su2(j)
-    phase = build_phase_operator(j, theta0)
     dim = rep.dim
     t = tol.for_dim(dim)
 

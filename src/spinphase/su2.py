@@ -71,8 +71,7 @@ class Su2Rep:
         return self.twoj + 1
 
     def m_values(self) -> np.ndarray:
-        j = self.twoj / 2.0
-        return np.array([-j + i for i in range(self.dim)])
+        return -(self.twoj / 2.0) + np.arange(self.dim)
 
     @property
     def casimir_value(self) -> float:
@@ -82,18 +81,11 @@ class Su2Rep:
 
 def build_su2(j: float | int | str | Fraction) -> Su2Rep:
     """Construct the irreducible representation at spin j."""
-    jf = parse_spin(j)
-    twoj = int(jf * 2)
-    dim = twoj + 1
-    jv = float(jf)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim - 1):
-        m = -jv + i
-        mat[i + 1, i] = np.sqrt((jv - m) * (jv + m + 1.0))
-    jp = Operator(mat, "J+")
-    jm = jp.adjoint().relabel("J-")
-    j0 = from_diagonal([-jv + i for i in range(dim)], "J0")
-    return Su2Rep(twoj, jp, jm, j0)
+    twoj = int(parse_spin(j) * 2)
+    jv = twoj / 2.0
+    ms = -jv + np.arange(twoj + 1)
+    jp = Operator(np.diag(np.sqrt((jv - ms[:-1]) * (jv + ms[:-1] + 1.0)), -1), "J+")
+    return Su2Rep(twoj, jp, jp.adjoint().relabel("J-"), from_diagonal(ms, "J0"))
 
 
 def casimir(

@@ -1,9 +1,10 @@
 """Build a scenario and run its family's check suite (the verify/sweep commands).
 
 The suites live with the families (``families.FAMILY_TABLE``); a relation a
-builder already verified is reported from its residual, not recomputed.  A
-violated builder relation still raises ``ArithmeticError``, not a typed
-error, so such a scenario ends in a traceback instead of a failed check.
+builder already verified is reported from its residual, not recomputed, and
+no suite raises.  A violated relation in the scenario's own builder still
+raises ``ArithmeticError``, not a typed error, so such a scenario ends in a
+traceback instead of a failed check.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ def run_verify(sc: Scenario) -> tuple[CheckReport, FamilyBundle | None]:
     Mathematical impossibilities during construction (negative norm, an
     impossible split) come back as a failed check instead of an exception,
     so the CLI can exit 1 with a report; genuine parameter errors propagate.
-    A violated defining relation inside a builder also propagates, as the
-    builder's ``ArithmeticError``.
+    A violated defining relation inside the scenario's own builder also
+    propagates, as the builder's ``ArithmeticError``.
     """
     try:
         bundle = build_bundle(sc)

@@ -12,6 +12,7 @@ import numpy as np
 from spinphase import (
     build_finite_oscillator,
     build_hermitian_deformation,
+    build_phase_operator,
     build_q_oscillator,
     build_scaled_deformation,
     build_split_deformation,
@@ -72,7 +73,8 @@ def test_criterion_2_phase_suite():
         tol = 1e-12 * rep.dim
         eye = identity(rep.dim)
         for theta0 in ANGLES:
-            mod_p, mod_m, phase = polar_decompose(rep, theta0)
+            phase = build_phase_operator(rep.j, theta0)
+            mod_p, mod_m = polar_decompose(rep, phase)
             u, udag = phase.U, phase.adjoint()
             residuals = [
                 residual(u @ udag, eye),
@@ -81,7 +83,7 @@ def test_criterion_2_phase_suite():
                 residual(u @ mod_m, rep.Jp),
                 residual(mod_m @ udag, rep.Jm),
                 residual(udag @ mod_p, rep.Jm),
-                phase_number_commutator_residual(j, theta0),
+                phase_number_commutator_residual(rep, phase),
             ]
             assert max(residuals) < tol, f"j={j}, theta0={theta0}"
             worst = max(worst, max(residuals) / tol)
@@ -92,13 +94,13 @@ def _families(j):
     rep = build_su2(j)
     out = [("su2", rep.Jp, rep.Jm, rep.J0)]
     for q in (0.5, 1.1, 2.0):
-        t = build_suq2(j, q)
+        t = build_suq2(build_su2(j), q)
         out.append((f"suq2 q={q}", t.Jp, t.Jm, t.J0))
-        h = build_hermitian_deformation(j, qbracket_structure(q))
+        h = build_hermitian_deformation(build_su2(j), qbracket_structure(q))
         out.append((f"hermitian q={q}", h.Jp, h.Jm, h.J0))
     for r in (0.8, 1.2):
-        w = build_witten(j, r)
-        out.append((f"witten r={r}", w.Wp, w.Wm, w.W0))
+        w = build_witten(build_su2(j), r)
+        out.append((f"witten r={r}", w.Jp, w.Jm, w.J0))
     g = discrete_antiderivative(qbracket_structure(1.3), j)
     for split in ("left", "symmetric"):
         t = build_split_deformation(rep, g, split)
@@ -134,11 +136,14 @@ def test_criterion_4_phase_derivation_and_negative_control():
                 if name == "su2"
                 else DeformedTriple(jp, jm, conserved, {"map": name, "params": {}}, False)
             )
-            report = derive_ladder_dynamics_from_phase(rep, triple, 0.3, h)
+            phase = build_phase_operator(rep.j, 0.3)
+            report = derive_ladder_dynamics_from_phase(rep, phase, triple, h)
             assert report.all_pass, (j, name, [c.name for c in report.failures()])
     # negative control floor at j = 1/2
     rep = build_su2("1/2")
-    report = derive_ladder_dynamics_from_phase(rep, None, 0.0, dipole_hamiltonian(rep.J0, muB))
+    report = derive_ladder_dynamics_from_phase(
+        rep, build_phase_operator(rep.j, 0.0), None, dipole_hamiltonian(rep.J0, muB)
+    )
     control = next(c for c in report if c.name == "phase_equation_without_boundary")
     assert control.residual >= 0.5
     announce(
@@ -150,18 +155,18 @@ def test_criterion_4_phase_derivation_and_negative_control():
 
 def test_criterion_5_limits():
     q_eps = 1.0 + 1e-6
-    close = build_suq2(2, q_eps)
+    close = build_suq2(build_su2(2), q_eps)
     classical = build_su2(2)
     drift = residual(close.Jp, classical.Jp)
     assert drift < 1e-4
 
     r_eps = 1.0 + 1e-6
-    gens = build_witten(2, r_eps)
+    gens = build_witten(build_su2(2), r_eps)
     pair_drift = residual(
-        r_commutator(gens.Wp, gens.Wm, 1.0 / r_eps**2), commutator(gens.Wp, gens.Wm)
+        r_commutator(gens.Jp, gens.Jm, 1.0 / r_eps**2), commutator(gens.Jp, gens.Jm)
     )
     raise_drift = residual(
-        r_commutator(gens.W0, gens.Wp, r_eps), commutator(gens.W0, gens.Wp)
+        r_commutator(gens.J0, gens.Jp, r_eps), commutator(gens.J0, gens.Jp)
     )
     assert max(pair_drift, raise_drift) < 1e-4
     announce(
@@ -175,8 +180,8 @@ def test_criterion_6_hermitian_map_equivalence():
     worst = 0.0
     for j in [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]:
         for q in (0.5, 1.3, 2.0):
-            herm = build_hermitian_deformation(j, qbracket_structure(q))
-            ref = build_suq2(j, q)
+            herm = build_hermitian_deformation(build_su2(j), qbracket_structure(q))
+            ref = build_suq2(build_su2(j), q)
             tol = 1e-12 * herm.dim
             gap = max(residual(herm.Jp, ref.Jp), residual(herm.Jm, ref.Jm))
             assert gap < tol, (j, q)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, file outputs, and byte-identical reruns."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -580,6 +581,68 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         self._assert_usage_error(rc, captured, "verify")
         assert captured.err == "spinphase verify: SPINPHASE_TOL must be finite, got inf\n"
+
+
+class TestNoCheckSuiteRaises:
+    """A scenario whose own build passes ends in a report, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "scenario, flags",
+        [
+            (None, ["--family", "hermitian_f", "--j", "5", "--q", "3"]),
+            (None, ["--family", "hermitian_f", "--j", "15/2", "--q", "2"]),
+            (None, ["--family", "hermitian_f", "--j", "35/2", "--q", "1.3"]),
+            ({"family": "ab_map", "split": "left"}, ["--j", "15/2", "--q", "2"]),
+        ],
+    )
+    def test_verify_writes_its_report(self, tmp_path, capsys, scenario, flags):
+        if scenario is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(scenario))
+            flags = ["--scenario", str(path), *flags]
+        report = tmp_path / "report.json"
+        rc = main(["verify", *flags, "--report", str(report)])
+        out = capsys.readouterr().out
+        assert rc in (0, 1)
+        payload = read_json(report)
+        assert payload["all_pass"] is (rc == 0)
+        assert out.splitlines()[-1].endswith(f"/{len(payload['checks'])} checks passed")
+
+    def test_alternate_split_failure_is_a_failed_check(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"family": "ab_map", "split": "left"}))
+        report = tmp_path / "report.json"
+        main(["verify", "--scenario", str(scenario), "--j", "15/2", "--q", "2",
+              "--report", str(report)])
+        capsys.readouterr()
+        alt = [c for c in read_json(report)["checks"] if c["name"] == "alternate_split_structure"]
+        assert alt[0]["pass"] is False
+        assert "split map violates its structure relation" in alt[0]["detail"]
+
+    def test_sweep_writes_every_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--family", "hermitian_f", "--j", "5", "--param", "q:1.5:3:4",
+                   "--out", str(out)])
+        capsys.readouterr()
+        assert rc in (0, 1)
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(",") for row in rows)  # no error column: every point ran
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    parsers = []
+    original = argparse.ArgumentParser.parse_args
+
+    def record(self, *args, **kwargs):
+        parsers.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+    assert main(["verify", "--family", "su2", "--j", "1/2"]) == 0
+    assert main(["verify", "--family", "su2", "--j", "1"]) == 0
+    capsys.readouterr()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 class TestConsoleScript:

@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphase import (
+    DeformedTriple,
     NegativeNormError,
+    Operator,
     ParameterError,
     SplitError,
     StructureFunction,
     Tolerance,
+    build_finite_oscillator,
     build_hermitian_deformation,
+    build_phase_operator,
     build_scaled_deformation,
     build_split_deformation,
     build_su2,
@@ -32,6 +36,7 @@ from spinphase import (
     residual,
     table_structure,
 )
+from spinphase import deform
 
 TOL = Tolerance()
 
@@ -223,17 +228,17 @@ class TestSplitDeformation:
 class TestSuq2:
     def test_q_one_is_classical(self):
         rep = build_su2("3/2")
-        triple = build_suq2("3/2", 1.0)
+        triple = build_suq2(build_su2("3/2"), 1.0)
         assert residual(triple.Jp, rep.Jp) == 0.0
 
     def test_spin_half_is_undeformed_for_any_q(self):
         for q in (0.5, 1.3, 2.0):
-            triple = build_suq2("1/2", q)
+            triple = build_suq2(build_su2("1/2"), q)
             assert triple.Jp.mat[1, 0] == pytest.approx(1.0)
 
     def test_casimir_scalar_spin_one_q_two(self):
         q = 2.0
-        triple = build_suq2(1, q)
+        triple = build_suq2(build_su2(1), q)
         g_up = diag_function(lambda m: q_number(m, q) * q_number(m + 1.0, q), triple.J0)
         c = triple.Jm @ triple.Jp + g_up
         assert np.allclose(c.mat, 2.5 * np.eye(3), atol=1e-13)
@@ -241,30 +246,30 @@ class TestSuq2:
     @pytest.mark.parametrize("q", [0.5, 1.1, 1.3, 2.0])
     @pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(1), Fraction(5, 2)])
     def test_structure_relation(self, q, j):
-        triple = build_suq2(j, q)
+        triple = build_suq2(build_su2(j), q)
         f_diag = diag_function(lambda m: q_number(2.0 * m, q), triple.J0)
         assert residual(commutator(triple.Jp, triple.Jm), f_diag) < TOL.for_dim(triple.dim)
 
     def test_classical_limit(self):
-        close = build_suq2(2, 1.0 + 1e-6)
+        close = build_suq2(build_su2(2), 1.0 + 1e-6)
         classical = build_su2(2)
         assert residual(close.Jp, classical.Jp) < 1e-4
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(ParameterError):
-            build_suq2(1, -0.5)
+            build_suq2(build_su2(1), -0.5)
         with pytest.raises(ParameterError):
-            build_suq2(1, 0.0)
+            build_suq2(build_su2(1), 0.0)
 
 
 class TestHermitianDeformation:
     def test_linear_structure_recovers_classical(self):
         rep = build_su2("5/2")
-        triple = build_hermitian_deformation("5/2", linear_structure())
+        triple = build_hermitian_deformation(build_su2("5/2"), linear_structure())
         assert residual(triple.Jp, rep.Jp) < 1e-13
 
     def test_spin_one_q_two_elements(self):
-        triple = build_hermitian_deformation(1, qbracket_structure(2.0))
+        triple = build_hermitian_deformation(build_su2(1), qbracket_structure(2.0))
         expected = np.sqrt(2.5)
         assert triple.Jp.mat[1, 0] == pytest.approx(expected)
         assert triple.Jp.mat[2, 1] == pytest.approx(expected)
@@ -272,14 +277,14 @@ class TestHermitianDeformation:
     @pytest.mark.parametrize("q", [0.5, 1.3, 2.0])
     @pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)])
     def test_matches_suq2(self, q, j):
-        herm = build_hermitian_deformation(j, qbracket_structure(q))
-        ref = build_suq2(j, q)
+        herm = build_hermitian_deformation(build_su2(j), qbracket_structure(q))
+        ref = build_suq2(build_su2(j), q)
         t = TOL.for_dim(herm.dim)
         assert residual(herm.Jp, ref.Jp) < t
         assert residual(herm.Jm, ref.Jm) < t
 
     def test_adjoint_pair_by_construction(self):
-        triple = build_hermitian_deformation(2, qbracket_structure(1.3))
+        triple = build_hermitian_deformation(build_su2(2), qbracket_structure(1.3))
         assert triple.hermitian_pair
         assert np.array_equal(triple.Jm.mat, triple.Jp.mat.conj().T)
 
@@ -287,15 +292,15 @@ class TestHermitianDeformation:
         # q = exp(i*2*pi/5): [x]_q flips sign at x = 2.5, inside the j = 3/2 support
         q5 = cmath.rect(1.0, 2.0 * np.pi / 5.0)
         with pytest.raises(NegativeNormError):
-            build_hermitian_deformation("3/2", qbracket_structure(q5))
+            build_hermitian_deformation(build_su2("3/2"), qbracket_structure(q5))
         q3 = cmath.rect(1.0, 2.0 * np.pi / 3.0)
         with pytest.raises(NegativeNormError):
-            build_hermitian_deformation(1, qbracket_structure(q3))
+            build_hermitian_deformation(build_su2(1), qbracket_structure(q3))
 
     def test_phase_q_positive_cases_build(self):
         # below the sign change the deformed rep exists and keeps its algebra
         q5 = cmath.rect(1.0, 2.0 * np.pi / 5.0)
-        triple = build_hermitian_deformation(1, qbracket_structure(q5))
+        triple = build_hermitian_deformation(build_su2(1), qbracket_structure(q5))
         f_diag = diag_function(
             lambda m: q_number(2.0 * m, q5), triple.J0
         )
@@ -304,7 +309,7 @@ class TestHermitianDeformation:
     def test_zero_radicand_is_clamped(self):
         # q = exp(i*2*pi/3) at j = 3/2 puts [3]_q = 0 into the edge elements
         q3 = cmath.rect(1.0, 2.0 * np.pi / 3.0)
-        triple = build_hermitian_deformation("3/2", qbracket_structure(q3))
+        triple = build_hermitian_deformation(build_su2("3/2"), qbracket_structure(q3))
         assert abs(triple.Jp.mat[1, 0]) < 1e-7
         assert abs(triple.Jp.mat[3, 2]) < 1e-7
         assert abs(triple.Jp.mat[2, 1]) == pytest.approx(1.0)
@@ -312,30 +317,30 @@ class TestHermitianDeformation:
 
 class TestWitten:
     def test_w0_diagonal_value(self):
-        gens = build_witten(1, 1.2)
-        assert gens.W0.mat[2, 2].real == pytest.approx(125.0 / 216.0, abs=1e-14)
+        gens = build_witten(build_su2(1), 1.2)
+        assert gens.J0.mat[2, 2].real == pytest.approx(125.0 / 216.0, abs=1e-14)
 
     @pytest.mark.parametrize("r", [0.8, 1.2])
     @pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2)])
     def test_defining_relations(self, r, j):
-        gens = build_witten(j, r)
+        gens = build_witten(build_su2(j), r)
         t = TOL.for_dim(gens.dim)
-        assert residual(r_commutator(gens.W0, gens.Wp, r), gens.Wp) < t
-        assert residual(r_commutator(gens.Wp, gens.Wm, 1.0 / r**2), gens.W0) < t
-        assert residual(r_commutator(gens.Wm, gens.W0, r), gens.Wm) < t
+        assert residual(r_commutator(gens.J0, gens.Jp, r), gens.Jp) < t
+        assert residual(r_commutator(gens.Jp, gens.Jm, 1.0 / r**2), gens.J0) < t
+        assert residual(r_commutator(gens.Jm, gens.J0, r), gens.Jm) < t
 
     def test_adjoint_pair(self):
-        gens = build_witten("3/2", 0.8)
-        assert np.array_equal(gens.Wm.mat, gens.Wp.mat.conj().T)
+        gens = build_witten(build_su2("3/2"), 0.8)
+        assert np.array_equal(gens.Jm.mat, gens.Jp.mat.conj().T)
 
     def test_classical_limit(self):
-        gens = build_witten(2, 1.0 + 1e-6)
+        gens = build_witten(build_su2(2), 1.0 + 1e-6)
         rep = build_su2(2)
-        assert residual(gens.W0, rep.J0) < 1e-4
+        assert residual(gens.J0, rep.J0) < 1e-4
         assert (
             residual(
-                r_commutator(gens.Wp, gens.Wm, 1.0 / (1.0 + 1e-6) ** 2),
-                commutator(gens.Wp, gens.Wm),
+                r_commutator(gens.Jp, gens.Jm, 1.0 / (1.0 + 1e-6) ** 2),
+                commutator(gens.Jp, gens.Jm),
             )
             < 1e-4
         )
@@ -343,7 +348,7 @@ class TestWitten:
     @pytest.mark.parametrize("r", [0.0, -1.2, 1.0])
     def test_invalid_r_rejected(self, r):
         with pytest.raises(ParameterError):
-            build_witten(1, r)
+            build_witten(build_su2(1), r)
 
 
 class TestScaledDeformation:
@@ -377,7 +382,7 @@ class TestDeformedCasimir:
         g = discrete_antiderivative(
             linear_structure(), "3/2", anchor_value=0.75, anchor_point=0.5
         )  # g(1/2) = 3/4 puts g(x) = x(x+1) on the half-integer grid
-        triple = build_suq2("3/2", 1.0)
+        triple = build_suq2(build_su2("3/2"), 1.0)
         c = deformed_casimir(triple, g)
         assert np.allclose(c.mat, (1.5 * 2.5) * np.eye(4), atol=1e-13)  # j(j+1)*I
 
@@ -385,7 +390,7 @@ class TestDeformedCasimir:
         q = 1.3
         f = qbracket_structure(q)
         g = discrete_antiderivative(f, 1, anchor_value=0.0, anchor_point=0.0)
-        triple = build_suq2(1, q)
+        triple = build_suq2(build_su2(1), q)
         c = deformed_casimir(triple, g)
         scalar = q_number(1.0, q) * q_number(2.0, q)
         assert np.allclose(c.mat, scalar * np.eye(3), atol=1e-13)
@@ -399,3 +404,147 @@ class TestDeformedCasimir:
         c = deformed_casimir(triple, g)  # raises if the orderings disagree
         off_diag = c.mat - np.diag(np.diagonal(c.mat))
         assert np.linalg.norm(off_diag) < 1e-13
+
+
+# --- bitwise placement against the entry-by-entry reference ---------------
+#
+# The reference below is the construction the builders used before they
+# placed weight vectors: _ref_scale walks the nonzero entries of an su2
+# ladder and multiplies each by its weight, and the su2, SU_q(2) and phase
+# matrices are written one row at a time.  The builders must reproduce it
+# bit for bit, signed zeros included, and in the same memory order.
+
+
+def _ref_scale(base, weight, ms, axis):
+    """diag(weight(m)) @ base (axis 0) or base @ diag(weight(m)) (axis 1),
+    evaluated only where base has support."""
+    out = np.array(base.mat)
+    for entry in zip(*np.nonzero(out)):
+        out[entry] *= weight(float(ms[entry[axis]]))
+    return Operator(out)
+
+
+def _ref_su2(j):
+    jv = float(Fraction(j))
+    dim = int(2 * jv) + 1
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim - 1):
+        m = -jv + i
+        mat[i + 1, i] = np.sqrt((jv - m) * (jv + m + 1.0))
+    jp = Operator(mat, "J+")
+    j0 = from_diagonal([-jv + i for i in range(dim)], "J0")
+    return jp, jp.adjoint(), j0, np.array([-jv + i for i in range(dim)])
+
+
+def _ref_phase(dim, theta0, raising):
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim - 1):
+        if raising:
+            mat[i + 1, i] = 1.0
+        else:
+            mat[i, i + 1] = 1.0
+    if raising:
+        mat[0, dim - 1] = np.exp(1j * dim * theta0)
+    else:
+        mat[dim - 1, 0] = np.exp(1j * dim * theta0)
+    return Operator(mat)
+
+
+def _ref_suq2(j, q):
+    jp0, _, j0, ms = _ref_su2(j)
+    jv = float(Fraction(j))
+    dim = len(ms)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim - 1):
+        m = -jv + i
+        mat[i + 1, i] = np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q))
+    jp = Operator(mat)
+    return jp, jp.adjoint(), j0
+
+
+def _ref_hermitian(j, f):
+    jp, _, j0, ms = _ref_su2(j)
+    weight = deform._hermitian_ladder_weight(float(Fraction(j)), f, TOL.for_dim(len(ms)))
+    jp_t = _ref_scale(jp, weight, ms, 0)
+    return jp_t, jp_t.adjoint(), j0
+
+
+def _ref_witten(j, r):
+    jp, _, _, ms = _ref_su2(j)
+    jv = float(Fraction(j))
+    kappa = (r ** (2 * jv + 1) + r ** (-2 * jv - 1)) / (r + 1.0 / r)
+    scale = 1.0 / (r - 1.0 / r)
+    w0 = from_diagonal([scale * (1.0 - kappa * r ** (-2.0 * float(m))) for m in ms])
+    norm = np.sqrt(r / (r + 1.0 / r))
+    base = deform._hermitian_ladder_weight(jv, qbracket_structure(r), 0.0)
+    wp = _ref_scale(jp, lambda x: float(r ** (-x) * norm * base(x)), ms, 0)
+    return wp, wp.adjoint(), w0
+
+
+def _ref_split(j, g, split):
+    jp, jm, j0, ms = _ref_su2(j)
+    c_val = float(Fraction(j)) * (float(Fraction(j)) + 1.0)
+    ab = {}
+    for m in [float(m) for m in ms[:-1]]:
+        ab[round(2 * m)] = (g.p_value - g.value(m)) / (c_val - m * (m + 1.0))
+    if split == "left":
+        a_weight, b_weight = ab, {k: 1.0 for k in ab}
+    else:
+        a_weight = b_weight = {k: np.sqrt(max(v, 0.0)) for k, v in ab.items()}
+    jp_t = _ref_scale(jp, lambda m: a_weight[round(2 * m)], ms, 1)
+    jm_t = _ref_scale(jm, lambda m: b_weight[round(2 * m)], ms, 0)
+    return jp_t, jm_t, j0
+
+
+def _ref_scaled(j, weight):
+    jp, jm, _, ms = _ref_su2(j)
+    jv = float(Fraction(j))
+    w = {}
+    for k in range(-1, len(ms) + 1):
+        m = -jv + k
+        w[round(2 * m)] = float(weight(jv * (jv + 1.0), m))
+    jp_t = _ref_scale(jp, lambda m: w[round(2 * m)], ms, 1)
+    jm_t = _ref_scale(jm, lambda m: w[round(2 * m)], ms, 1)
+    j0_t = from_diagonal([float(m) * w[round(2 * float(m))] for m in ms])
+    return jp_t, jm_t, j0_t
+
+
+def _assert_same_bits(got: Operator, want: Operator) -> None:
+    assert got.mat.flags.c_contiguous == want.mat.flags.c_contiguous
+    a, b = np.ascontiguousarray(got.mat), np.ascontiguousarray(want.mat)
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_PLACEMENT_POINTS = [("1/2", 1.3), ("5/2", 1.3), ("25/2", 1.3), ("50", 1.05)]
+
+
+class TestBitwisePlacement:
+    @pytest.mark.parametrize("j, q", _PLACEMENT_POINTS)
+    def test_spin_builders(self, j, q):
+        rep = build_su2(j)
+        f = qbracket_structure(q)
+        g = discrete_antiderivative(f, j)
+        weight = lambda c, m: 1.0 + 0.01 * m  # noqa: E731
+        pairs = [
+            ((rep.Jp, rep.Jm, rep.J0), _ref_su2(j)[:3]),
+            (build_suq2(rep, q), _ref_suq2(j, q)),
+            (build_hermitian_deformation(rep, f), _ref_hermitian(j, f)),
+            (build_witten(rep, 1.2), _ref_witten(j, 1.2)),
+            (build_split_deformation(rep, g, "symmetric"), _ref_split(j, g, "symmetric")),
+            (build_split_deformation(rep, g, "left"), _ref_split(j, g, "left")),
+            (build_scaled_deformation(rep, weight), _ref_scaled(j, weight)),
+        ]
+        for got, want in pairs:
+            if isinstance(got, DeformedTriple):
+                got = (got.Jp, got.Jm, got.J0)
+            for g_op, w_op in zip(got, want):
+                _assert_same_bits(g_op, w_op)
+        assert np.array_equal(rep.m_values(), _ref_su2(j)[3])
+
+    @pytest.mark.parametrize("j, _", _PLACEMENT_POINTS)
+    @pytest.mark.parametrize("theta0", [0.0, 0.7])
+    def test_phase_operators(self, j, _, theta0):
+        dim = int(2 * Fraction(j)) + 1
+        _assert_same_bits(build_phase_operator(j, theta0).U, _ref_phase(dim, theta0, True))
+        _assert_same_bits(build_finite_oscillator(dim - 1, theta0).U.U,
+                          _ref_phase(dim, theta0, False))

@@ -15,6 +15,7 @@ from spinphase import (
     Tolerance,
     build_finite_oscillator,
     build_hermitian_deformation,
+    build_phase_operator,
     build_q_oscillator,
     build_scaled_deformation,
     build_split_deformation,
@@ -46,16 +47,16 @@ def spin_families(j):
     rep = build_su2(j)
     families = [("su2", None)]
     for q in (0.5, 1.1, 2.0):
-        families.append((f"suq2[q={q}]", build_suq2(j, q)))
+        families.append((f"suq2[q={q}]", build_suq2(build_su2(j), q)))
         families.append(
-            (f"hermitian[q={q}]", build_hermitian_deformation(j, qbracket_structure(q)))
+            (f"hermitian[q={q}]", build_hermitian_deformation(build_su2(j), qbracket_structure(q)))
         )
     for r in (0.8, 1.2):
-        gens = build_witten(j, r)
+        gens = build_witten(build_su2(j), r)
         families.append(
             (
                 f"witten[r={r}]",
-                DeformedTriple(gens.Wp, gens.Wm, gens.W0, {"map": "witten", "params": {}}, True),
+                DeformedTriple(gens.Jp, gens.Jm, gens.J0, {"map": "witten", "params": {}}, True),
             )
         )
     g = discrete_antiderivative(qbracket_structure(1.3), j)
@@ -106,14 +107,14 @@ class TestEigenoperatorResidual:
     def test_suq2_ladder(self):
         rep = build_su2(1)
         h = dipole_hamiltonian(rep.J0, 1.0)
-        triple = build_suq2(1, 1.3)
+        triple = build_suq2(build_su2(1), 1.3)
         assert eigenoperator_residual(triple.Jp, h, -1j) < TOL.for_dim(3)
 
     def test_witten_ladder(self):
         rep = build_su2(1)
         h = dipole_hamiltonian(rep.J0, 1.0)
-        gens = build_witten(1, 1.2)
-        assert eigenoperator_residual(gens.Wp, h, -1j) < TOL.for_dim(3)
+        gens = build_witten(build_su2(1), 1.2)
+        assert eigenoperator_residual(gens.Jp, h, -1j) < TOL.for_dim(3)
 
     def test_conserved_quantity(self):
         rep = build_su2(2)
@@ -147,7 +148,7 @@ class TestEvolve:
         assert residual(evolve(rep.J0, h, 17.3), rep.J0) < TOL.for_dim(3)
 
     def test_deformed_ladder_same_phase_law(self):
-        triple = build_suq2(1, 1.3)
+        triple = build_suq2(build_su2(1), 1.3)
         h = dipole_hamiltonian(build_su2(1).J0, 1.0)
         got = evolve(triple.Jp, h, np.pi / 2)
         assert residual(got, -1j * triple.Jp) < TOL.for_dim(3)
@@ -183,7 +184,7 @@ class TestTrajectory:
         assert all(abs(v - first) < 1e-14 for v in traj.element_tracks[0][1])
 
     def test_modulus_constant_for_eigen_elements(self):
-        triple = build_suq2("3/2", 2.0)
+        triple = build_suq2(build_su2("3/2"), 2.0)
         h = dipole_hamiltonian(build_su2("3/2").J0, 1.3)
         traj = trajectory(triple.Jp, h, np.linspace(0.0, 4.0, 9))
         for (_, _), vals in traj.element_tracks:
@@ -281,7 +282,7 @@ class TestPhaseDerivation:
     def test_undeformed_spin_half(self):
         rep = build_su2("1/2")
         h = dipole_hamiltonian(rep.J0, 1.0)
-        report = derive_ladder_dynamics_from_phase(rep, None, 0.7, h)
+        report = derive_ladder_dynamics_from_phase(rep, build_phase_operator(rep.j, 0.7), None, h)
         assert report.all_pass
 
     @pytest.mark.parametrize("theta0", [0.0, 0.3, np.pi / 2])
@@ -290,13 +291,14 @@ class TestPhaseDerivation:
         rep, families = spin_families(j)
         h = dipole_hamiltonian(rep.J0, 1.0)
         for name, triple in families:
-            report = derive_ladder_dynamics_from_phase(rep, triple, theta0, h)
+            phase = build_phase_operator(rep.j, theta0)
+            report = derive_ladder_dynamics_from_phase(rep, phase, triple, h)
             assert report.all_pass, (name, [c.name for c in report.failures()])
 
     def test_negative_control_magnitude(self):
         rep = build_su2("1/2")
         h = dipole_hamiltonian(rep.J0, 1.0)
-        report = derive_ladder_dynamics_from_phase(rep, None, 0.0, h)
+        report = derive_ladder_dynamics_from_phase(rep, build_phase_operator(rep.j, 0.0), None, h)
         control = next(c for c in report if c.name == "phase_equation_without_boundary")
         # dropping the boundary projector leaves a residual of muB*(2j+1)
         assert control.residual == pytest.approx(2.0, abs=1e-12)
@@ -307,7 +309,7 @@ class TestPhaseDerivation:
         rep = build_su2(1)
         h = number_hamiltonian(build_finite_oscillator(2).N, 1.0)
         with pytest.raises(ParameterError):
-            derive_ladder_dynamics_from_phase(rep, None, 0.0, h)
+            derive_ladder_dynamics_from_phase(rep, build_phase_operator(rep.j, 0.0), None, h)
 
     def test_oscillator_families_share_the_dynamics(self):
         for s in (1, 2, 3, 7):

@@ -11,6 +11,7 @@ from spinphase import (
     CheckReport,
     Operator,
     Su2Rep,
+    build_phase_operator,
     build_scaled_deformation,
     build_split_deformation,
     build_su2,
@@ -92,7 +93,7 @@ def test_two_mode_verify_computes_each_ladder_commutator_once(monkeypatch):
 
 def test_polar_decompose_adds_its_reconstructions():
     report = CheckReport()
-    polar_decompose(build_su2("5/2"), 0.3, report=report)
+    polar_decompose(build_su2("5/2"), build_phase_operator("5/2", 0.3), report=report)
     assert [c.name for c in report] == [
         "polar_raising_left", "polar_raising_right", "polar_lowering_left", "polar_lowering_right"
     ]
@@ -108,7 +109,7 @@ def _corrupt(rep: Su2Rep) -> Su2Rep:
 def test_polar_decompose_still_raises():
     report = CheckReport()
     with pytest.raises(ArithmeticError, match="polar reconstruction failed: residual "):
-        polar_decompose(_corrupt(build_su2("5/2")), report=report)
+        polar_decompose(_corrupt(build_su2("5/2")), build_phase_operator("5/2"), report=report)
     assert not report.all_pass
 
 
@@ -123,7 +124,7 @@ def test_casimir_adds_its_orderings_and_still_raises():
 
 def test_ladder_violation_still_raises():
     with pytest.raises(ArithmeticError, match=r"\[J0~, J\+-~\] = \+-J\+-~ violated: residual "):
-        build_suq2(50, 1.3)
+        build_suq2(build_su2(50), 1.3)
 
 
 def test_split_structure_violation_still_raises():
@@ -144,7 +145,7 @@ def test_witten_relation_violation_still_raises(monkeypatch):
         deform, "r_commutator", lambda a, b, r: original(a, b, r) + identity(a.dim)
     )
     with pytest.raises(ArithmeticError, match="Witten defining relations violated"):
-        build_witten("3/2", 1.2)
+        build_witten(build_su2("3/2"), 1.2)
 
 
 @pytest.mark.parametrize(

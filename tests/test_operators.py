@@ -117,8 +117,8 @@ class TestRCommutator:
             r_commutator(identity(2), identity(2), 0.0)
 
     def test_witten_defining_relation(self):
-        gens = build_witten(1, 1.2)
-        assert residual(r_commutator(gens.W0, gens.Wp, 1.2), gens.Wp) < TOL.for_dim(3)
+        gens = build_witten(build_su2(1), 1.2)
+        assert residual(r_commutator(gens.J0, gens.Jp, 1.2), gens.Jp) < TOL.for_dim(3)
 
 
 class TestDiagFunction:

@@ -59,7 +59,8 @@ class TestBuildPhaseOperator:
 class TestPolarDecompose:
     def test_spin_half_factors(self):
         rep = build_su2("1/2")
-        mod_p, mod_m, phase = polar_decompose(rep, 0.9)
+        phase = build_phase_operator(rep.j, 0.9)
+        mod_p, mod_m = polar_decompose(rep, phase)
         assert np.allclose(mod_p.mat, np.diag([0.0, 1.0]), atol=1e-14)
         assert np.allclose((mod_p @ phase.U).mat, [[0, 0], [1, 0]], atol=1e-14)
 
@@ -67,7 +68,8 @@ class TestPolarDecompose:
     @pytest.mark.parametrize("theta0", ANGLES)
     def test_all_four_reconstructions(self, j, theta0):
         rep = build_su2(j)
-        mod_p, mod_m, phase = polar_decompose(rep, theta0)
+        phase = build_phase_operator(rep.j, theta0)
+        mod_p, mod_m = polar_decompose(rep, phase)
         u, udag = phase.U, phase.adjoint()
         t = TOL.for_dim(rep.dim)
         assert residual(mod_p @ u, rep.Jp) < t
@@ -77,8 +79,10 @@ class TestPolarDecompose:
 
     def test_reconstruction_independent_of_theta0(self):
         rep = build_su2(2)
-        mod_a, _, phase_a = polar_decompose(rep, 0.0)
-        mod_b, _, phase_b = polar_decompose(rep, 1.1)
+        phase_a = build_phase_operator(rep.j, 0.0)
+        mod_a, _ = polar_decompose(rep, phase_a)
+        phase_b = build_phase_operator(rep.j, 1.1)
+        mod_b, _ = polar_decompose(rep, phase_b)
         rebuilt_a = mod_a @ phase_a.U
         rebuilt_b = mod_b @ phase_b.U
         assert residual(rebuilt_a, rebuilt_b) < TOL.for_dim(rep.dim)
@@ -91,12 +95,14 @@ class TestPhaseNumberCommutator:
         j0 = np.diag([-0.5, 0.5]).astype(complex)
         lhs = u @ j0 - j0 @ u
         assert np.allclose(lhs, [[0, 1], [-1, 0]], atol=1e-15)
-        assert phase_number_commutator_residual("1/2", 0.0) < TOL.for_dim(2)
+        rep, phase = build_su2("1/2"), build_phase_operator("1/2", 0.0)
+        assert phase_number_commutator_residual(rep, phase) < TOL.for_dim(2)
 
     @pytest.mark.parametrize("j", SPINS[:13])
     @pytest.mark.parametrize("theta0", ANGLES + [0.3])
     def test_identity_holds(self, j, theta0):
-        assert phase_number_commutator_residual(j, theta0) < TOL.for_dim(int(2 * j) + 1)
+        rep, phase = build_su2(j), build_phase_operator(j, theta0)
+        assert phase_number_commutator_residual(rep, phase) < TOL.for_dim(int(2 * j) + 1)
 
     @pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(3, 2), Fraction(3)])
     def test_corner_term_magnitude(self, j):
@@ -113,14 +119,14 @@ class TestPhaseNumberCommutator:
 
 class TestPhaseRecoveryAmbiguity:
     def test_spin_half_candidate_misses_corner(self):
-        report = phase_recovery_ambiguity("1/2", 0.0)
+        report = phase_recovery_ambiguity(build_su2("1/2"), build_phase_operator("1/2", 0.0))
         assert report.all_pass
         names = [c.name for c in report]
         assert "phase_recovery_corner_lost" in names
 
     def test_exactly_one_element_differs(self):
         rep = build_su2(1)
-        report = phase_recovery_ambiguity(1, 0.0)
+        report = phase_recovery_ambiguity(build_su2(1), build_phase_operator(1, 0.0))
         off = next(c for c in report if c.name == "phase_recovery_off_corner")
         corner = next(c for c in report if c.name == "phase_recovery_corner_lost")
         assert off.residual < TOL.for_dim(rep.dim)
@@ -128,7 +134,7 @@ class TestPhaseRecoveryAmbiguity:
 
     def test_missing_element_is_reference_phase(self):
         theta0 = 0.77
-        report = phase_recovery_ambiguity("1/2", theta0)
+        report = phase_recovery_ambiguity(build_su2("1/2"), build_phase_operator("1/2", theta0))
         corner = next(c for c in report if c.name == "phase_recovery_corner_lost")
         # the lost value is exp(i*2*theta0) for 2j+1 = 2; only its size is
         # observable from the report, and it is a pure phase
