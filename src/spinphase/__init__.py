@@ -2,134 +2,17 @@
 deformed ladder algebras, and the single phase-operator equation of motion
 that underlies all of their Heisenberg dynamics."""
 
-from .operators import (
-    AlgebraError,
-    BadSpinError,
-    DEFAULT_TOL,
-    NegativeNormError,
-    NotDiagonalError,
-    NotPSDError,
-    Operator,
-    ParameterError,
-    ShapeError,
-    SplitError,
-    Tolerance,
-    commutator,
-    diag_function,
-    from_diagonal,
-    identity,
-    matrix_unit,
-    psd_sqrt,
-    r_commutator,
-    residual,
-    zero,
-)
-from .report import CheckReport, CheckResult
-from .su2 import Su2Rep, build_su2, casimir, parse_spin
-from .phase import (
-    PhaseOperator,
-    build_phase_operator,
-    phase_number_commutator_residual,
-    phase_recovery_ambiguity,
-    polar_decompose,
-)
-from .deform import (
-    DeformedTriple,
-    GridFunction,
-    StructureFunction,
-    build_hermitian_deformation,
-    build_scaled_deformation,
-    build_split_deformation,
-    build_suq2,
-    build_witten,
-    deformed_casimir,
-    discrete_antiderivative,
-    linear_structure,
-    q_number,
-    qbracket_structure,
-    table_structure,
-)
-from .oscillator import (
-    FiniteOscillator,
-    QOscillator,
-    build_finite_oscillator,
-    build_q_oscillator,
-    jordan_schwinger,
-)
-from .dynamics import (
-    Hamiltonian,
-    Trajectory,
-    derive_ladder_dynamics_from_phase,
-    dipole_hamiltonian,
-    eigenoperator_residual,
-    evolve,
-    heisenberg_derivative,
-    number_hamiltonian,
-    trajectory,
-    two_mode_hamiltonian,
-)
+from . import deform, dynamics, operators, oscillator, phase, report, su2
+from .operators import *  # noqa: F401,F403
+from .report import *  # noqa: F401,F403
+from .su2 import *  # noqa: F401,F403
+from .phase import *  # noqa: F401,F403
+from .deform import *  # noqa: F401,F403
+from .oscillator import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError",
-    "BadSpinError",
-    "CheckReport",
-    "CheckResult",
-    "DEFAULT_TOL",
-    "DeformedTriple",
-    "FiniteOscillator",
-    "GridFunction",
-    "Hamiltonian",
-    "NegativeNormError",
-    "NotDiagonalError",
-    "NotPSDError",
-    "Operator",
-    "ParameterError",
-    "PhaseOperator",
-    "QOscillator",
-    "ShapeError",
-    "SplitError",
-    "StructureFunction",
-    "Su2Rep",
-    "Tolerance",
-    "Trajectory",
-    "build_finite_oscillator",
-    "build_hermitian_deformation",
-    "build_phase_operator",
-    "build_q_oscillator",
-    "build_scaled_deformation",
-    "build_split_deformation",
-    "build_su2",
-    "build_suq2",
-    "build_witten",
-    "casimir",
-    "commutator",
-    "deformed_casimir",
-    "derive_ladder_dynamics_from_phase",
-    "diag_function",
-    "dipole_hamiltonian",
-    "discrete_antiderivative",
-    "eigenoperator_residual",
-    "evolve",
-    "from_diagonal",
-    "heisenberg_derivative",
-    "identity",
-    "jordan_schwinger",
-    "linear_structure",
-    "matrix_unit",
-    "number_hamiltonian",
-    "parse_spin",
-    "phase_number_commutator_residual",
-    "phase_recovery_ambiguity",
-    "polar_decompose",
-    "psd_sqrt",
-    "q_number",
-    "qbracket_structure",
-    "r_commutator",
-    "residual",
-    "table_structure",
-    "trajectory",
-    "two_mode_hamiltonian",
-    "zero",
-]
+__all__ = sorted(
+    set().union(*(m.__all__ for m in (operators, report, su2, phase, deform, oscillator, dynamics)))
+)

@@ -2,14 +2,17 @@
 
 A deformation replaces [J+, J-] = 2*J0 by [J+~, J-~] = f(J0~) for a structure
 function f that returns to 2x in some parameter limit.  Every deformed ladder
-is the su2 ladder times a diagonal weight, so each spin builder takes the
-standard representation (an ``Su2Rep``), computes its map as a vector of
-weights over the ladder steps m -> m+1, each from its own scalar float
-expression, and multiplies that vector into a copy of the su2 ladder
-(``_weighted``; SU_q(2) places its elements directly).  Each builder verifies
-its defining relations before returning; the residuals it computed ride along
-on the result as named checks (``checks``), so a verifier reports them instead
-of computing them again.
+is the su2 ladder times diagonal weights, J+~ = J+ A(J0) and J-~ = B(J0) J-
+(the deforming maps of Curtright & Zachos), so a ladder is its entries on
+the steps m -> m+1.  ``build_deformation`` takes those entries, places them
+(``su2._place_ladders``, the one placement of every ladder), records the
+relations [J0, J+-~] = +-J+-~ and, for a hermitian pair, J-~ = (J+~)^dagger,
+and raises when the ladder relations fail.  The split, hermitian and SU_q(2)
+builders are each an entry formula over it, plus the split's structure
+relation and SU_q(2)'s casimir.  Witten's map and the scaled map (which also
+deforms J0) place their entries with the same helper and verify their own
+relations.  A builder's residuals ride along on the result as named checks
+(``checks``), so a verifier reports them instead of computing them again.
 
 Weights with apparent 0/0 at the edge of the spectrum (the hermitian map,
 Witten's map) are evaluated on the ladder steps only, where the denominators
@@ -32,16 +35,16 @@ from .operators import (
     NotDiagonalError,
     Operator,
     ParameterError,
+    ShapeError,
     SplitError,
     Tolerance,
     commutator,
-    diag_function,
     from_diagonal,
     r_commutator,
     residual,
 )
 from .report import CheckReport
-from .su2 import Su2Rep, parse_spin
+from .su2 import Su2Rep, _place_ladders, parse_spin
 
 __all__ = [
     "StructureFunction",
@@ -52,6 +55,7 @@ __all__ = [
     "qbracket_structure",
     "table_structure",
     "discrete_antiderivative",
+    "build_deformation",
     "build_split_deformation",
     "build_hermitian_deformation",
     "build_suq2",
@@ -131,36 +135,41 @@ def table_structure(table: Mapping[float, float]) -> StructureFunction:
     return StructureFunction(look, {}, "table")
 
 
+def _grid(twoj: int) -> list[float]:
+    """The half-integer grid {-j-1, ..., j} of g."""
+    lo = -(twoj / 2.0) - 1.0
+    return [lo + k for k in range(twoj + 2)]
+
+
+def _grid_index(x: float, twoj: int) -> int | None:
+    """The index of x on the grid {-j-1, ..., j}, or None when x is off it."""
+    if not np.isfinite(x):
+        return None
+    key = round(2.0 * x)
+    idx = (key + twoj + 2) // 2
+    on_grid = abs(key - 2.0 * x) <= 1e-9 and (key + twoj) % 2 == 0 and 0 <= idx < twoj + 2
+    return idx if on_grid else None
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """g on the half-integer grid {-j-1, ..., j} with g(x) - g(x-1) = f(x).
 
-    ``p_value`` records the (necessarily constant) sample of the unit-period
-    function that the difference equation leaves free; the solved values
-    themselves do not include it.
+    The difference equation leaves one constant free; the split map reads
+    it back as g(-j-1) (see ``build_split_deformation``).
     """
 
     twoj: int
     values: tuple[float, ...]
-    anchor_point: float
-    anchor_value: float
-    p_value: float = 0.0
 
     def grid(self) -> list[float]:
-        lo = -(self.twoj / 2.0) - 1.0
-        return [lo + k for k in range(self.twoj + 2)]
-
-    def _index(self, x: float) -> int:
-        key = round(2.0 * x)
-        idx = (key + self.twoj + 2) // 2
-        if abs(key - 2.0 * x) > 1e-9 or (key + self.twoj) % 2 != 0 or not (
-            0 <= idx < len(self.values)
-        ):
-            raise ParameterError(f"x={x} is off the solution grid")
-        return idx
+        return _grid(self.twoj)
 
     def value(self, x: float) -> float:
-        return self.values[self._index(x)]
+        idx = _grid_index(x, self.twoj)
+        if idx is None:
+            raise ParameterError(f"x={x} is off the solution grid")
+        return self.values[idx]
 
     def shift_residual(self, f: StructureFunction) -> float:
         """Worst |g(x) - g(x-1) - f(x)| over the grid; zero as solved."""
@@ -170,57 +179,34 @@ class GridFunction:
             for k in range(1, len(xs))
         )
 
-    def plus_periodic(self, p: Callable[[float], float]) -> "GridFunction":
-        """Add a unit-period function sampled on the grid (one constant)."""
-        xs = self.grid()
-        samples = [float(p(x)) for x in xs]
-        if max(samples) - min(samples) > 1e-12:
-            raise ParameterError("p must have unit period: grid samples differ")
-        c = samples[0]
-        return GridFunction(
-            self.twoj,
-            tuple(v + c for v in self.values),
-            self.anchor_point,
-            self.anchor_value + c,
-            c,
-        )
-
 
 def discrete_antiderivative(
     f: StructureFunction,
     j: float | int | str | Fraction,
     anchor_value: float = 0.0,
     anchor_point: float | None = None,
-    p_value: float = 0.0,
 ) -> GridFunction:
     """Solve g(x) - g(x-1) = f(x) on {-j-1, ..., j} by recursion.
 
     The anchor defaults to g(-j-1) = anchor_value, the lowest-weight
     consistency point; any other grid point may anchor instead.
     """
-    jf = parse_spin(j)
-    twoj = int(jf * 2)
-    lo = -float(jf) - 1.0
-    xs = [lo + k for k in range(twoj + 2)]
-    if anchor_point is None:
-        anchor_point = lo
-    key = round(2.0 * float(anchor_point))
-    a_idx = (key + twoj + 2) // 2
-    if abs(key - 2.0 * float(anchor_point)) > 1e-9 or (key + twoj) % 2 != 0 or not (
-        0 <= a_idx < len(xs)
-    ):
+    twoj = int(parse_spin(j) * 2)
+    xs = _grid(twoj)
+    a_idx = 0 if anchor_point is None else _grid_index(float(anchor_point), twoj)
+    if a_idx is None:
         raise ParameterError(f"anchor point {anchor_point} is off the grid")
-    steps = {x: f(x) for x in xs[1:]}
-    bad = [x for x, v in steps.items() if not np.isfinite(v)]
+    steps = [f(x) for x in xs[1:]]
+    bad = [x for x, v in zip(xs[1:], steps) if not np.isfinite(v)]
     if bad:
         raise ParameterError(f"structure function is not finite at x={bad[0]}")
     vals = [0.0] * len(xs)
     vals[a_idx] = float(anchor_value)
     for k in range(a_idx + 1, len(xs)):
-        vals[k] = vals[k - 1] + steps[xs[k]]
+        vals[k] = vals[k - 1] + steps[k - 1]
     for k in range(a_idx - 1, -1, -1):
-        vals[k] = vals[k + 1] - steps[xs[k + 1]]
-    return GridFunction(twoj, tuple(vals), float(anchor_point), float(anchor_value), p_value)
+        vals[k] = vals[k + 1] - steps[k]
+    return GridFunction(twoj, tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -245,17 +231,6 @@ class DeformedTriple:
         return commutator(self.Jp, self.Jm)
 
 
-def _weighted(ladder: Operator, weights, raising: bool) -> Operator:
-    """A copy of an su2 ladder (J+ below the diagonal, J- above) with the entry
-    between basis states i and i+1 multiplied by weights[i]; every other entry
-    keeps its bits, the -0 imaginary zeros of an adjoint included."""
-    out = np.array(ladder.mat)
-    i = np.arange(ladder.dim - 1)
-    rows, cols = (i + 1, i) if raising else (i, i + 1)
-    out[rows, cols] *= np.asarray(weights)
-    return Operator(out)
-
-
 def _ladder_checks(
     j0: Operator, jp: Operator, jm: Operator, t: float, hermitian: bool = False
 ) -> CheckReport:
@@ -271,143 +246,139 @@ def _ladder_checks(
     return checks
 
 
-def _ladder_triple(
-    jp: Operator, jm: Operator, j0: Operator, provenance: dict, t: float,
-    hermitian: bool = False,
+def build_deformation(
+    rep: Su2Rep,
+    raising,
+    lowering=None,
+    *,
+    provenance: dict,
+    tol: Tolerance = DEFAULT_TOL,
 ) -> DeformedTriple:
-    """The triple, raising unless [J0, J+-~] = +-J+-~ holds; J+~, J-~ are a
-    hermitian pair as _ladder_checks decides."""
-    checks = _ladder_checks(j0, jp, jm, t, hermitian)
+    """The general deformation J+~ = J+ A(J0), J-~ = B(J0) J- with J0~ = J0.
+
+    ``raising`` and ``lowering`` are the entries of J+~ and J-~ on the ladder
+    steps m -> m+1, m = -j, ..., j-1 (the su2 entries times A(m) and B(m));
+    ``lowering`` None makes J-~ = (J+~)^dagger.  [J0, J+-~] = +-J+-~ and, for
+    a hermitian pair, J-~ = (J+~)^dagger are recorded as checks; the ladder
+    relations must hold within tolerance or ArithmeticError is raised.
+    """
+    if len(raising) != rep.dim - 1 or (lowering is not None and len(lowering) != rep.dim - 1):
+        raise ShapeError(f"a spin-{rep.j} ladder has {rep.dim - 1} steps")
+    t = tol.for_dim(rep.dim)
+    jp, jm = _place_ladders(raising, lowering)
+    checks = _ladder_checks(rep.J0, jp, jm, t, lowering is None)
     worst = max(c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering"))
     if worst > t:
         raise ArithmeticError(f"[J0~, J+-~] = +-J+-~ violated: residual {worst:.3e}")
-    hermitian = bool(checks.named("adjoint_pair"))
-    return DeformedTriple(jp.relabel("J+~"), jm.relabel("J-~"), j0, provenance, hermitian, checks)
+    return DeformedTriple(jp, jm, rep.J0, provenance, bool(checks.named("adjoint_pair")), checks)
 
 
 def build_split_deformation(
-    rep: Su2Rep,
-    g: GridFunction | None,
-    split: str = "symmetric",
-    raising_weight: Callable[[float], complex] | None = None,
-    lowering_weight: Callable[[float], complex] | None = None,
-    tol: Tolerance = DEFAULT_TOL,
+    rep: Su2Rep, g: GridFunction, split: str = "symmetric", tol: Tolerance = DEFAULT_TOL
 ) -> DeformedTriple:
     """Deform via one-sided diagonal weights: J+~ = J+ A(J0), J-~ = B(J0) J-.
 
     The product A*B is pinned by g through
-    A(m)B(m) = (p - g(m)) / (C - m(m+1)) on the raising support m < j;
-    the split chooses how to distribute it:
+    A(m)B(m) = (p - g(m)) / (C - m(m+1)) on the raising support m < j, where
+    [J+~, J-~] = f(J0) at m = -j forces p = g(-j-1), so g may be anchored
+    anywhere.  The split chooses how to distribute the product:
 
     - "left": A carries the whole product, B = 1 (breaks hermitian pairing);
-    - "symmetric": A = B = sqrt(A*B), requiring the product nonnegative;
-    - "custom": caller supplies both weights directly (g is ignored and the
-      structure relation is not implied).
+    - "symmetric": A = B = sqrt(A*B), requiring the product nonnegative.
+
+    Any other pair of weights is ``build_deformation``'s.
     """
+    if split not in ("left", "symmetric"):
+        raise ParameterError(f"unknown split {split!r}")
     support = rep.m_values()[:-1]
     t = tol.for_dim(rep.dim)
-
-    if split == "custom":
-        if raising_weight is None or lowering_weight is None:
-            raise ParameterError("custom split requires both weight functions")
-        a = [raising_weight(float(m)) for m in support]
-        b = [lowering_weight(float(m)) for m in support]
-    elif g is None:
-        raise ParameterError("left/symmetric splits require a solved g")
-    elif split not in ("left", "symmetric"):
-        raise ParameterError(f"unknown split {split!r}")
+    ab = (g.values[0] - np.array(g.values[1:-1])) / (
+        rep.casimir_value - support * (support + 1.0)
+    )
+    if split == "left":
+        a, b = ab, np.ones_like(ab)
     else:
-        ab = (g.p_value - np.array(g.values[1:-1])) / (
-            rep.casimir_value - support * (support + 1.0)
-        )
-        if split == "left":
-            a, b = ab, np.ones_like(ab)
-        else:
-            negative = np.flatnonzero(ab < -t)
-            if negative.size:
-                k = negative[0]
-                raise SplitError(
-                    f"product A*B = {ab[k]:.6g} < 0 at m={float(support[k])}: "
-                    "needs non-hermitian split"
-                )
-            a = b = np.sqrt(np.maximum(ab, 0.0))
-
-    jp_t, jm_t = _weighted(rep.Jp, a, True), _weighted(rep.Jm, b, False)
-    triple = _ladder_triple(jp_t, jm_t, rep.J0, {"map": "ab_map", "params": {"split": split}}, t)
-    if split != "custom":
-        # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
-        res = residual(triple.bracket, from_diagonal(np.diff(g.values)))
-        if res > t:
-            raise ArithmeticError(f"split map violates its structure relation: {res:.3e}")
+        negative = np.flatnonzero(ab < -t)
+        if negative.size:
+            k = negative[0]
+            raise SplitError(
+                f"product A*B = {ab[k]:.6g} < 0 at m={float(support[k])}: "
+                "needs non-hermitian split"
+            )
+        a = b = np.sqrt(np.maximum(ab, 0.0))
+    su2 = rep.ladder_entries()
+    provenance = {"map": "ab_map", "params": {"split": split}}
+    triple = build_deformation(rep, su2 * a, su2 * b, provenance=provenance, tol=tol)
+    # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
+    res = residual(triple.bracket, from_diagonal(np.diff(g.values)))
+    if res > t:
+        raise ArithmeticError(f"split map violates its structure relation: {res:.3e}")
     return triple
 
 
-def _hermitian_ladder_weight(
-    jv: float, f: StructureFunction, tol_val: float
-) -> Callable[[float], float]:
-    """Row weight h(x) with J+~ = h(J0) J+, from the hermitian-pair map.
+def _hermitian_weights(rep: Su2Rep, f: StructureFunction, tol_val: float) -> np.ndarray:
+    """h(x) with J+~ = h(J0) J+, from the hermitian-pair map, on the ladder
+    steps (x = m+1 for m = -j, ..., j-1).
 
     The map's radicand f((x+j)/2) f((x-1-j)/2) / ((x+j)(x-1-j)) is evaluated
     at half the nominal arguments so that the structure function itself (the
     f of [J+~, J-~] = f(J0~), normalized to f -> 2x) drives the map; with
     f = [2x]_q this reproduces the SU_q(2) matrix elements exactly.  It is
-    0/0 at x = -j, where J+ has no entry; callers take x > -j only.
+    0/0 at x = -j, where J+ has no entry, so that point is not a step.
     """
-
-    def weight(x: float) -> float:
+    jv = float(rep.j)
+    weights = []
+    for x in map(float, rep.m_values()[1:]):
         num = f((x + jv) / 2.0) * f((x - 1.0 - jv) / 2.0)
         rad = num / ((x + jv) * (x - 1.0 - jv))
         if rad < -tol_val:
             raise NegativeNormError(
                 f"negative norm: radicand {rad:.6g} at J0-eigenvalue {x - 1.0}"
             )
-        return float(np.sqrt(max(rad, 0.0)))
-
-    return weight
+        weights.append(float(np.sqrt(max(rad, 0.0))))
+    return np.array(weights)
 
 
 def build_hermitian_deformation(
     rep: Su2Rep, f: StructureFunction, tol: Tolerance = DEFAULT_TOL
 ) -> DeformedTriple:
     """Adjoint-preserving deformation J+~ = h(J0) J+, J-~ = (J+~)^dagger."""
-    t = tol.for_dim(rep.dim)
-    weight = _hermitian_ladder_weight(float(rep.j), f, t)
-    jp_t = _weighted(rep.Jp, [weight(float(x)) for x in rep.m_values()[1:]], True)
-    params = dict(f.params)
-    params["f"] = f.description
-    return _ladder_triple(
-        jp_t, jp_t.adjoint(), rep.J0, {"map": "hermitian_f", "params": params}, t, True
-    )
+    h = _hermitian_weights(rep, f, tol.for_dim(rep.dim))
+    provenance = {"map": "hermitian_f", "params": {**f.params, "f": f.description}}
+    return build_deformation(rep, rep.ladder_entries() * h, provenance=provenance, tol=tol)
 
 
-def _suq2_raising(rep: Su2Rep, q: float) -> Operator:
-    """J+ of SU_q(2): the step m -> m+1 has element sqrt([j-m]_q [j+m+1]_q)."""
+def _suq2_entries(rep: Su2Rep, q: float) -> list[float]:
+    """SU_q(2)'s J+ entries: the step m -> m+1 has sqrt([j-m]_q [j+m+1]_q)."""
     jv = float(rep.j)
     ms = map(float, rep.m_values()[:-1])
-    weights = [np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q)) for m in ms]
-    return Operator(np.diag(weights, -1))
+    return [np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q)) for m in ms]
+
+
+def _casimir_orderings(triple: DeformedTriple, g) -> tuple[Operator, Operator]:
+    """C~ in both orderings, J-~ J+~ + g(J0) and J+~ J-~ + g(J0 - 1), for
+    J0 = diag(-j, ..., j) and g given by its values on {-j-1, ..., j}."""
+    return (
+        triple.Jm @ triple.Jp + from_diagonal(g[1:]),
+        triple.Jp @ triple.Jm + from_diagonal(g[:-1]),
+    )
 
 
 def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple:
     """The SU_q(2) representation with elements sqrt([j-m]_q [j+m+1]_q).
 
     q must be positive real; q = 1 returns the classical representation.
-    The deformed casimir identity is verified before returning.
+    The deformed casimir identity, with g(x) = [x]_q [x+1]_q, is verified
+    before returning.
     """
     if q <= 0:
         raise ParameterError(f"q must be positive real, got {q}")
-    jv = float(rep.j)
+    provenance = {"map": "suq2", "params": {"q": float(q)}}
+    triple = build_deformation(rep, _suq2_entries(rep, q), provenance=provenance, tol=tol)
+    g = [q_number(x, q) * q_number(x + 1.0, q) for x in _grid(rep.twoj)]
+    c_up, c_down = _casimir_orderings(triple, g)
     t = tol.for_dim(rep.dim)
-    jp_t = _suq2_raising(rep, q)
-    jm_t = jp_t.adjoint()
-    triple = _ladder_triple(jp_t, jm_t, rep.J0, {"map": "suq2", "params": {"q": float(q)}}, t, True)
-
-    g_up = diag_function(lambda m: q_number(m, q) * q_number(m + 1.0, q), rep.J0, tol)
-    g_down = diag_function(lambda m: q_number(m, q) * q_number(m - 1.0, q), rep.J0, tol)
-    c_up = jm_t @ jp_t + g_up
-    c_down = jp_t @ jm_t + g_down
-    scalar = from_diagonal([q_number(jv, q) * q_number(jv + 1.0, q)] * rep.dim)
-    if residual(c_up, c_down) > t or residual(c_up, scalar) > t:
+    if residual(c_up, c_down) > t or residual(c_up, from_diagonal([g[-1]] * rep.dim)) > t:
         raise ArithmeticError("SU_q(2) casimir identity violated")
     return triple
 
@@ -442,10 +413,9 @@ def build_witten(rep: Su2Rep, r: float, tol: Tolerance = DEFAULT_TOL) -> Deforme
     # the ladder weight is r^(-x) times the hermitian map's at f = [2x]_r,
     # whose radicand is positive for real r > 0
     norm = np.sqrt(r / (r + 1.0 / r))
-    base = _hermitian_ladder_weight(jv, qbracket_structure(r), 0.0)
-    weights = [float(r ** (-x) * norm * base(x)) for x in map(float, ms[1:])]
-    wp = _weighted(rep.Jp, weights, True).relabel("W+")
-    wm = wp.adjoint().relabel("W-")
+    base = _hermitian_weights(rep, qbracket_structure(r), 0.0)
+    weights = [float(r ** (-x) * norm * h) for x, h in zip(map(float, ms[1:]), base)]
+    wp, wm = _place_ladders(rep.ladder_entries() * weights, labels=("W+", "W-"))
 
     t = tol.for_dim(rep.dim)
     eps = float(np.finfo(float).eps)
@@ -496,8 +466,8 @@ def build_scaled_deformation(
         """w(J0 + shift) on the diagonal of J0; w[k] is w(C, m) at m = -j-1+k."""
         return w[1 + shift : 1 + shift + dim]
 
-    jp_t = _weighted(rep.Jp, w_at(0)[:-1], True).relabel("J+~")
-    jm_t = _weighted(rep.Jm, w_at(0)[1:], False).relabel("J-~")
+    su2 = rep.ladder_entries()
+    jp_t, jm_t = _place_ladders(su2 * w_at(0)[:-1], su2 * w_at(0)[1:])
     j0_t = from_diagonal(ms * w_at(0), "J0~")
 
     # [J0~, J+-~] = {1 - w(J0 -+ 1)/w(J0)} J0~ J+-~  +- w(J0 -+ 1) J+-~
@@ -532,12 +502,12 @@ def build_scaled_deformation(
 def deformed_casimir(
     triple: DeformedTriple, g: GridFunction, tol: Tolerance = DEFAULT_TOL
 ) -> Operator:
-    """C~ = J-~ J+~ + g(J0~) = J+~ J-~ + g(J0~ - 1), verified central."""
+    """C~ = J-~ J+~ + g(J0~) = J+~ J-~ + g(J0~ - 1), verified central; J0~
+    must be diag(-j, ..., j) at g's spin."""
     t = tol.for_dim(triple.dim)
-    if not triple.J0.is_diagonal(t):
-        raise NotDiagonalError("deformed casimir needs a diagonal J0~")
-    c_up = triple.Jm @ triple.Jp + diag_function(g.value, triple.J0, tol)
-    c_down = triple.Jp @ triple.Jm + diag_function(lambda x: g.value(x - 1.0), triple.J0, tol)
+    if residual(triple.J0, from_diagonal(g.grid()[1:])) > t:
+        raise NotDiagonalError("deformed casimir needs J0~ = diag(-j, ..., j) at g's spin")
+    c_up, c_down = _casimir_orderings(triple, g.values)
     if residual(c_up, c_down) > t:
         raise ArithmeticError("deformed casimir orderings disagree")
     central = max(

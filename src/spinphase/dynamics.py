@@ -51,7 +51,6 @@ __all__ = [
     "eigenoperator_residual",
     "evolve",
     "derive_ladder_dynamics_from_phase",
-    "phase_derivation_checks",
     "trajectory",
 ]
 
@@ -204,7 +203,6 @@ def phase_derivation_checks(
     t: float,
     details: dict[str, str],
     lowering: tuple[Operator, Operator] | None = None,
-    rate_floor: float = 0.0,
 ) -> CheckReport:
     """Recover a ladder operator's dynamics from its phase unitary's equation.
 
@@ -215,8 +213,11 @@ def phase_derivation_checks(
     L dU/dt R = -i*rate*ladder; with ``lowering`` = (K, J-~), J-~ = K U^dag
     (needs the corner), the adjoint equation and K dU^dag/dt = +i*rate*J-~;
     and the negative control, (1/i)[U, H] missing -i*rate*U by at least
-    NEGATIVE_CONTROL_FLOOR*max(|rate|, rate_floor).  ``details`` maps each
-    check's name to its report text; all but the control are held to t.
+    NEGATIVE_CONTROL_FLOOR*max(|rate|, 1e-300), one rule for every family.
+    The floor keeps the control able to fail: at rate 0 nothing is missed,
+    and the control fails instead of passing with residual 0 >= tol 0.
+    ``details`` maps each check's name to its report text; all but the
+    control are held to t.
     """
     left, right = moduli
     report = CheckReport()
@@ -241,7 +242,7 @@ def phase_derivation_checks(
     report.add(
         "phase_equation_without_boundary",
         residual(numeric, (-1j * rate) * u),
-        NEGATIVE_CONTROL_FLOOR * max(abs(rate), rate_floor),
+        NEGATIVE_CONTROL_FLOOR * max(abs(rate), 1e-300),
         detail=details["phase_equation_without_boundary"],
         category="control",
         mode="ge",

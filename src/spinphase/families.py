@@ -26,7 +26,8 @@ from .deform import (
     build_witten,
     discrete_antiderivative,
     qbracket_structure,
-    _suq2_raising,
+    _casimir_orderings,
+    _suq2_entries,
 )
 from .dynamics import (
     Hamiltonian,
@@ -50,7 +51,7 @@ from .operators import (
 from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
 from .phase import build_phase_operator, phase_number_commutator_residual, polar_decompose
 from .report import CheckReport
-from .su2 import Su2Rep, build_su2, casimir
+from .su2 import Su2Rep, _place_ladders, build_su2, casimir
 
 if TYPE_CHECKING:
     from .phase import PhaseOperator
@@ -302,8 +303,7 @@ def _qbracket_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
         detail="[J+~, J-~] = f(J0) with f = [2x]_q",
     )
     g = bundle.parts.g or discrete_antiderivative(f, sc.j)  # ab_map's build solved it
-    c_up = triple.Jm @ triple.Jp + from_diagonal(g.values[1:])  # g(J0), g on {-j-1, ..., j}
-    c_down = triple.Jp @ triple.Jm + from_diagonal(g.values[:-1])  # g(J0 - 1)
+    c_up, c_down = _casimir_orderings(triple, g.values)
     report.add("casimir_orderings", residual(c_up, c_down), t)
     _casimir_central(report, c_up, triple.Jp, triple.Jm, t)
 
@@ -311,10 +311,10 @@ def _qbracket_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
 def _matches_suq2(report: CheckReport, bundle: FamilyBundle) -> None:
     sc, rep, triple, t = _spin(bundle)
     if sc.q is not None:  # a phase-valued q has no SU_q(2) counterpart here
-        ref = _suq2_raising(rep, sc.q)
+        ref_p, ref_m = _place_ladders(_suq2_entries(rep, sc.q))
         report.add(
             "matches_suq2_representation",
-            max(residual(triple.Jp, ref), residual(triple.Jm, ref.adjoint())),
+            max(residual(triple.Jp, ref_p), residual(triple.Jm, ref_m)),
             t,
             detail="hermitian map at f = [2x]_q equals the SU_q(2) elements",
         )
@@ -491,7 +491,7 @@ def _check_jordan_schwinger(report: CheckReport, bundle: FamilyBundle) -> None:
     report.extend(
         phase_derivation_checks(
             v, (left, right), None, bundle.hamiltonian, delta, triple.Jp, t,
-            _TWO_MODE_DETAILS, rate_floor=1e-300,
+            _TWO_MODE_DETAILS,
         )
     )
 

@@ -89,10 +89,9 @@ class SplitError(AlgebraError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute tolerance, optionally scaled by operator dimension."""
+    """Absolute tolerance, scaled by operator dimension."""
 
     abs_tol: float = 1e-12
-    scale_with_dim: bool = True
 
     def __post_init__(self) -> None:
         if self.abs_tol < 0:
@@ -101,7 +100,7 @@ class Tolerance:
             raise ParameterError(f"abs_tol must be finite, got {self.abs_tol}")
 
     def for_dim(self, dim: int) -> float:
-        return self.abs_tol * dim if self.scale_with_dim else self.abs_tol
+        return self.abs_tol * dim
 
 
 DEFAULT_TOL = Tolerance()

@@ -2,7 +2,9 @@
 
 Basis states are ordered by ascending magnetic quantum number, m = -j .. +j,
 so index i corresponds to m = i - j.  With that ordering the raising operator
-is strictly lower-triangular: <j,m+1| Jp |j,m> = sqrt((j-m)(j+m+1)).
+is strictly lower-triangular: <j,m+1| Jp |j,m> = sqrt((j-m)(j+m+1)).  Every
+ladder in the package, deformed or not, has its entries on those steps m ->
+m+1 only, and ``_place_ladders`` is the one place that writes them.
 
 The conventions [J0, J+-] = +-J+- and [J+, J-] = 2*J0 together with these
 matrix elements form a consistent set; Jx/Jy normalizations are never needed
@@ -78,14 +80,37 @@ class Su2Rep:
         j = self.twoj / 2.0
         return j * (j + 1.0)
 
+    def ladder_entries(self) -> np.ndarray:
+        """<m+1| J+ |m> on the ladder steps m = -j, ..., j-1."""
+        return self.Jp.mat.diagonal(-1).real
+
+
+def _place_ladders(
+    raising, lowering=None, labels: tuple[str, str] = ("J+~", "J-~")
+) -> tuple[Operator, Operator]:
+    """(J+, J-) with the given entries on the ladder steps m -> m+1: J+ at
+    (i+1, i), J- at (i, i+1).
+
+    J- is the adjoint of J+, with ``lowering``'s entries written over its
+    steps when given; either way its other entries are the adjoint's (-0
+    imaginary parts included) and it has the adjoint's memory order.
+    """
+    steps = np.arange(len(raising))
+    jp = np.zeros((len(raising) + 1,) * 2, dtype=np.complex128)
+    jp[steps + 1, steps] = raising
+    jm = jp.conj().T
+    if lowering is not None:
+        jm[steps, steps + 1] = lowering
+    return Operator(jp, labels[0]), Operator(jm, labels[1])
+
 
 def build_su2(j: float | int | str | Fraction) -> Su2Rep:
     """Construct the irreducible representation at spin j."""
     twoj = int(parse_spin(j) * 2)
     jv = twoj / 2.0
     ms = -jv + np.arange(twoj + 1)
-    jp = Operator(np.diag(np.sqrt((jv - ms[:-1]) * (jv + ms[:-1] + 1.0)), -1), "J+")
-    return Su2Rep(twoj, jp, jp.adjoint().relabel("J-"), from_diagonal(ms, "J0"))
+    jp, jm = _place_ladders(np.sqrt((jv - ms[:-1]) * (jv + ms[:-1] + 1.0)), labels=("J+", "J-"))
+    return Su2Rep(twoj, jp, jm, from_diagonal(ms, "J0"))
 
 
 def casimir(

@@ -16,6 +16,7 @@ from spinphase import (
     SplitError,
     StructureFunction,
     Tolerance,
+    build_deformation,
     build_finite_oscillator,
     build_hermitian_deformation,
     build_phase_operator,
@@ -36,7 +37,6 @@ from spinphase import (
     residual,
     table_structure,
 )
-from spinphase import deform
 
 TOL = Tolerance()
 
@@ -117,22 +117,18 @@ class TestDiscreteAntiderivative:
         g = discrete_antiderivative(f, j)
         assert g.shift_residual(f) < 1e-13
 
-    def test_periodic_addition_keeps_shift(self):
-        f = qbracket_structure(1.7)
-        g = discrete_antiderivative(f, 1)
-        shifted = g.plus_periodic(lambda x: 3.25)
-        assert shifted.shift_residual(f) < 1e-13
-        assert shifted.p_value == 3.25
-
-    def test_non_periodic_p_rejected(self):
-        g = discrete_antiderivative(linear_structure(), 1)
-        with pytest.raises(ParameterError):
-            g.plus_periodic(lambda x: x)
-
     def test_off_grid_lookup_rejected(self):
         g = discrete_antiderivative(linear_structure(), 1)
         with pytest.raises(ParameterError):
             g.value(0.5)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_point_is_off_the_grid(self, x):
+        g = discrete_antiderivative(linear_structure(), 1)
+        with pytest.raises(ParameterError, match="off the solution grid"):
+            g.value(x)
+        with pytest.raises(ParameterError, match="off the grid"):
+            discrete_antiderivative(linear_structure(), 1, anchor_point=x)
 
     def test_non_finite_structure_function_rejected(self):
         blows_up = StructureFunction(lambda x: 1.0 / x if x != 0 else float("inf"))
@@ -155,9 +151,7 @@ class TestSplitDeformation:
     def test_identity_deformation(self):
         # f(x) = 2x with g = x(x+1) and constant p = C gives A = B = 1
         rep = build_su2(1)
-        g = discrete_antiderivative(
-            linear_structure(), 1, anchor_value=0.0, anchor_point=0.0, p_value=2.0
-        )
+        g = discrete_antiderivative(linear_structure(), 1, anchor_value=0.0, anchor_point=0.0)
         triple = build_split_deformation(rep, g, "symmetric")
         assert residual(triple.Jp, rep.Jp) < 1e-14
         assert residual(triple.Jm, rep.Jm) < 1e-14
@@ -191,32 +185,42 @@ class TestSplitDeformation:
         assert residual(commutator(triple.Jp, triple.Jm), -2.0 * rep.J0) < TOL.for_dim(3)
 
     def test_custom_split_matches_scaled_deformation(self):
+        # the custom split's weights, as entries of the general deformation
         rep = build_su2(1)
 
         def weight(c, m):
             return 1.0 + 0.1 * m
 
-        custom = build_split_deformation(
+        steps = rep.m_values()[:-1]
+        su2 = rep.ladder_entries()
+        general = build_deformation(
             rep,
-            None,
-            "custom",
-            raising_weight=lambda m: weight(rep.casimir_value, m),
-            lowering_weight=lambda m: weight(rep.casimir_value, m + 1.0),
+            su2 * weight(rep.casimir_value, steps),
+            su2 * weight(rep.casimir_value, steps + 1.0),
+            provenance={"map": "general", "params": {}},
         )
         scaled = build_scaled_deformation(rep, weight)
-        assert residual(custom.Jp, scaled.Jp) < 1e-14
-        assert residual(custom.Jm, scaled.Jm) < 1e-14
+        assert residual(general.Jp, scaled.Jp) < 1e-14
+        assert residual(general.Jm, scaled.Jm) < 1e-14
         assert (
             residual(
-                commutator(custom.Jp, custom.Jm), commutator(scaled.Jp, scaled.Jm)
+                commutator(general.Jp, general.Jm), commutator(scaled.Jp, scaled.Jm)
             )
             < 1e-14
         )
 
-    def test_custom_split_requires_both_weights(self):
-        rep = build_su2(1)
-        with pytest.raises(ParameterError):
-            build_split_deformation(rep, None, "custom", raising_weight=lambda m: 1.0)
+    @pytest.mark.parametrize("split", ["left", "symmetric"])
+    def test_any_anchor_gives_the_same_split(self, split):
+        # p = g(-j-1) moves with the anchor constant, so A*B does not change
+        rep = build_su2(2)
+        f = qbracket_structure(1.3)
+        default = build_split_deformation(rep, discrete_antiderivative(f, 2), split)
+        anchored = build_split_deformation(
+            rep, discrete_antiderivative(f, 2, anchor_point=0.0), split
+        )
+        t = TOL.for_dim(rep.dim)
+        assert residual(anchored.Jp, default.Jp) < t
+        assert residual(anchored.Jm, default.Jm) < t
 
     def test_unknown_split_rejected(self):
         rep = build_su2(1)
@@ -462,9 +466,24 @@ def _ref_suq2(j, q):
     return jp, jp.adjoint(), j0
 
 
+def _ref_hermitian_weight(jv, f, tol_val):
+    """The hermitian map's row weight h(x), one x at a time."""
+
+    def weight(x):
+        num = f((x + jv) / 2.0) * f((x - 1.0 - jv) / 2.0)
+        rad = num / ((x + jv) * (x - 1.0 - jv))
+        if rad < -tol_val:
+            raise NegativeNormError(
+                f"negative norm: radicand {rad:.6g} at J0-eigenvalue {x - 1.0}"
+            )
+        return float(np.sqrt(max(rad, 0.0)))
+
+    return weight
+
+
 def _ref_hermitian(j, f):
     jp, _, j0, ms = _ref_su2(j)
-    weight = deform._hermitian_ladder_weight(float(Fraction(j)), f, TOL.for_dim(len(ms)))
+    weight = _ref_hermitian_weight(float(Fraction(j)), f, TOL.for_dim(len(ms)))
     jp_t = _ref_scale(jp, weight, ms, 0)
     return jp_t, jp_t.adjoint(), j0
 
@@ -476,7 +495,7 @@ def _ref_witten(j, r):
     scale = 1.0 / (r - 1.0 / r)
     w0 = from_diagonal([scale * (1.0 - kappa * r ** (-2.0 * float(m))) for m in ms])
     norm = np.sqrt(r / (r + 1.0 / r))
-    base = deform._hermitian_ladder_weight(jv, qbracket_structure(r), 0.0)
+    base = _ref_hermitian_weight(jv, qbracket_structure(r), 0.0)
     wp = _ref_scale(jp, lambda x: float(r ** (-x) * norm * base(x)), ms, 0)
     return wp, wp.adjoint(), w0
 
@@ -486,7 +505,7 @@ def _ref_split(j, g, split):
     c_val = float(Fraction(j)) * (float(Fraction(j)) + 1.0)
     ab = {}
     for m in [float(m) for m in ms[:-1]]:
-        ab[round(2 * m)] = (g.p_value - g.value(m)) / (c_val - m * (m + 1.0))
+        ab[round(2 * m)] = (g.values[0] - g.value(m)) / (c_val - m * (m + 1.0))
     if split == "left":
         a_weight, b_weight = ab, {k: 1.0 for k in ab}
     else:

@@ -11,6 +11,7 @@ from spinphase import (
     CheckReport,
     Operator,
     Su2Rep,
+    build_deformation,
     build_phase_operator,
     build_scaled_deformation,
     build_split_deformation,
@@ -127,6 +128,17 @@ def test_ladder_violation_still_raises():
         build_suq2(build_su2(50), 1.3)
 
 
+def test_general_deformation_raises_on_a_broken_ladder_relation(monkeypatch):
+    rep = build_su2("3/2")
+    entries = rep.ladder_entries() * 1.1
+    triple = build_deformation(rep, entries, provenance={"map": "general", "params": {}})
+    assert triple.checks.all_pass and triple.hermitian_pair
+    original = deform.commutator
+    monkeypatch.setattr(deform, "commutator", lambda a, b: original(a, b) + identity(a.dim))
+    with pytest.raises(ArithmeticError, match=r"\[J0~, J\+-~\] = \+-J\+-~ violated: residual "):
+        build_deformation(rep, entries, provenance={"map": "general", "params": {}})
+
+
 def test_split_structure_violation_still_raises():
     rep = build_su2("35/2")
     g = discrete_antiderivative(qbracket_structure(1.3), "35/2")
@@ -151,14 +163,15 @@ def test_witten_relation_violation_still_raises(monkeypatch):
 @pytest.mark.parametrize(
     "values, control_passes",
     [
-        # spin and oscillator controls scale with the rate, so at rate 0 they
-        # pass with residual 0 >= tol 0; pinned so that the shared derivation
-        # keeps each family's control as it was
-        ({"family": "su2", "j": "3/2", "muB": 0.0}, True),
-        ({"family": "oscillator", "s": 4, "omega": 0.0}, True),
-        # the two-mode control has a floor: V must not be an eigen-operator
+        # one rule for every family: the tolerance 0.5*max(|rate|, 1e-300)
+        # keeps the control able to fail, so at rate 0 it fails
+        ({"family": "su2", "j": "3/2", "muB": 0.0}, False),
+        ({"family": "oscillator", "s": 4, "omega": 0.0}, False),
         ({"family": "jordan_schwinger", "s": 3, "omega1": 0.0, "omega2": 0.0, "muB": 0.0}, False),
+        # at omega1 = omega2 the rate is 0 too, but V's wrap terms still miss
         ({"family": "jordan_schwinger", "s": 3, "omega1": 1.0, "omega2": 1.0, "muB": 0.0}, True),
+        ({"family": "suq2", "j": "3/2", "q": 1.3, "muB": 0.0}, False),
+        ({"family": "q_oscillator", "s": 4, "omega": 0.0}, False),
     ],
 )
 def test_negative_control_at_zero_rate(values, control_passes):

@@ -69,7 +69,6 @@ class TestOperator:
 class TestTolerance:
     def test_scales_with_dim(self):
         assert Tolerance(1e-12).for_dim(6) == pytest.approx(6e-12)
-        assert Tolerance(1e-12, scale_with_dim=False).for_dim(6) == 1e-12
 
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
