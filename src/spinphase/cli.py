@@ -226,8 +226,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         return 1
     t_grid = np.linspace(0.0, args.t_max, args.steps)
     traj = trajectory(bundle.evolve_target, bundle.hamiltonian, t_grid, elements)
-    lines = trajectory_csv_lines(traj.times, traj.element_tracks)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, trajectory_csv_lines(traj.times, traj.element_tracks))
     return 0
 
 

@@ -32,8 +32,12 @@ from .operators import (
     ParameterError,
     ShapeError,
     Tolerance,
+    from_diagonal,
+    identity,
     matrix_unit,
     residual,
+    _held,
+    _kron,
     _product,
 )
 from .deform import DeformedTriple
@@ -91,29 +95,22 @@ def number_hamiltonian(n_op: Operator, omega: float) -> Hamiltonian:
 
 def two_mode_hamiltonian(s: int, omega1: float, omega2: float) -> Hamiltonian:
     """H = omega1 N1 + omega2 N2 on the (s+1)^2 product space."""
-    dim = s + 1
-    n = np.diag(np.arange(dim, dtype=float))
-    eye = np.eye(dim)
-    h = omega1 * np.kron(n, eye) + omega2 * np.kron(eye, n)
-    return Hamiltonian(
-        Operator(h, "H"), {"omega1": float(omega1), "omega2": float(omega2)}
-    )
+    n, eye = from_diagonal(range(s + 1)), identity(s + 1)
+    h = omega1 * _kron(n, eye) + omega2 * _kron(eye, n)
+    return Hamiltonian(h.relabel("H"), {"omega1": float(omega1), "omega2": float(omega2)})
 
 
 def heisenberg_derivative(o: Operator, h: Hamiltonian) -> Operator:
     """dO/dt = (1/i) [O, H] with hbar = 1.
 
-    H is diagonal within tolerance.  When it is exactly diagonal and real, as
-    every Hamiltonian built here is, O is finite and the dimension is at
-    least 32, O H and H O are formed as a column and a row scaling of O:
-    O(n^2) instead of O(n^3), and bit for bit the dense products, each entry
-    having one nonzero term (see :mod:`spinphase.operators`).  An H with
-    off-diagonal entries inside the tolerance keeps the dense products, so
-    those entries still count.
+    Every Hamiltonian built here is one real diagonal, so O H and H O are
+    formed on O's diagonals, bit for bit the dense products (see
+    :mod:`spinphase.operators`); an H with off-diagonal entries inside the
+    tolerance, or a non-finite O, takes the dense products.
     """
     if o.dim != h.dim:
         raise ShapeError(f"shape mismatch: {o.dim} vs {h.dim}")
-    return Operator((_product(o, h.op) - _product(h.op, o)) / 1j)
+    return (_product(o, h.op) - _product(h.op, o)) / 1j
 
 
 def eigenoperator_residual(o: Operator, h: Hamiltonian, lam: complex) -> float:
@@ -126,7 +123,7 @@ def evolve(o: Operator, h: Hamiltonian, t: float) -> Operator:
     if o.dim != h.dim:
         raise ShapeError(f"shape mismatch: {o.dim} vs {h.dim}")
     phases = _phases(h.energies(), float(t))
-    return Operator(phases[:, None] * o.mat * phases.conj()[None, :], o.label)
+    return _held(phases[:, None] * o.mat * phases.conj()[None, :], o.label)
 
 
 def _phases(energies: np.ndarray, t) -> np.ndarray:
@@ -135,13 +132,23 @@ def _phases(energies: np.ndarray, t) -> np.ndarray:
     return np.exp(arg, out=arg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled matrix elements of an evolving operator."""
+    """Sampled matrix elements of an evolving operator: each element's
+    samples, one per time (``trajectory`` gives read-only complex arrays)."""
 
     times: tuple[float, ...]
-    element_tracks: tuple[tuple[tuple[int, int], tuple[complex, ...]], ...]
+    element_tracks: tuple[tuple[tuple[int, int], Sequence[complex]], ...]
     operator_label: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        pairs = list(zip(self.element_tracks, other.element_tracks))
+        same_shape = len(pairs) == len(self.element_tracks) == len(other.element_tracks)
+        return (self.times, self.operator_label) == (other.times, other.operator_label) and (
+            same_shape and all(a == b and np.array_equal(x, y) for (a, x), (b, y) in pairs)
+        )
 
 
 def trajectory(
@@ -156,8 +163,9 @@ def trajectory(
     track, in first-seen order.  All samples come from one broadcast over the
     grid, phases being computed only for the tracked rows and columns, so
     memory is O(steps x elements); each sample equals evolve(o, h, t).mat[r, c]
-    bit for bit.  Eigen-operator elements trace pure phases, so their moduli
-    stay constant along the track.
+    bit for bit.  Each track is a read-only column of that one samples array.
+    Eigen-operator elements trace pure phases, so their moduli stay constant
+    along the track.
     """
     times = [float(t) for t in t_grid]
     if not times:
@@ -181,16 +189,15 @@ def trajectory(
     levels, where = np.unique(np.concatenate([rows, cols]), return_inverse=True)
     phases = _phases(h.energies()[levels], np.array(times)[:, None])
     # (phase_r * O[r, c]) * conj(phase_c), evolve's order, in place and
-    # freeing each array once used: the process's peak memory stays that of
-    # the Python objects returned
+    # freeing each array once used: the peak memory stays that of the samples
     samples = phases[:, where[: len(rows)]]
     samples *= o.mat[rows, cols]
     col_phases = phases[:, where[len(rows) :]]
     del phases
     samples *= np.conjugate(col_phases, out=col_phases)
     del col_phases
-    tracks = tuple(zip(elements, map(tuple, samples.T.tolist())))
-    return Trajectory(tuple(times), tracks, o.label)
+    samples.setflags(write=False)
+    return Trajectory(tuple(times), tuple(zip(elements, samples.T)), o.label)
 
 
 def phase_derivation_checks(

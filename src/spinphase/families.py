@@ -47,6 +47,7 @@ from .operators import (
     matrix_unit,
     psd_sqrt,
     residual,
+    _kron,
 )
 from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
 from .phase import build_phase_operator, phase_number_commutator_residual, polar_decompose
@@ -477,10 +478,10 @@ def _check_jordan_schwinger(report: CheckReport, bundle: FamilyBundle) -> None:
     # diagonal moduli L = sqrt(D_A) (x) I, R = I (x) sqrt(D_B); V's wrap
     # terms have no single corner, so no boundary checks, and the control
     # must fail even at omega1 = omega2.
-    eye = np.eye(mode.s + 1)
-    root = np.diag(np.sqrt(mode.radicands))
-    v = Operator(np.kron(mode.U.U.adjoint().mat, mode.U.U.mat), "V")
-    left, right = Operator(np.kron(root, eye)), Operator(np.kron(eye, root))
+    eye = identity(mode.s + 1)
+    root = from_diagonal(np.sqrt(mode.radicands))
+    v = _kron(mode.U.U.adjoint(), mode.U.U, "V")
+    left, right = _kron(root, eye), _kron(eye, root)
     report.add(
         "two_mode_polar_product",
         residual(left @ v @ right, triple.Jp),

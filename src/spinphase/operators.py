@@ -1,32 +1,33 @@
-"""Dense complex operators and the residual/tolerance policy.
+"""Weighted-shift operators and the residual/tolerance policy.
 
-Everything downstream (representations, phase operators, deformations,
-dynamics) is built from the small immutable :class:`Operator` wrapper around
-a square ``complex128`` matrix and a handful of pure functions on it.
+Every ladder here is a cyclic shift times a diagonal weight (J+~ = U G), so
+an :class:`Operator` stores a short map from index offset k to its entries
+M[i, i+k], plus the one signed zero of every other entry (-0j after an
+adjoint, as in the dense conjugate).  J0, N and H are one diagonal, a ladder
+one, a phase unitary two and the two-mode U_A^dag (x) U_B four; an operator
+made from a matrix keeps the matrix.  Sums, scalar multiples, adjoints,
+tensor products, the diagonal and hermitian tests and the root of a
+diagonal operator are O(n) numpy work on the diagonals, entry for entry the
+dense operations.  ``mat`` is built only when read, in the dense
+arithmetic's memory order (Fortran for an adjoint or a sum of two such).
 
-Products are dense numpy matmuls, except where an operand is exactly
-diagonal (every off-diagonal entry zero; no tolerance) and the dimension is
-at least 32 (below that BLAS costs no more than the checks).  Number
-operators, J0, Hamiltonians and ladder moduli are diagonal, so ``@``,
-:func:`commutator`, :func:`r_commutator` and the Heisenberg derivative form
-diag(d) @ B as the row scaling d_i * B_ij and B @ diag(d) as the column
-scaling B_ij * d_j: O(n^2) instead of O(n^3), which matters at the two-mode
-dimension (s+1)^2.  The scaling is exact, not an approximation: every entry
-of the dense product has one nonzero term, so both round the same single
-product.  ``+ 0.0`` turns the -0.0 a scaling leaves in some zero entries
-into +0.0, the sign the dense sum gives whenever one of its terms is +0.0
-(BLAS kernels differ only where every term is -0.0; the sign of a zero
-changes no residual or norm).  numpy's elementwise multiply and BLAS round
-complex times complex differently, and 0 * inf is NaN in the dense sum
-only, so a scaling is taken only when one operand is real and both are
-finite; every other product stays dense.
+A product is formed on the diagonals only when every entry of the result
+has at most one nonzero term, one operand is real and both are finite
+(``_structured`` decides, for ``@``, commutators, the Heisenberg derivative
+and ``apply``): each entry is then the one rounded product BLAS gives, with
+zeros made +0.0.  numpy's complex multiply may fuse where BLAS does not, and
+0 * inf is NaN only in the dense sum, so any other product materializes both
+operands and calls BLAS.  Residual norms stay dense: ``residual``
+materializes the difference for ``np.linalg.norm``, whose summation order
+sets the last bits of every printed residual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, product
 from typing import Callable, Iterable
 
 import numpy as np
@@ -106,64 +107,108 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True, eq=False)
+@lru_cache(maxsize=4096)
+def _starts(dim: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
+    """Where each diagonal starts in an operator's data; the last is the fill's index."""
+    return (0, *accumulate(dim - abs(k) for k in offsets))
+
+
 class Operator:
-    """A dim x dim complex matrix with an optional label.
+    """A dim x dim complex operator with an optional label; ``Operator(mat)``
+    copies a square matrix.  Operators and their read-only ``mat`` are
+    immutable, so they can be shared freely between threads."""
 
-    The entries array is copied on construction and marked read-only, so
-    operators can be shared freely between threads.
-    """
+    __slots__ = ("dim", "label", "_offsets", "_data", "_order", "_dense", "_facts")
 
-    mat: np.ndarray
-    label: str = ""
-    _dim: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.mat, dtype=np.complex128)
+    def __init__(self, mat, label: str = "") -> None:
+        arr = np.array(mat, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"operator matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("operator dimension must be positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-        object.__setattr__(self, "_dim", arr.shape[0])
+        self._set(arr.shape[0], label, None, None, "C", arr)
+
+    def _set(self, dim, label, offsets, data, order="C", dense=None) -> "Operator":
+        """Stored as (offsets, data), or holding the read-only array ``dense``."""
+        self.dim, self.label, self._offsets, self._data = dim, label, offsets, data
+        self._order, self._dense, self._facts = order, dense, None
+        if dense is not None:
+            dense.setflags(write=False)
+        return self
+
+    @classmethod
+    def _from_diagonals(cls, dim, diagonals: dict, label="", fill=0j, order="C") -> "Operator":
+        """Entries ``diagonals[k]`` on each diagonal k (dim - |k| of them),
+        ``fill`` elsewhere."""
+        parts = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in diagonals.values()]
+        data = np.concatenate([*parts, np.array([fill], dtype=np.complex128)])
+        return object.__new__(cls)._set(dim, label, tuple(diagonals), data, order)
 
     @property
-    def dim(self) -> int:
-        return self._dim
+    def mat(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = self._array()
+            self._dense.setflags(write=False)
+        return self._dense
 
-    # Facts about the immutable entries that decide whether a product can be
-    # a row/column scaling (see _product); each is computed on first use.
-    @cached_property
-    def _diagonal(self) -> np.ndarray | None:
-        return _exact_diagonal(self.mat)
+    def _array(self) -> np.ndarray:
+        """The dense matrix: the one held, else built afresh."""
+        if self._dense is not None:
+            return self._dense
+        n, order = self.dim, self._order
+        m = np.zeros((n, n), dtype=np.complex128, order=order)
+        if self._data[-1:].tobytes() != bytes(16):  # a fill other than +0.0 + 0.0j
+            m[...] = self._data[-1]
+        m.ravel(order="K")[_positions(n, self._offsets, order)] = self._data[:-1]
+        return m
 
-    @cached_property
-    def _finite(self) -> bool:
-        return bool(np.isfinite(self.mat).all())
+    def _items(self) -> list[tuple[int, np.ndarray]]:
+        """(offset, entries) of each stored diagonal."""
+        s = _starts(self.dim, self._offsets)
+        return [(k, self._data[s[i] : s[i + 1]]) for i, k in enumerate(self._offsets)]
 
-    @cached_property
-    def _real(self) -> bool:
-        return not self.mat.imag.any()
+    def _finite_real(self) -> tuple[bool, bool]:
+        """Whether the stored entries are finite, and whether they are real."""
+        if self._facts is None:
+            d = self._data
+            self._facts = np.count_nonzero(np.isfinite(d)) == len(d), not np.count_nonzero(d.imag)
+        return self._facts
+
+    def _map(self, data, label="", offsets=None, order=None) -> "Operator":
+        """New entries on this operator's diagonals (or on ``offsets``)."""
+        op = object.__new__(Operator)
+        op.dim, op.label, op._data, op._dense, op._facts = self.dim, label, data, None, None
+        op._offsets = self._offsets if offsets is None else offsets
+        op._order = self._order if order is None else order
+        return op
 
     def relabel(self, label: str) -> "Operator":
-        return Operator(self.mat, label)
+        return _held(self._dense, label) if self._offsets is None else self._map(self._data, label)
 
     def adjoint(self) -> "Operator":
-        return Operator(self.mat.conj().T, self.label)
+        if self._offsets is None:
+            return _held(self._dense.conj().T, self.label)
+        # diagonal -k of the adjoint is diagonal k conjugated, entry for entry
+        flipped = "C" if self._order == "F" else "F"
+        return self._map(self._data.conj(), self.label, tuple(-k for k in self._offsets), flipped)
 
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.mat).copy()
+    def diagonal(self, offset: int = 0) -> np.ndarray:
+        if self._offsets is None:
+            return np.diagonal(self._dense, offset).copy()
+        entries = dict(self._items()).get(offset, self._data[-1:].repeat(self.dim - abs(offset)))
+        return entries.copy()
 
     def is_hermitian(self, tol: float) -> bool:
-        return float(np.linalg.norm(self.mat - self.mat.conj().T)) <= tol
+        diff = self - self.adjoint()
+        return float(np.linalg.norm(diff._data if diff._dense is None else diff._dense)) <= tol
 
     def is_diagonal(self, tol: float) -> bool:
-        off = self.mat - np.diag(np.diagonal(self.mat))
-        return float(np.linalg.norm(off)) <= tol
+        if self._offsets is None:
+            return float(np.linalg.norm(self._dense - np.diag(np.diagonal(self._dense)))) <= tol
+        return math.hypot(0.0, *(np.linalg.norm(v) for k, v in self._items() if k)) <= tol
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        return float(np.linalg.norm(self._array()))
 
     def _check_dim(self, other: "Operator") -> None:
         if self.dim != other.dim:
@@ -171,89 +216,180 @@ class Operator:
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_dim(other)
-        return Operator(_product(self, other))
+        return _product(self, other)
+
+    def _binary(self, op, other: "Operator") -> "Operator":
+        self._check_dim(other)
+        if self._offsets is None or other._offsets is None:
+            return _held(op(self._array(), other._array()))
+        order = "F" if self._order == other._order == "F" else "C"
+        if self._offsets == other._offsets:
+            return self._map(op(self._data, other._data), "", None, order)
+        offsets, ia, ib = _union(self.dim, self._offsets, other._offsets)
+        return self._map(op(self._data[ia], other._data[ib]), "", offsets, order)
+
+    def _scalar(self, op, *scalar) -> "Operator":
+        if any(isinstance(x, Operator) for x in scalar):
+            raise TypeError("use @ for operator products; * is scalar-only")
+        if self._offsets is None:
+            return _held(op(self._dense, *scalar))
+        return self._map(op(self._data, *scalar))
 
     def __add__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat + other.mat)
+        return self._binary(np.add, other)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._check_dim(other)
-        return Operator(self.mat - other.mat)
+        return self._binary(np.subtract, other)
 
     def __mul__(self, scalar: complex) -> "Operator":
-        if isinstance(scalar, Operator):
-            raise TypeError("use @ for operator products; * is scalar-only")
-        return Operator(self.mat * scalar)
+        return self._scalar(np.multiply, scalar)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, scalar: complex) -> "Operator":
+        return self._scalar(np.true_divide, scalar)
+
     def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
+        return self._scalar(np.negative)
 
     def apply(self, vec: Iterable[complex]) -> np.ndarray:
-        return self.mat @ np.asarray(vec, dtype=np.complex128)
+        x = np.asarray(vec, dtype=np.complex128)
+        # one diagonal gives each entry of the image one term, M[i, i+k] x[i+k]
+        if len(self._offsets or ()) != 1 or not _structured(self, _diagonal(x)):
+            return self._array() @ x
+        k, n, out = self._offsets[0], self.dim, np.zeros(self.dim, dtype=np.complex128)
+        out[max(0, -k) : n - max(0, k)] = self._data[:-1] * x[max(0, k) : n - max(0, -k)]
+        return out + 0.0
+
+
+@lru_cache(maxsize=4096)
+def _positions(dim: int, offsets: tuple[int, ...], order: str) -> np.ndarray:
+    """Where the stored entries sit in the flattened dense matrix: entry
+    (i, i+k) at i*dim + i+k in C order, at (i+k)*dim + i in Fortran order."""
+    rows = [np.arange(max(0, -k), dim - max(0, k)) for k in offsets]
+    flat = [r * dim + r + k if order == "C" else (r + k) * dim + r for r, k in zip(rows, offsets)]
+    return np.concatenate([np.zeros(0, dtype=np.intp), *flat])
+
+
+@lru_cache(maxsize=4096)
+def _union(dim: int, a: tuple[int, ...], b: tuple[int, ...]):
+    """A sum's offsets and, per operand, where each of the sum's entries sits
+    in its data: at its fill, the last, where it has no such diagonal."""
+    offsets = a + tuple(k for k in b if k not in a)
+
+    def gather(own: tuple[int, ...]) -> np.ndarray:
+        s = _starts(dim, own)
+        spans = [np.arange(s[own.index(k)], s[own.index(k) + 1]) if k in own
+                 else np.full(dim - abs(k), s[-1]) for k in offsets]
+        return np.concatenate([*spans, [s[-1]]])
+
+    return offsets, gather(a), gather(b)
+
+
+def _held(mat: np.ndarray, label: str = "") -> Operator:
+    """The operator holding mat itself, a fresh array nothing else writes."""
+    return object.__new__(Operator)._set(mat.shape[0], label, None, None, "C", mat)
+
+
+@lru_cache(maxsize=4096)
+def _plan(dim: int, a: tuple[int, ...], b: tuple[int, ...]):
+    """How a @ b falls on diagonals: the product's offsets and data size, and
+    where the factors of each term A[i, l] B[l, j] sit in a's and b's data.
+    When no two terms share an entry they are listed entry by entry (an entry
+    without a term reading the fills) and ``at`` is None; else ``at`` names
+    each term's entry."""
+    a_s, b_s = _starts(dim, a), _starts(dim, b)
+    terms: dict[int, list] = {}
+    for (i, ka), (j, kb) in product(enumerate(a), enumerate(b)):
+        kc = ka + kb
+        rows = np.arange(max(0, -ka, -kc), min(dim, dim - ka, dim - kc))
+        if len(rows):
+            at_a, at_b = a_s[i] + rows - max(0, -ka), b_s[j] + rows + ka - max(0, -kb)
+            terms.setdefault(kc, []).append((at_a, at_b, rows - max(0, -kc)))
+    offsets = tuple(terms)
+    s = _starts(dim, offsets)
+    flat = [(t[0], t[1], s[c] + t[2]) for c, group in enumerate(terms.values()) for t in group]
+    ai, bi, at = (np.concatenate([np.zeros(0, np.intp), *(t[x] for t in flat)]) for x in range(3))
+    if len(np.unique(at)) < len(at):
+        return offsets, s[-1] + 1, ai, bi, at
+    full_a, full_b = np.full(s[-1] + 1, a_s[-1]), np.full(s[-1] + 1, b_s[-1])
+    full_a[at], full_b[at] = ai, bi
+    return offsets, s[-1] + 1, full_a, full_b, None
+
+
+def _structured(a: Operator, b: Operator) -> bool:
+    """Whether a @ b is formed on the diagonals: both stored as diagonals,
+    both finite, one real, and no entry of the result with two nonzero terms."""
+    if a._offsets is None or b._offsets is None:
+        return False
+    finite_a, real_a = a._facts or a._finite_real()
+    finite_b, real_b = b._facts or b._finite_real()
+    if not (finite_a and finite_b and (real_a or real_b)):
+        return False
+    *_, ai, bi, at = _plan(a.dim, a._offsets, b._offsets)
+    return at is None or np.bincount(at, (a._data[ai] != 0) & (b._data[bi] != 0)).max() <= 1
+
+
+def _product(a: Operator, b: Operator) -> Operator:
+    """a @ b, on the diagonals when ``_structured`` says so, else by BLAS.  Each
+    entry is one product plus zeros, made +0.0 when all are."""
+    if not _structured(a, b):
+        return _held(a.mat @ b.mat)
+    offsets, size, ai, bi, at = _plan(a.dim, a._offsets, b._offsets)
+    terms = a._data[ai] * b._data[bi]
+    if at is None:
+        terms += 0.0
+    else:
+        terms, summed = np.empty(size, dtype=np.complex128), terms
+        terms.real = np.bincount(at, summed.real, size)
+        terms.imag = np.bincount(at, summed.imag, size)
+    return a._map(terms, "", offsets, "C")
+
+
+def _kron(a: Operator, b: Operator, label: str = "") -> Operator:
+    """The tensor product a (x) b, row index i1 * b.dim + i2, entry for entry
+    the product np.kron forms; its other entries are +0.0."""
+    if a._offsets is None or b._offsets is None:
+        return _held(np.kron(a._array(), b._array()), label)
+    na, nb = a.dim, b.dim
+    blocks: dict[int, np.ndarray] = {}
+    for (ka, va), (kb, vb) in product(a._items(), b._items()):
+        if va.any() and vb.any():
+            block = blocks.setdefault(ka * nb + kb, np.zeros((na, nb), dtype=np.complex128))
+            rows, cols = slice(max(0, -ka), na - max(0, ka)), slice(max(0, -kb), nb - max(0, kb))
+            block[rows, cols] = np.multiply.outer(va, vb)
+    n = na * nb
+    diagonals = {k: m.reshape(-1)[max(0, -k) : max(0, -k) + n - abs(k)] for k, m in blocks.items()}
+    return Operator._from_diagonals(n, diagonals, label)
 
 
 def identity(dim: int, label: str = "I") -> Operator:
-    return Operator(np.eye(dim, dtype=np.complex128), label)
+    return _diagonal(np.ones(dim, dtype=np.complex128), label)
 
 
 def zero(dim: int, label: str = "0") -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=np.complex128), label)
+    return Operator._from_diagonals(dim, {}, label)
 
 
 def from_diagonal(values: Iterable[complex], label: str = "") -> Operator:
-    return Operator(np.diag(np.asarray(list(values), dtype=np.complex128)), label)
+    return _diagonal(np.asarray(list(values), dtype=np.complex128), label)
+
+
+def _diagonal(values: np.ndarray, label: str = "") -> Operator:
+    return Operator._from_diagonals(len(values), {0: values}, label)
 
 
 def matrix_unit(dim: int, row: int, col: int, value: complex = 1.0) -> Operator:
     """|row><col| scaled by value."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[row, col] = value
-    return Operator(m)
-
-
-def _exact_diagonal(m: np.ndarray) -> np.ndarray | None:
-    """The diagonal of m if every off-diagonal entry of m is zero, else None."""
-    n = m.shape[0]
-    # Flattened in memory order (row- or column-major; either way the same
-    # entries are off the diagonal), the diagonal entries sit n + 1 apart, so
-    # past the first one the array splits into rows of n off-diagonal entries
-    # followed by the next diagonal entry.
-    off_diagonal = m.ravel(order="K")[1:].reshape(n - 1, n + 1)[:, :n]
-    return None if off_diagonal.any() else np.diagonal(m)
-
-
-def _scales(diag: Operator, other: Operator) -> bool:
-    """Whether diag is exactly diagonal and scaling other by it rounds like BLAS."""
-    return (
-        diag._diagonal is not None
-        and diag._finite
-        and other._finite
-        and (diag._real or other._real)
-    )
-
-
-# Below this dimension a BLAS product costs no more than the numpy calls that
-# decide whether a scaling is exact, so small products stay dense.
-_MIN_SCALING_DIM = 32
-
-
-def _product(a: Operator, b: Operator) -> np.ndarray:
-    """a.mat @ b.mat, as a row/column scaling when an operand is exactly diagonal."""
-    if a.dim >= _MIN_SCALING_DIM:
-        if _scales(a, b):
-            return a._diagonal[:, None] * b.mat + 0.0
-        if _scales(b, a):
-            return a.mat * b._diagonal[None, :] + 0.0
-    return a.mat @ b.mat
+    entries = np.zeros(dim - abs(col - row), dtype=np.complex128)
+    entries[min(row, col)] = value
+    return Operator._from_diagonals(dim, {col - row: entries})
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
     """AB - BA."""
     a._check_dim(b)
-    return Operator(_product(a, b) - _product(b, a))
+    return _product(a, b) - _product(b, a)
 
 
 def r_commutator(a: Operator, b: Operator, r: float) -> Operator:
@@ -261,7 +397,7 @@ def r_commutator(a: Operator, b: Operator, r: float) -> Operator:
     a._check_dim(b)
     if r == 0:
         raise ParameterError("parameter r must be nonzero")
-    return Operator(r * _product(a, b) - (1.0 / r) * _product(b, a))
+    return r * _product(a, b) - (1.0 / r) * _product(b, a)
 
 
 def diag_function(
@@ -281,20 +417,20 @@ def psd_sqrt(a: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
     """Unique positive-semidefinite square root of a hermitian PSD operator.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
-    genuine violation and raises.
+    genuine violation and raises.  A diagonal operator's eigenvalues are its
+    real diagonal, so its root is the elementwise one (LAPACK's, bit for bit).
     """
     t = tol.for_dim(a.dim)
     if not a.is_hermitian(t):
         raise NotPSDError("not PSD: operator is not hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(a.mat)
-    if float(evals[0]) < -t:
-        raise NotPSDError(f"not PSD: eigenvalue {evals[0]:.3e} < -{t:.3e}")
-    clamped = np.clip(evals, 0.0, None)
-    root = (evecs * np.sqrt(clamped)) @ evecs.conj().T
-    return Operator(root)
+    diagonal = a._offsets is not None and set(a._offsets) <= {0}
+    evals, evecs = (a.diagonal().real, None) if diagonal else np.linalg.eigh(a.mat)
+    if float(evals.min()) < -t:
+        raise NotPSDError(f"not PSD: eigenvalue {evals.min():.3e} < -{t:.3e}")
+    roots = np.sqrt(np.clip(evals, 0.0, None))
+    return from_diagonal(roots) if diagonal else _held((evecs * roots) @ evecs.conj().T)
 
 
 def residual(a: Operator, b: Operator) -> float:
     """Frobenius norm of A - B."""
-    a._check_dim(b)
-    return float(np.linalg.norm(a.mat - b.mat))
+    return float(np.linalg.norm((a - b)._array()))

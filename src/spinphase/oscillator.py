@@ -24,7 +24,9 @@ from .operators import (
     ShapeError,
     Tolerance,
     from_diagonal,
+    identity,
     psd_sqrt,
+    _kron,
 )
 from .deform import DeformedTriple, _ladder_checks, q_number
 from .phase import PhaseOperator
@@ -73,9 +75,9 @@ def _oscillator_phase(s: int, phi0: float) -> PhaseOperator:
     forces the n = 1..s reading.
     """
     dim = s + 1
-    mat = np.eye(dim, k=1, dtype=np.complex128)
-    mat[dim - 1, 0] = np.exp(1j * dim * phi0)
-    return PhaseOperator(dim, float(phi0), Operator(mat, "exp(i*Phi)"))
+    corner = [np.exp(1j * dim * phi0)]
+    u = Operator._from_diagonals(dim, {1: np.ones(dim - 1), 1 - dim: corner}, "exp(i*Phi)")
+    return PhaseOperator(dim, float(phi0), u)
 
 
 def build_finite_oscillator(
@@ -135,12 +137,10 @@ def jordan_schwinger(
     if osc_a.s != osc_b.s:
         raise ShapeError(f"modes must share s, got {osc_a.s} and {osc_b.s}")
     dim = osc_a.s + 1
-    eye = np.eye(dim)
-    jp = Operator(np.kron(osc_a.a_qdag.mat, osc_b.a_q.mat), "J+~")
-    jm = Operator(np.kron(osc_a.a_q.mat, osc_b.a_qdag.mat), "J-~")
-    j0 = Operator(
-        (np.kron(osc_a.N.mat, eye) - np.kron(eye, osc_b.N.mat)) / 2.0, "J0"
-    )
+    eye = identity(dim)
+    jp = _kron(osc_a.a_qdag, osc_b.a_q, "J+~")
+    jm = _kron(osc_a.a_q, osc_b.a_qdag, "J-~")
+    j0 = ((_kron(osc_a.N, eye) - _kron(eye, osc_b.N)) / 2.0).relabel("J0")
     t = tol.for_dim(dim * dim)
     checks = _ladder_checks(j0, jp, jm, t, hermitian=True)
     res = max(c.residual for c in checks)

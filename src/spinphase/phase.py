@@ -54,9 +54,9 @@ class PhaseOperator:
 def build_phase_operator(j: float | int | str | Fraction, theta0: float = 0.0) -> PhaseOperator:
     """Cyclic-shift unitary with corner phase exp(i*(2j+1)*theta0)."""
     dim = int(parse_spin(j) * 2) + 1
-    mat = np.eye(dim, k=-1, dtype=np.complex128)
-    mat[0, dim - 1] = np.exp(1j * dim * theta0)
-    return PhaseOperator(dim, float(theta0), Operator(mat, "exp(i*phi)"))
+    corner = [np.exp(1j * dim * theta0)]
+    u = Operator._from_diagonals(dim, {-1: np.ones(dim - 1), dim - 1: corner}, "exp(i*phi)")
+    return PhaseOperator(dim, float(theta0), u)
 
 
 def polar_decompose(

@@ -7,8 +7,8 @@ JSON has no token for a non-finite float, so the emitter writes the ones
 Python's ``json`` module reads and writes: ``NaN``, ``Infinity`` and
 ``-Infinity``.
 
-Floats are formatted in bulk: a list of Python floats in JSON, and the re/im
-values of one time step in CSV, go through one ``%``-template.  That is
+Floats are formatted in bulk: a list of Python floats in JSON, and the time
+and re/im values of one time step in CSV, go through one ``%``-template.  That is
 exact: ``'%.17g' % x`` is byte for byte ``format(x, '.17g')``, and the two
 paths differ only on non-finite values (``nan``/``inf`` against ``NaN``,
 ``Infinity``, ``-Infinity``).  A finite ``.17g`` number never contains an
@@ -95,32 +95,32 @@ def operator_from_jsonable(payload: dict) -> Operator:
 def trajectory_csv_lines(
     times: Iterable[float],
     element_tracks: Iterable[tuple[tuple[int, int], Iterable[complex]]],
-) -> list[str]:
-    """Rows `t,row,col,re,im`, grouped by time then by element order.
+) -> str:
+    """The CSV text: a ``t,row,col,re,im`` header, then one row per time and
+    element, grouped by time then by element order, each ending in a newline.
 
-    Each time is formatted once, and the re/im values of one time step fill
-    one template (exact; see the module docstring).
+    One template, built once, takes a time step's time text and re/im
+    values (exact; see the module docstring), and the text is joined once.
     """
     times = list(times)
-    tracks = [(rc, list(vals)) for rc, vals in element_tracks]
-    lines = ["t,row,col,re,im"]
-    if not times or not tracks:
-        return lines
+    tracks = [(rc, v if isinstance(v, np.ndarray) else list(v)) for rc, v in element_tracks]
     if any(len(vals) < len(times) for _, vals in tracks):
         raise IndexError("every track needs one value per time")
-    # one row per time step: re, im of each element in turn
-    values = np.empty((len(times), len(tracks)), dtype=complex)
+    # one row per time step: a slot for the time text, then re, im, per element
+    cells = np.zeros((len(times), len(tracks), 3))
     for k, (_, vals) in enumerate(tracks):
-        values[:, k] = vals[: len(times)]
-    cells = values.view(np.float64)
-    tails = [f",{row},{col}".replace("%", "%%") + ",%.17g,%.17g" for (row, col), _ in tracks]
+        v = np.asarray(vals[: len(times)], dtype=np.complex128)
+        cells[:, k, 1], cells[:, k, 2] = v.real, v.imag
+    cells = cells.reshape(len(times), 3 * len(tracks))
+    rows = [f",{row},{col}".replace("%", "%%") for (row, col), _ in tracks]
+    template = "".join(f"%s{rc},%.17g,%.17g\n" for rc in rows)
+    text = ["t,row,col,re,im\n"]
     for i, t in enumerate(times):
-        t_text = format_float(t)
-        text = (t_text + ("\n" + t_text).join(tails)) % tuple(cells[i].tolist())
-        if "n" in text:
-            text = "\n".join(
-                f"{t_text},{row},{col},{format_float(vals[i].real)},{format_float(vals[i].imag)}"
-                for (row, col), vals in tracks
-            )
-        lines.extend(text.split("\n"))
-    return lines
+        values = cells[i].tolist()
+        values[::3] = [format_float(t)] * len(tracks)
+        step = template % tuple(values)
+        if "n" in step:  # a non-finite value: the per-value tokens
+            tokens = (v if isinstance(v, str) else format_float(v) for v in values)
+            step = template.replace("%.17g", "%s") % tuple(tokens)
+        text.append(step)
+    return "".join(text)

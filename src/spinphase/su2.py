@@ -82,7 +82,7 @@ class Su2Rep:
 
     def ladder_entries(self) -> np.ndarray:
         """<m+1| J+ |m> on the ladder steps m = -j, ..., j-1."""
-        return self.Jp.mat.diagonal(-1).real
+        return self.Jp.diagonal(-1).real
 
 
 def _place_ladders(
@@ -93,15 +93,14 @@ def _place_ladders(
 
     J- is the adjoint of J+, with ``lowering``'s entries written over its
     steps when given; either way its other entries are the adjoint's (-0
-    imaginary parts included) and it has the adjoint's memory order.
+    imaginary parts included) and its ``mat`` has the adjoint's memory order.
     """
-    steps = np.arange(len(raising))
-    jp = np.zeros((len(raising) + 1,) * 2, dtype=np.complex128)
-    jp[steps + 1, steps] = raising
-    jm = jp.conj().T
-    if lowering is not None:
-        jm[steps, steps + 1] = lowering
-    return Operator(jp, labels[0]), Operator(jm, labels[1])
+    dim = len(raising) + 1
+    jp = Operator._from_diagonals(dim, {-1: raising}, labels[0])
+    if lowering is None:
+        return jp, jp.adjoint().relabel(labels[1])
+    # the adjoint's other entries are conjugated zeros, 0 - 0j, in Fortran order
+    return jp, Operator._from_diagonals(dim, {1: lowering}, labels[1], complex(0.0, -0.0), "F")
 
 
 def build_su2(j: float | int | str | Fraction) -> Su2Rep:

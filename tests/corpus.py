@@ -11,8 +11,9 @@ diffing two runs::
     diff parent.txt change.txt
 
 The argv cover ``build``, ``verify --report`` and ``evolve`` of every family
-on a size ladder, the benchmark's sweeps, zero-rate controls, the inputs on
-which a builder raises, and usage errors.
+on a size ladder, ``verify`` and ``evolve`` of jordan_schwinger at s = 30,
+the benchmark's sweeps, zero-rate controls, the inputs on which a builder
+raises, and usage errors.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def corpus(tmp: str) -> list[list[str]]:
          "--muB", "0"],
     ]
     argvs += [["verify", *sc, "--report", report] for sc in verify_only]
+
+    # the benchmark's slowest request, dim 961 (its build JSON would be ~100 MB)
+    two_mode = ["--family", "jordan_schwinger", "--s", "30", "--phi0", "0.7"]
+    argvs += [
+        ["verify", *two_mode, "--report", report],
+        ["evolve", *two_mode, "--t-max", "2.5", "--steps", "20"],
+    ]
 
     argvs += [
         ["sweep", "--family", "suq2", "--j", "5/2", "--param", "q:1.0001:3:101"],

@@ -86,9 +86,8 @@ class TestVerifyExitCodes:
         assert payload["checks"][0]["residual"] == float("inf")
 
 
-# one scenario per family, at dimensions (36 to 49) from where products are
-# scalings; oscillator / q_oscillator builds print U sqrt(N), whose zero
-# entries a bare column scaling leaves as -0.0
+# one scenario per family; oscillator / q_oscillator builds print U sqrt(N),
+# whose zero entries a bare elementwise product leaves as -0.0
 _DIFFERENTIAL_SCENARIOS = [
     ["--family", "su2", "--j", "35/2", "--theta0", "0.731"],
     ["--family", "suq2", "--j", "35/2", "--q", "1.05", "--theta0", "4.9"],
@@ -103,7 +102,7 @@ _DIFFERENTIAL_SCENARIOS = [
 
 
 class TestScalingPathDifferential:
-    """The row/column scaling path changes no CLI output byte."""
+    """Forming products on the diagonals changes no CLI output byte."""
 
     @staticmethod
     def _outputs(tmp_path, capsys, flags, tag):
@@ -118,18 +117,18 @@ class TestScalingPathDifferential:
     def test_dense_only_gives_same_bytes(self, tmp_path, capsys, monkeypatch, flags):
         found = []
 
-        def spy(m):
-            d = exact_diagonal(m)
-            found.append(d is not None)
-            return d
+        def spy(a, b):
+            decided = structured(a, b)
+            found.append(decided)
+            return decided
 
-        exact_diagonal = operators._exact_diagonal
-        monkeypatch.setattr(operators, "_exact_diagonal", spy)
-        scaled = self._outputs(tmp_path, capsys, flags, "scaled")
-        assert any(found)  # the scaling path ran
-        monkeypatch.setattr(operators, "_exact_diagonal", lambda m: None)
+        structured = operators._structured
+        monkeypatch.setattr(operators, "_structured", spy)
+        fast = self._outputs(tmp_path, capsys, flags, "structured")
+        assert any(found)  # the structured path ran
+        monkeypatch.setattr(operators, "_structured", lambda a, b: False)
         dense = self._outputs(tmp_path, capsys, flags, "dense")
-        assert scaled == dense
+        assert fast == dense
 
 
 class TestBuild:

@@ -234,6 +234,17 @@ class TestTrajectory:
         assert twice == once
         assert [rc for rc, _ in twice.element_tracks] == [(2, 1), (1, 0)]
 
+    def test_trajectories_compare_by_their_samples(self):
+        rep = build_su2("3/2")
+        h = dipole_hamiltonian(rep.J0, 1.0)
+        grid = np.linspace(0.0, 3.0, 4)
+        traj = trajectory(rep.Jp, h, grid, [(2, 1)])
+        assert traj == trajectory(rep.Jp, h, grid, [(2, 1)])
+        assert traj != trajectory((2.0 * rep.Jp).relabel(rep.Jp.label), h, grid, [(2, 1)])
+        assert traj != trajectory(rep.Jp, h, grid + 0.5, [(2, 1)])
+        assert traj != trajectory(rep.Jp, h, grid, [(2, 1), (1, 0)])
+        assert not traj.element_tracks[0][1].flags.writeable
+
     @pytest.mark.parametrize(
         "values",
         [

@@ -25,7 +25,7 @@ from spinphase import (
     residual,
     zero,
 )
-from spinphase.operators import _product, _scales
+from spinphase.operators import _product, _structured
 
 TOL = Tolerance()
 
@@ -196,14 +196,22 @@ def assert_same_bits(got, want):
         assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
+def banded(op):
+    """op stored as its 2 dim - 1 diagonals: every entry of a dense operator,
+    held the way the package holds its own operators."""
+    return Operator._from_diagonals(
+        op.dim, {k: np.diagonal(op.mat, k) for k in range(1 - op.dim, op.dim)}
+    )
+
+
 def _scaling_operands(dim):
-    """(left, right, whether a scaling applies) operand pairs at dim."""
+    """(left, right, whether the product is formed on the diagonals) pairs at dim."""
     rng = np.random.default_rng(dim)
     rep = build_su2((dim - 1) / 2)
     osc = build_finite_oscillator(dim - 1, phi0=4.9)
     sqrt_n = psd_sqrt(osc.N)
     real_diag = from_diagonal(rng.uniform(0.5, 2.0, dim) * rng.choice([-1.0, 1.0], dim))
-    dense = random_operator(rng, dim)
+    dense = banded(random_operator(rng, dim))
     return [
         # diagonal x dense (J0 and N are real, U carries a complex corner)
         (rep.J0, rep.Jp, True),
@@ -219,28 +227,28 @@ def _scaling_operands(dim):
         # the zero matrix, on either side
         (zero(dim), osc.U.U, True),
         (dense, zero(dim), True),
-        # dense x dense
-        (rep.Jp, rep.Jm, False),
+        # two off-diagonal ladders: each entry of J+ J- has one term, both real
+        (rep.Jp, rep.Jm, True),
+        # complex x complex: U's complex corner times a complex dense operator
         (dense, osc.U.U, False),
     ]
 
 
 class TestScalingProduct:
-    """Products with an exactly diagonal operand are row/column scalings that
-    must equal the dense product bit for bit."""
+    """Products formed on the diagonals must equal the dense product bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 6, 31, 32, 33, 40, 64, 101])
     def test_matches_dense_product(self, dim):
         # Every entry is bitwise equal once zeros are made +0.0 on both sides.
         # The sign BLAS gives an exactly-zero entry follows its kernel: at some
         # sizes it is -0.0 when every term of the entry's sum is -0.0 (here
-        # dense @ 0 at dims 33 and 101), where a scaling gives +0.0.
+        # dense @ 0 at dims 33 and 101), where a structured product gives +0.0.
         # Residuals and norms do not see the sign; the products the CLI prints
         # are held to every bit in test_printed_products_keep_zero_signs.
-        for a, b, scaled in _scaling_operands(dim):
-            assert (_scales(a, b) or _scales(b, a)) == scaled
+        for a, b, structured in _scaling_operands(dim):
+            assert _structured(a, b) == structured
             for got, want in [
-                (_product(a, b), a.mat @ b.mat),
+                (_product(a, b).mat, a.mat @ b.mat),
                 ((a @ b).mat, a.mat @ b.mat),
                 (commutator(a, b).mat, a.mat @ b.mat - b.mat @ a.mat),
                 (
@@ -253,23 +261,23 @@ class TestScalingProduct:
     @pytest.mark.parametrize("phi0", [0.0, 0.731, 4.9])
     def test_printed_products_keep_zero_signs(self, phi0):
         # `build` prints a = U sqrt(N) and a_q = U sqrt(weights), whose zero
-        # entries come out -0.0 from a bare column scaling
+        # entries come out -0.0 from a bare elementwise product
         for s in (2, 3, 12, 30, 31, 32, 40, 63, 64, 100):
             osc = build_finite_oscillator(s, phi0)
             sqrt_n = psd_sqrt(osc.N)
-            assert _scales(sqrt_n, osc.U.U)
-            assert_same_bits(_product(osc.U.U, sqrt_n), osc.U.U.mat @ sqrt_n.mat)
+            assert _structured(osc.U.U, sqrt_n)
+            assert_same_bits(_product(osc.U.U, sqrt_n).mat, osc.U.U.mat @ sqrt_n.mat)
             qosc = build_q_oscillator(s, phi0)
             weights = from_diagonal(np.sqrt(qosc.radicands))
-            assert_same_bits(_product(qosc.U.U, weights), qosc.U.U.mat @ weights.mat)
+            assert_same_bits(_product(qosc.U.U, weights).mat, qosc.U.U.mat @ weights.mat)
 
     def test_tiny_off_diagonal_entry_takes_dense_path(self):
         osc = build_finite_oscillator(40)
         m = np.diag(np.arange(1.0, 42.0)).astype(complex)
         m[0, 1] = 1e-300
         almost = Operator(m)
-        assert not _scales(almost, osc.U.U) and not _scales(osc.U.U, almost)
-        got = _product(almost, osc.U.U)
+        assert not _structured(almost, osc.U.U) and not _structured(osc.U.U, almost)
+        got = _product(almost, osc.U.U).mat
         assert_same_bits(got, almost.mat @ osc.U.U.mat)
         assert got[0, 2] == 1e-300  # the off-diagonal entry times U[1, 2] = 1
 
@@ -278,23 +286,81 @@ class TestScalingProduct:
         # differently, so a complex diagonal scales only a real operand
         rng = np.random.default_rng(3)
         phases = from_diagonal(np.exp(1j * rng.uniform(0, 2 * np.pi, 40)))
-        dense = random_operator(rng, 40)
-        assert not _scales(phases, dense) and not _scales(dense, phases)
-        assert_same_bits(_product(phases, dense), phases.mat @ dense.mat)
-        real_dense = Operator(dense.mat.real)
-        assert _scales(phases, real_dense)
-        assert_same_bits(_product(phases, real_dense), phases.mat @ real_dense.mat)
-        assert_same_bits(_product(real_dense, phases), real_dense.mat @ phases.mat)
+        dense = banded(random_operator(rng, 40))
+        assert not _structured(phases, dense) and not _structured(dense, phases)
+        assert_same_bits(_product(phases, dense).mat, phases.mat @ dense.mat)
+        real_dense = banded(Operator(dense.mat.real))
+        assert _structured(phases, real_dense)
+        assert_same_bits(_product(phases, real_dense).mat, phases.mat @ real_dense.mat)
+        assert_same_bits(_product(real_dense, phases).mat, real_dense.mat @ phases.mat)
 
     def test_non_finite_operand_stays_dense(self):
         # 0 * inf is NaN in every entry of the dense sum it enters
         rep = build_su2(20)
-        m = rep.Jp.mat.copy()
-        m[1, 0] = np.inf
-        blown = Operator(m)
-        assert not _scales(rep.J0, blown)
+        entries = rep.Jp.diagonal(-1)
+        entries[0] = np.inf
+        blown = Operator._from_diagonals(rep.dim, {-1: entries})
+        assert not _structured(rep.J0, blown)
         with np.errstate(invalid="ignore"):
-            got = _product(rep.J0, blown)
+            got = _product(rep.J0, blown).mat
             want = rep.J0.mat @ blown.mat
         assert np.isnan(got[0, 0])
         assert_same_bits(got, want)
+
+    def test_two_nonzero_terms_in_one_entry_stay_dense(self):
+        # U + U^dag has two diagonals at distance two, so each diagonal entry
+        # of its square sums two nonzero terms: BLAS's sum, not an elementwise one
+        u = build_finite_oscillator(6).U.U
+        hop = u + u.adjoint()
+        assert not _structured(hop, hop)
+        assert_same_bits(_product(hop, hop).mat, hop.mat @ hop.mat)
+        assert _structured(u, u.adjoint())  # the corner term lands where the shift's does not
+
+
+class TestStructuredCore:
+    """Operations other than products act on the diagonals, entry for entry."""
+
+    @pytest.mark.parametrize("phi0", [0.0, 4.9])
+    def test_elementwise_operations_match_dense(self, phi0):
+        osc = build_finite_oscillator(9, phi0)
+        rep = build_su2("9/2")
+        u, n, jp, jm = osc.U.U, osc.N, rep.Jp, rep.Jm
+        for got, want in [
+            (u.adjoint(), u.mat.conj().T),
+            (jm, jp.mat.conj().T),
+            (u + n, u.mat + n.mat),
+            (jp - jm, jp.mat - jm.mat),
+            (jm - jm, jm.mat - jm.mat),
+            (2.5 * u, u.mat * 2.5),
+            ((-1j * 0.7) * jm, jm.mat * (-1j * 0.7)),
+            (u / 1j, u.mat / 1j),
+            (-jm, -jm.mat),
+        ]:
+            assert got.mat.flags.c_contiguous == want.flags.c_contiguous
+            assert_same_bits(got.mat, want)
+
+    def test_residual_materializes_the_difference(self):
+        rep = build_su2("7/2")
+        for a, b in [(rep.Jp, rep.Jm), (rep.Jm, rep.Jp.adjoint()), (rep.J0, 2.0 * rep.Jm)]:
+            assert residual(a, b) == float(np.linalg.norm(a.mat - b.mat))
+
+    def test_apply_matches_dense(self):
+        rep = build_su2(3)
+        state = np.zeros(rep.dim)
+        state[2] = 1.0
+        for op in (rep.Jp, rep.Jm, rep.J0, build_finite_oscillator(6, 0.3).U.U):
+            assert_same_bits(op.apply(state), op.mat @ state.astype(complex))
+        rng = np.random.default_rng(5)
+        vec = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        twisted = (1.0 + 2.0j) * rep.Jp
+        assert not _structured(twisted, from_diagonal(vec))  # complex x complex stays dense
+        assert_same_bits(twisted.apply(vec), twisted.mat @ vec)
+
+    def test_diagonal_psd_sqrt_is_the_elementwise_root(self):
+        for j in ("1/2", "5/2", "25/2", "50"):
+            rep = build_su2(j)
+            modulus = rep.Jp @ rep.Jm
+            root = psd_sqrt(modulus)
+            evals, evecs = np.linalg.eigh(modulus.mat)
+            dense = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+            assert_same_bits(root.mat, dense)

@@ -56,6 +56,11 @@ def reference_csv_lines(times, element_tracks) -> list[str]:
     return lines
 
 
+def reference_csv(times, element_tracks) -> str:
+    """The reference lines as CSV text, each ending in a newline."""
+    return "".join(line + "\n" for line in reference_csv_lines(times, element_tracks))
+
+
 EDGE_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
     2.2250738585072014e-308, -2.2250738585071e-308, 1e308, -1e308,
@@ -137,22 +142,32 @@ class TestTrajectoryCsv:
     @given(trajectories())
     def test_lines_match_reference(self, data):
         times, tracks = data
-        assert trajectory_csv_lines(times, tracks) == reference_csv_lines(times, tracks)
+        assert trajectory_csv_lines(times, tracks) == reference_csv(times, tracks)
 
     def test_non_finite_values_use_per_value_tokens(self):
         tracks = [((1, 0), (complex(math.nan, 1.0), complex(math.inf, -math.inf))),
                   ((0, 0), (complex(0.5, -0.0), complex(1e308, 5e-324)))]
         times = [0.0, 0.25]
-        assert trajectory_csv_lines(times, tracks) == [
-            "t,row,col,re,im",
-            "0,1,0,NaN,1",
-            "0,0,0,0.5,-0",
-            "0.25,1,0,inf,-inf",
-            "0.25,0,0,1e+308,4.9406564584124654e-324",
-        ]
-        assert trajectory_csv_lines(times, tracks) == reference_csv_lines(times, tracks)
+        assert trajectory_csv_lines(times, tracks) == (
+            "t,row,col,re,im\n"
+            "0,1,0,NaN,1\n"
+            "0,0,0,0.5,-0\n"
+            "0.25,1,0,inf,-inf\n"
+            "0.25,0,0,1e+308,4.9406564584124654e-324\n"
+        )
+        assert trajectory_csv_lines(times, tracks) == reference_csv(times, tracks)
 
     def test_generators_are_read_once(self):
         tracks = [((2, 1), (1 + 2j, 3 - 4j))]
         got = trajectory_csv_lines((t for t in (0.0, 1.0)), ((rc, iter(v)) for rc, v in tracks))
-        assert got == reference_csv_lines([0.0, 1.0], tracks)
+        assert got == reference_csv([0.0, 1.0], tracks)
+
+    def test_array_tracks_match_tuple_tracks(self):
+        # trajectory() hands over read-only columns of one samples array
+        samples = np.array([[1 + 2j, -0.0 + 5e-324j], [3 - 4j, np.nan + 1j]])
+        samples.setflags(write=False)
+        as_arrays = [((2, 1), samples[:, 0]), ((0, 3), samples[:, 1])]
+        as_tuples = [(rc, tuple(complex(v) for v in vals)) for rc, vals in as_arrays]
+        got = trajectory_csv_lines([0.0, 1.0], as_arrays)
+        assert got == trajectory_csv_lines([0.0, 1.0], as_tuples)
+        assert got == reference_csv([0.0, 1.0], as_tuples)
