@@ -17,9 +17,15 @@ has at most one nonzero term, one operand is real and both are finite
 and ``apply``): each entry is then the one rounded product BLAS gives, with
 zeros made +0.0.  numpy's complex multiply may fuse where BLAS does not, and
 0 * inf is NaN only in the dense sum, so any other product materializes both
-operands and calls BLAS.  Residual norms stay dense: ``residual``
-materializes the difference for ``np.linalg.norm``, whose summation order
-sets the last bits of every printed residual.
+operands and calls BLAS.  Norms stay dense: ``Operator.norm`` (and so
+``residual``) materializes the operator for ``np.linalg.norm``, whose
+summation order sets the last bits of every printed residual.  The one
+exception is an operator stored as diagonals whose entries and fill are all
+zero: its norm is 0.0, the dense norm of signed zeros, without the matrix.
+
+That summation order is fixed only at a fixed BLAS thread count: above 10000
+entries (dim >= 101) OpenBLAS splits the norm's ``ddot`` across its threads,
+so the last digit of a residual can move with ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -116,39 +122,44 @@ def _starts(dim: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
 class Operator:
     """A dim x dim complex operator with an optional label; ``Operator(mat)``
     copies a square matrix.  Operators and their read-only ``mat`` are
-    immutable, so they can be shared freely between threads."""
+    immutable (assigning an attribute raises ``AttributeError``), so they can
+    be shared freely between threads."""
 
     __slots__ = ("dim", "label", "_offsets", "_data", "_order", "_dense", "_facts")
 
-    def __init__(self, mat, label: str = "") -> None:
+    def __new__(cls, mat, label: str = "") -> "Operator":
         arr = np.array(mat, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"operator matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("operator dimension must be positive")
-        self._set(arr.shape[0], label, None, None, "C", arr)
+        return _new(arr.shape[0], label, None, None, "C", arr)
 
-    def _set(self, dim, label, offsets, data, order="C", dense=None) -> "Operator":
-        """Stored as (offsets, data), or holding the read-only array ``dense``."""
-        self.dim, self.label, self._offsets, self._data = dim, label, offsets, data
-        self._order, self._dense, self._facts = order, dense, None
-        if dense is not None:
-            dense.setflags(write=False)
-        return self
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Operator is immutable: cannot set {name!r}")
 
-    @classmethod
-    def _from_diagonals(cls, dim, diagonals: dict, label="", fill=0j, order="C") -> "Operator":
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"Operator is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _new, as stored
+        dense = self._dense if self._offsets is None else None
+        return _new, (self.dim, self.label, self._offsets, self._data, self._order, dense)
+
+    @staticmethod
+    def _from_diagonals(dim, diagonals: dict, label="", fill=0j, order="C") -> "Operator":
         """Entries ``diagonals[k]`` on each diagonal k (dim - |k| of them),
         ``fill`` elsewhere."""
         parts = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in diagonals.values()]
         data = np.concatenate([*parts, np.array([fill], dtype=np.complex128)])
-        return object.__new__(cls)._set(dim, label, tuple(diagonals), data, order)
+        return _new(dim, label, tuple(diagonals), data, order)
 
     @property
     def mat(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = self._array()
-            self._dense.setflags(write=False)
+            dense = self._array()
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)  # a cache of what _data holds
         return self._dense
 
     def _array(self) -> np.ndarray:
@@ -171,26 +182,22 @@ class Operator:
         """Whether the stored entries are finite, and whether they are real."""
         if self._facts is None:
             d = self._data
-            self._facts = np.count_nonzero(np.isfinite(d)) == len(d), not np.count_nonzero(d.imag)
+            facts = np.count_nonzero(np.isfinite(d)) == len(d), not np.count_nonzero(d.imag)
+            object.__setattr__(self, "_facts", facts)
         return self._facts
 
-    def _map(self, data, label="", offsets=None, order=None) -> "Operator":
-        """New entries on this operator's diagonals (or on ``offsets``)."""
-        op = object.__new__(Operator)
-        op.dim, op.label, op._data, op._dense, op._facts = self.dim, label, data, None, None
-        op._offsets = self._offsets if offsets is None else offsets
-        op._order = self._order if order is None else order
-        return op
-
     def relabel(self, label: str) -> "Operator":
-        return _held(self._dense, label) if self._offsets is None else self._map(self._data, label)
+        if self._offsets is None:
+            return _held(self._dense, label)
+        return _new(self.dim, label, self._offsets, self._data, self._order)
 
     def adjoint(self) -> "Operator":
         if self._offsets is None:
             return _held(self._dense.conj().T, self.label)
         # diagonal -k of the adjoint is diagonal k conjugated, entry for entry
         flipped = "C" if self._order == "F" else "F"
-        return self._map(self._data.conj(), self.label, tuple(-k for k in self._offsets), flipped)
+        offsets = tuple(-k for k in self._offsets)
+        return _new(self.dim, self.label, offsets, self._data.conj(), flipped)
 
     def diagonal(self, offset: int = 0) -> np.ndarray:
         if self._offsets is None:
@@ -208,6 +215,10 @@ class Operator:
         return math.hypot(0.0, *(np.linalg.norm(v) for k, v in self._items() if k)) <= tol
 
     def norm(self) -> float:
+        """Frobenius norm.  When every stored entry and the fill are zero it is
+        0.0 without the dense matrix: the dense norm of signed zeros is +0.0."""
+        if self._offsets is not None and not self._data.any():  # NaN counts as nonzero
+            return 0.0
         return float(np.linalg.norm(self._array()))
 
     def _check_dim(self, other: "Operator") -> None:
@@ -224,16 +235,16 @@ class Operator:
             return _held(op(self._array(), other._array()))
         order = "F" if self._order == other._order == "F" else "C"
         if self._offsets == other._offsets:
-            return self._map(op(self._data, other._data), "", None, order)
+            return _new(self.dim, "", self._offsets, op(self._data, other._data), order)
         offsets, ia, ib = _union(self.dim, self._offsets, other._offsets)
-        return self._map(op(self._data[ia], other._data[ib]), "", offsets, order)
+        return _new(self.dim, "", offsets, op(self._data[ia], other._data[ib]), order)
 
     def _scalar(self, op, *scalar) -> "Operator":
         if any(isinstance(x, Operator) for x in scalar):
             raise TypeError("use @ for operator products; * is scalar-only")
         if self._offsets is None:
             return _held(op(self._dense, *scalar))
-        return self._map(op(self._data, *scalar))
+        return _new(self.dim, "", self._offsets, op(self._data, *scalar), self._order)
 
     def __add__(self, other: "Operator") -> "Operator":
         return self._binary(np.add, other)
@@ -286,9 +297,31 @@ def _union(dim: int, a: tuple[int, ...], b: tuple[int, ...]):
     return offsets, gather(a), gather(b)
 
 
+class _Draft(Operator):
+    """An operator whose fields ``_new`` is writing."""
+
+    __slots__ = ()
+    # both, as they share one type slot: with Operator's __delattr__ left in
+    # place every field write would go through a Python-level call
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+
+def _new(dim, label, offsets, data, order="C", dense=None) -> Operator:
+    """The operator stored as (offsets, data), or holding the array ``dense``.
+    Every operator is made here: its array is made read-only and its fields
+    are written on a draft, which then becomes the Operator that no
+    assignment reaches (cheaper than an ``object.__setattr__`` per field)."""
+    (dense if data is None else data).setflags(write=False)
+    op = object.__new__(_Draft)
+    op.dim, op.label, op._offsets, op._data = dim, label, offsets, data
+    op._order, op._dense, op._facts = order, dense, None
+    op.__class__ = Operator
+    return op
+
+
 def _held(mat: np.ndarray, label: str = "") -> Operator:
     """The operator holding mat itself, a fresh array nothing else writes."""
-    return object.__new__(Operator)._set(mat.shape[0], label, None, None, "C", mat)
+    return _new(mat.shape[0], label, None, None, "C", mat)
 
 
 @lru_cache(maxsize=4096)
@@ -343,7 +376,7 @@ def _product(a: Operator, b: Operator) -> Operator:
         terms, summed = np.empty(size, dtype=np.complex128), terms
         terms.real = np.bincount(at, summed.real, size)
         terms.imag = np.bincount(at, summed.imag, size)
-    return a._map(terms, "", offsets, "C")
+    return _new(a.dim, "", offsets, terms)
 
 
 def _kron(a: Operator, b: Operator, label: str = "") -> Operator:
@@ -433,4 +466,4 @@ def psd_sqrt(a: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
 
 def residual(a: Operator, b: Operator) -> float:
     """Frobenius norm of A - B."""
-    return float(np.linalg.norm((a - b)._array()))
+    return (a - b).norm()

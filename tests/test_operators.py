@@ -1,5 +1,8 @@
 """Core operator arithmetic, residual policy, and error contracts."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +56,44 @@ class TestOperator:
         op = identity(2)
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_attributes_cannot_be_assigned(self, structured):
+        op = build_su2("5/2").Jp if structured else Operator(np.eye(3), "I")
+        assert type(op) is Operator
+        with pytest.raises(AttributeError):
+            op.label = "renamed"
+        with pytest.raises(AttributeError):
+            op.dim = 7
+        with pytest.raises(AttributeError):
+            op._data = np.zeros(4, dtype=complex)
+        with pytest.raises(AttributeError):
+            del op.label
+        assert op.label in ("J+", "I") and op.mat.shape == (op.dim, op.dim)
+
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_copies_keep_storage_and_bits(self, structured):
+        op = build_su2("5/2").Jp if structured else Operator(np.eye(3), "I")
+        for copied in (pickle.loads(pickle.dumps(op)), copy.copy(op), copy.deepcopy(op)):
+            assert type(copied) is Operator and copied.label == op.label
+            assert copied._offsets == op._offsets
+            assert_same_bits(copied.mat, op.mat)
+            with pytest.raises(AttributeError):
+                copied.label = "renamed"
+            with pytest.raises(ValueError):
+                copied.mat[0, 0] = 5.0
+
+    def test_stored_entries_read_only(self):
+        # a write to the diagonals would fall out of step with the cached mat
+        rep = build_su2("5/2")
+        jp, u = rep.Jp, build_finite_oscillator(5, 0.3).U.U
+        made = [jp + rep.Jm, jp - jp, 2.0 * jp, -jp, jp / 1j, jp.adjoint(), jp @ rep.Jm,
+                commutator(rep.J0, jp), u @ u.adjoint(), jp.relabel("x"), zero(6), identity(6),
+                from_diagonal(np.ones(6))]
+        for op in made:
+            assert not (op._dense if op._data is None else op._data).flags.writeable
+        with pytest.raises(ValueError):
+            jp._data[0] = 5.0
 
     def test_adjoint_involution_exact(self):
         rng = np.random.default_rng(7)
@@ -338,6 +379,56 @@ class TestStructuredCore:
         ]:
             assert got.mat.flags.c_contiguous == want.flags.c_contiguous
             assert_same_bits(got.mat, want)
+
+    @pytest.mark.parametrize("phi0", [0.0, 4.9])
+    def test_norms_are_the_dense_norms_bit_for_bit(self, phi0):
+        rep = build_su2("25/2")
+        u = build_finite_oscillator(25, phi0).U.U
+        blown = rep.Jp.diagonal(-1)
+        blown[3] = np.inf
+        with np.errstate(invalid="ignore"):
+            nan_fill = np.inf * rep.Jp  # 0 * inf: every other entry is NaN
+            has_inf = Operator._from_diagonals(rep.dim, {-1: blown})
+            pairs = [
+                # differences that are zero in every entry
+                (rep.Jp, rep.Jp),
+                (u.adjoint(), u.adjoint()),  # -0j fill on both sides
+                (commutator(rep.J0, rep.J0), zero(rep.dim)),
+                (rep.Jm, rep.Jp.adjoint()),
+                (Operator(u.mat), u),  # a held operand keeps the dense path
+                # NaN and inf entries
+                (nan_fill, nan_fill),
+                (nan_fill, zero(rep.dim)),
+                (has_inf, zero(rep.dim)),
+                (has_inf, has_inf),
+                # nonzero differences
+                (rep.Jp, rep.Jm),
+                (rep.J0, 2.0 * rep.Jm),
+                (u, u.adjoint()),
+                (1j * rep.Jp, 1j * rep.Jm),  # zero real parts
+            ]
+            for a, b in pairs:
+                want = float(np.linalg.norm(a.mat - b.mat))
+                assert_same_bits(np.array([residual(a, b)]), np.array([want]))
+            norms = [zero(rep.dim).adjoint(), -zero(rep.dim), u - u, nan_fill, has_inf, u, 1j * rep.J0]
+            for op in norms:
+                want = float(np.linalg.norm(op.mat))
+                assert_same_bits(np.array([op.norm()]), np.array([want]))
+
+    def test_zero_difference_builds_no_dense_matrix(self, monkeypatch):
+        rep = build_su2("25/2")
+        u = build_finite_oscillator(25, 4.9).U.U
+
+        def refuse(op):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(Operator, "_array", refuse)
+        assert residual(rep.Jp, rep.Jp) == 0.0
+        assert residual(u.adjoint(), u.adjoint()) == 0.0
+        assert residual(commutator(rep.J0, rep.J0), zero(rep.dim)) == 0.0
+        assert zero(rep.dim).adjoint().norm() == 0.0
+        with pytest.raises(AssertionError):
+            residual(rep.Jp, rep.Jm)  # a nonzero difference takes the dense norm
 
     def test_residual_materializes_the_difference(self):
         rep = build_su2("7/2")
