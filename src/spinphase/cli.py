@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .operators import AlgebraError, ParameterError
 from .report import CheckReport
-from .families import FAMILY_TABLE
+from .families import FAMILY_TABLE, FrameSource, spin_frame
 from .scenarios import FAMILIES, Scenario, build_bundle, resolve_scenario
 from .serialize import (
     dumps,
@@ -241,6 +241,8 @@ def _parse_sweep_params(specs: list[str]) -> list[tuple[str, np.ndarray]]:
         name, start_s, stop_s, count_s = parts
         if name not in _SWEEPABLE:
             raise ParameterError(f"cannot sweep {name!r}; choose from {', '.join(_SWEEPABLE)}")
+        if any(name == seen for seen, _ in grids):
+            raise ParameterError(f"--param {name} is given twice; sweep each parameter once")
         try:
             start, stop, count = float(start_s), float(stop_s), int(count_s)
         except ValueError as exc:
@@ -262,22 +264,31 @@ def _parse_sweep_params(specs: list[str]) -> list[tuple[str, np.ndarray]]:
     return grids
 
 
-def _sweep_point(base: dict, assignment: dict, default_tol: float) -> tuple[dict, str]:
+def _summary_cells(report: CheckReport) -> list[str]:
+    """A sweep row's cells after the grid values: the largest residual per
+    category, the smallest control residual, the verdict and no error."""
+    cells = []
+    for cat in _CATEGORIES:
+        members = [c.residual for c in report if c.category == cat and c.mode == "le"]
+        cells.append(format_float(max(members) if members else float("nan")))
+    controls = [c.residual for c in report if c.mode == "ge"]
+    cells.append(format_float(min(controls) if controls else float("nan")))
+    return cells + ["true" if report.all_pass else "false", ""]
+
+
+def _sweep_point(
+    base: dict, assignment: dict, default_tol: float, frames: FrameSource
+) -> tuple[bool, list[str]]:
+    """(all checks pass, the row's cells after the grid values) at one point."""
     values = dict(base)
     values.update(assignment)
     try:
         sc = resolve_scenario(values, default_tol)
-        report, _ = run_verify(sc)
+        report, _ = run_verify(sc, frames)
     except AlgebraError as exc:
-        return {}, str(exc).replace(",", ";")
-    summary: dict = {}
-    for cat in _CATEGORIES:
-        members = [c.residual for c in report if c.category == cat and c.mode == "le"]
-        summary[f"max_{cat}"] = max(members) if members else float("nan")
-    controls = [c.residual for c in report if c.mode == "ge"]
-    summary["min_control"] = min(controls) if controls else float("nan")
-    summary["all_pass"] = report.all_pass
-    return summary, ""
+        error = str(exc).replace(",", ";")
+        return False, ["NaN"] * (len(_CATEGORIES) + 1) + ["false", error]
+    return report.all_pass, _summary_cells(report)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -294,26 +305,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     probe = dict(base)
     for name, values in grids:
         probe[name] = values[0]
-    resolve_scenario(probe, default_tol)
-
+    template = resolve_scenario(probe, default_tol)
     names = [name for name, _ in grids]
+    if "q" in names and template.q_phase is not None:
+        raise ParameterError("cannot sweep q with --q-phase set: the phase-valued q replaces it")
+
+    # Only G in J+~ = U G reads the deformation: the points sharing (j,
+    # theta0, muB, tol) share one phase frame, built at the first of them.
+    # The memo lives for this request only.
+    @functools.cache
+    def frames(j, theta0, muB, tol):
+        return spin_frame(j, theta0, muB, tol)
+
     points = [dict(zip(names, combo)) for combo in itertools.product(*(v for _, v in grids))]
     header = names + [f"max_{c}" for c in _CATEGORIES] + ["min_control", "all_pass", "error"]
     lines = [",".join(header)]
     ok = True
     for pt in points:
-        summary, err = _sweep_point(base, pt, default_tol)
-        row = [format_float(float(pt[name])) for name in names]
-        if err:
-            ok = False
-            row += ["NaN"] * (len(_CATEGORIES) + 1) + ["false", err]
-        else:
-            row += [format_float(summary[f"max_{c}"]) for c in _CATEGORIES]
-            row.append(format_float(summary["min_control"]))
-            row.append("true" if summary["all_pass"] else "false")
-            row.append("")
-            ok = ok and summary["all_pass"]
-        lines.append(",".join(row))
+        passed, cells = _sweep_point(base, pt, default_tol, frames)
+        ok = ok and passed
+        lines.append(",".join([format_float(float(pt[name])) for name in names] + cells))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if ok else 1
 

@@ -200,6 +200,94 @@ def trajectory(
     return Trajectory(tuple(times), tuple(zip(elements, samples.T)), o.label)
 
 
+@dataclass(frozen=True, eq=False)
+class PhaseMotion:
+    """A phase unitary's equation of motion dU/dt = (1/i)[U, H] = -i*rate*(U - corner):
+    the part of the phase derivation that no ladder enters.
+
+    ``du`` is (1/i)[U, H] and ``du_dag`` is (1/i)[U^dag, H] (None unless the
+    conjugate equation was asked for); ``checks`` holds, by name, the phase
+    equation with the corner, its conjugate and the negative control.  ``t``
+    and ``details`` are what the ladder's checks are reported with.
+    """
+
+    u: Operator
+    corner: Operator | None
+    h: Hamiltonian
+    rate: float
+    t: float
+    details: dict[str, str]
+    du: Operator
+    du_dag: Operator | None
+    checks: CheckReport
+
+
+def phase_motion(
+    u: Operator,
+    corner: Operator | None,
+    h: Hamiltonian,
+    rate: float,
+    t: float,
+    details: dict[str, str],
+    conjugate: bool = False,
+) -> PhaseMotion:
+    """U's equation of motion under H and its ladder-free checks (see
+    phase_derivation_checks); ``conjugate`` adds U^dag's equation, which
+    needs the corner."""
+    checks = CheckReport()
+
+    def add(name: str, res: float) -> None:
+        checks.add(name, res, t, detail=details[name], category="derivation")
+
+    du = heisenberg_derivative(u, h)
+    if corner is not None:
+        add("phase_equation_with_boundary", residual(du, (-1j * rate) * (u - corner)))
+    du_dag = None
+    if conjugate:
+        udag = u.adjoint()
+        du_dag = heisenberg_derivative(udag, h)
+        analytic_m = (1j * rate) * (udag - corner.adjoint())
+        add("conjugate_phase_equation_with_boundary", residual(du_dag, analytic_m))
+    checks.add(
+        "phase_equation_without_boundary",
+        residual(du, (-1j * rate) * u),
+        NEGATIVE_CONTROL_FLOOR * max(abs(rate), 1e-300),
+        detail=details["phase_equation_without_boundary"],
+        category="control",
+        mode="ge",
+    )
+    return PhaseMotion(u, corner, h, rate, t, details, du, du_dag, checks)
+
+
+def ladder_from_phase(
+    motion: PhaseMotion,
+    moduli: tuple[Operator | None, Operator],
+    ladder: Operator,
+    lowering: tuple[Operator, Operator] | None = None,
+) -> CheckReport:
+    """The checks of phase_derivation_checks, in its order, taking U's own
+    from ``motion`` and computing only those the ladder enters."""
+    left, right = moduli
+    rate = motion.rate
+    report = CheckReport()
+
+    def add(name: str, res: float) -> None:
+        report.add(name, res, motion.t, detail=motion.details[name], category="derivation")
+
+    if motion.corner is not None:
+        report.extend(motion.checks.named("phase_equation_with_boundary"))
+        add("boundary_term_annihilated", (motion.corner @ right).norm())
+    moved = motion.du @ right if left is None else left @ motion.du @ right
+    name = "ladder_dynamics_from_phase" if lowering is None else "raising_dynamics_from_phase"
+    add(name, residual(moved, (-1j * rate) * ladder))
+    if lowering is not None:
+        k, jm = lowering
+        report.extend(motion.checks.named("conjugate_phase_equation_with_boundary"))
+        add("lowering_dynamics_from_phase", residual(k @ motion.du_dag, (1j * rate) * jm))
+    report.extend(motion.checks.named("phase_equation_without_boundary"))
+    return report
+
+
 def phase_derivation_checks(
     u: Operator,
     moduli: tuple[Operator | None, Operator],
@@ -224,37 +312,11 @@ def phase_derivation_checks(
     The floor keeps the control able to fail: at rate 0 nothing is missed,
     and the control fails instead of passing with residual 0 >= tol 0.
     ``details`` maps each check's name to its report text; all but the
-    control are held to t.
+    control are held to t.  The checks U's equation alone decides come from
+    phase_motion, the rest from ladder_from_phase.
     """
-    left, right = moduli
-    report = CheckReport()
-
-    def add(name: str, res: float) -> None:
-        report.add(name, res, t, detail=details[name], category="derivation")
-
-    numeric = heisenberg_derivative(u, h)
-    if corner is not None:
-        add("phase_equation_with_boundary", residual(numeric, (-1j * rate) * (u - corner)))
-        add("boundary_term_annihilated", (corner @ right).norm())
-    moved = numeric @ right if left is None else left @ numeric @ right
-    name = "ladder_dynamics_from_phase" if lowering is None else "raising_dynamics_from_phase"
-    add(name, residual(moved, (-1j * rate) * ladder))
-    if lowering is not None:
-        k, jm = lowering
-        udag = u.adjoint()
-        numeric_m = heisenberg_derivative(udag, h)
-        analytic_m = (1j * rate) * (udag - corner.adjoint())
-        add("conjugate_phase_equation_with_boundary", residual(numeric_m, analytic_m))
-        add("lowering_dynamics_from_phase", residual(k @ numeric_m, (1j * rate) * jm))
-    report.add(
-        "phase_equation_without_boundary",
-        residual(numeric, (-1j * rate) * u),
-        NEGATIVE_CONTROL_FLOOR * max(abs(rate), 1e-300),
-        detail=details["phase_equation_without_boundary"],
-        category="control",
-        mode="ge",
-    )
-    return report
+    motion = phase_motion(u, corner, h, rate, t, details, conjugate=lowering is not None)
+    return ladder_from_phase(motion, moduli, ladder, lowering)
 
 
 _SPIN_DETAILS = {
@@ -271,6 +333,33 @@ _SPIN_DETAILS = {
         "reconstruct the phase dynamics"
     ),
 }
+
+
+def spin_phase_motion(phase: PhaseOperator, h: Hamiltonian, t: float) -> PhaseMotion:
+    """The spin phase unitary's equation of motion under the dipole H, with
+    the corner (2j+1) e^{i(2j+1)theta0} |-j><j| and U^dag's equation."""
+    dim = phase.dim
+    corner = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase)
+    muB = float(h.params["muB"])
+    return phase_motion(phase.U, corner, h, muB, t, _SPIN_DETAILS, conjugate=True)
+
+
+def spin_ladder_from_phase(motion: PhaseMotion, jp: Operator, jm: Operator) -> CheckReport:
+    """The checks of derive_ladder_dynamics_from_phase for the ladder (jp,
+    jm), taking the ladder-free ones from the spin ``motion``."""
+    u, h = motion.u, motion.h.op
+    g = u.adjoint() @ jp
+    k = jm @ u
+    report = CheckReport()
+    report.add(
+        "weight_commutes_with_h",
+        max(residual(g @ h, h @ g), residual(k @ h, h @ k)),
+        motion.t,
+        detail="diagonal weights G = U^dag J+~ and K = J-~ U commute with H",
+        category="derivation",
+    )
+    report.extend(ladder_from_phase(motion, (None, g), jp, lowering=(k, jm)))
+    return report
 
 
 def derive_ladder_dynamics_from_phase(
@@ -295,34 +384,15 @@ def derive_ladder_dynamics_from_phase(
     equation itself fails by a residual of muB*(2j+1), so the phase dynamics
     is *not* recoverable from the eigen-operator relation alone.  (ii), (iii)
     and the control are phase_derivation_checks with the corner
-    (2j+1) e^{i(2j+1)theta0} |-j><j|.
+    (2j+1) e^{i(2j+1)theta0} |-j><j|.  Only G and K depend on the ladder:
+    U's part (spin_phase_motion) is the same for every deformation.
     """
     if "muB" not in h.params:
         raise ParameterError("phase derivation needs a dipole hamiltonian (muB)")
-    muB = float(h.params["muB"])
     dim = rep.dim
     if h.dim != dim:
         raise ShapeError(f"shape mismatch: {h.dim} vs {dim}")
     jp_t, jm_t = (rep.Jp, rep.Jm) if triple is None else (triple.Jp, triple.Jm)
     if jp_t.dim != dim or phase.dim != dim:
         raise ShapeError("triple or phase dimension does not match the representation")
-    t = tol.for_dim(dim)
-
-    u = phase.U
-    g = phase.adjoint() @ jp_t
-    k = jm_t @ u
-    report = CheckReport()
-    report.add(
-        "weight_commutes_with_h",
-        max(residual(g @ h.op, h.op @ g), residual(k @ h.op, h.op @ k)),
-        t,
-        detail="diagonal weights G = U^dag J+~ and K = J-~ U commute with H",
-        category="derivation",
-    )
-    corner = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase)
-    report.extend(
-        phase_derivation_checks(
-            u, (None, g), corner, h, muB, jp_t, t, _SPIN_DETAILS, lowering=(k, jm_t)
-        )
-    )
-    return report
+    return spin_ladder_from_phase(spin_phase_motion(phase, h, tol.for_dim(dim)), jp_t, jm_t)

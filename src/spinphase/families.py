@@ -4,14 +4,24 @@
 (in report order), its build function and its check function; a spin
 family's check runs shared suites in a fixed order.  A relation the builder
 already verified is reported from the builder's checks, not computed again.
-A spin scenario's representation, phase operator and [J+~, J-~] are built
-once (``SpinParts``, ``DeformedTriple.bracket``) and every suite reads them.
+
+Every deformed ladder factors as J+~ = U G with only the diagonal weight G
+depending on the deformation, so a spin scenario is built on a *phase
+frame* (``spin_frame``) that reads only (j, theta0, muB, tol): the SU(2)
+representation, the phase operator U, the dipole H, the phase suite's
+checks and U's equation of motion with its ladder-free residuals.  The
+suites add only the checks that G and K = J-~ U enter.  A build takes its
+frames from a source, ``spin_frame`` itself by default; a sweep passes a
+memo of it, so each distinct frame of a grid is built once.  [J+~, J-~] is
+built once per scenario (``DeformedTriple.bracket``).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
@@ -31,16 +41,19 @@ from .deform import (
 )
 from .dynamics import (
     Hamiltonian,
-    derive_ladder_dynamics_from_phase,
+    PhaseMotion,
     dipole_hamiltonian,
     eigenoperator_residual,
     number_hamiltonian,
     phase_derivation_checks,
+    spin_ladder_from_phase,
+    spin_phase_motion,
     two_mode_hamiltonian,
 )
 from .operators import (
     Operator,
     SplitError,
+    Tolerance,
     commutator,
     from_diagonal,
     identity,
@@ -50,15 +63,27 @@ from .operators import (
     _kron,
 )
 from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
-from .phase import build_phase_operator, phase_number_commutator_residual, polar_decompose
+from .phase import (
+    PhaseOperator,
+    build_phase_operator,
+    phase_number_commutator_residual,
+    polar_decompose,
+)
 from .report import CheckReport
 from .su2 import Su2Rep, _place_ladders, build_su2, casimir
 
 if TYPE_CHECKING:
-    from .phase import PhaseOperator
     from .scenarios import Scenario
 
-__all__ = ["FAMILY_TABLE", "Family", "FamilyBundle", "SpinParts", "structure_function_for"]
+__all__ = [
+    "FAMILY_TABLE",
+    "Family",
+    "FamilyBundle",
+    "SpinFrame",
+    "SpinParts",
+    "spin_frame",
+    "structure_function_for",
+]
 
 
 @dataclass(frozen=True)
@@ -80,13 +105,57 @@ class FamilyBundle:
     parts: Any
 
 
-class SpinParts(NamedTuple):
-    """A spin family's representation, the scenario's phase operator, its
-    generators as a triple (su2's own, Witten's W+, W-, W0) and, for ab_map,
-    the solved g; each is built once per scenario."""
+@dataclass(frozen=True, eq=False)
+class SpinFrame:
+    """What a spin scenario's checks share with every deformation at the
+    same (j, theta0, muB, tol): the representation, the phase operator, the
+    dipole Hamiltonian and, computed on first use, the phase suite's checks
+    and U's equation of motion.  Its operators are immutable, so one frame
+    serves any number of scenarios."""
 
     rep: Su2Rep
     phase: PhaseOperator
+    hamiltonian: Hamiltonian
+    tol: Tolerance
+
+    @cached_property
+    def phase_checks(self) -> CheckReport:
+        """Unitarity, the four polar reconstructions, and the phase commutator."""
+        rep, phase, t = self.rep, self.phase, self.tol.for_dim(self.rep.dim)
+        report = CheckReport()
+        _unitarity(report, phase.U, t)
+        polar_decompose(rep, phase, self.tol, report)
+        report.add(
+            "phase_number_commutator",
+            phase_number_commutator_residual(rep, phase),
+            t,
+            detail="[exp(+-i*phi), J0] matches its closed form incl. the corner term",
+            category="phase",
+        )
+        return report
+
+    @cached_property
+    def motion(self) -> PhaseMotion:
+        """dU/dt, dU^dag/dt, the corner and the residuals no ladder enters."""
+        return spin_phase_motion(self.phase, self.hamiltonian, self.tol.for_dim(self.rep.dim))
+
+
+FrameSource = Callable[[Fraction, float, float, Tolerance], SpinFrame]
+
+
+def spin_frame(j: Fraction, theta0: float, muB: float, tol: Tolerance) -> SpinFrame:
+    """The phase frame of every spin scenario at (j, theta0, muB, tol)."""
+    rep = build_su2(j)
+    return SpinFrame(
+        rep, build_phase_operator(rep.j, theta0), dipole_hamiltonian(rep.J0, muB), tol
+    )
+
+
+class SpinParts(NamedTuple):
+    """A spin family's phase frame, its generators as a triple (su2's own,
+    Witten's W+, W-, W0) and, for ab_map, the solved g."""
+
+    frame: SpinFrame
     triple: DeformedTriple
     g: GridFunction | None = None
 
@@ -96,10 +165,11 @@ Suite = Callable[[CheckReport, FamilyBundle], None]
 
 class Family(NamedTuple):
     """One operator family: the Scenario fields it reads (in report order),
-    its build function and its check function."""
+    its build function (given the scenario and the source of spin frames,
+    which the oscillator families do not read) and its check function."""
 
     params: tuple[str, ...]
-    build: Callable[[Scenario], FamilyBundle]
+    build: Callable[[Scenario, FrameSource], FamilyBundle]
     check: Suite
 
 
@@ -114,59 +184,66 @@ def structure_function_for(sc: Scenario):
 # --- builds ---------------------------------------------------------------
 
 
+def _frame(sc: Scenario, frames: FrameSource) -> SpinFrame:
+    return frames(sc.j, sc.theta0, sc.muB, sc.tol)
+
+
 def _spin_bundle(
-    sc: Scenario, rep: Su2Rep, triple: DeformedTriple, ops: dict, provenance: dict | None,
+    sc: Scenario, frame: SpinFrame, triple: DeformedTriple, ops: dict, provenance: dict | None,
     g: GridFunction | None = None,
 ) -> FamilyBundle:
     meta = {"basis": "ascending_m", "j": str(sc.j), "theta0": sc.theta0}
-    ham = dipole_hamiltonian(rep.J0, sc.muB)
-    parts = SpinParts(rep, build_phase_operator(rep.j, sc.theta0), triple, g)
-    return FamilyBundle(sc, ops, provenance, meta, ham, triple.Jp, -1j * sc.muB, parts)
+    parts = SpinParts(frame, triple, g)
+    return FamilyBundle(
+        sc, ops, provenance, meta, frame.hamiltonian, triple.Jp, -1j * sc.muB, parts
+    )
 
 
 def _deformed_bundle(
-    sc: Scenario, rep: Su2Rep, triple: DeformedTriple, g: GridFunction | None = None
+    sc: Scenario, frame: SpinFrame, triple: DeformedTriple, g: GridFunction | None = None
 ) -> FamilyBundle:
     ops = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}
     prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
-    return _spin_bundle(sc, rep, triple, ops, prov, g)
+    return _spin_bundle(sc, frame, triple, ops, prov, g)
 
 
-def _build_su2(sc: Scenario) -> FamilyBundle:
-    rep = build_su2(sc.j)
+def _build_su2(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+    frame = _frame(sc, frames)
+    rep = frame.rep
     undeformed = DeformedTriple(rep.Jp, rep.Jm, rep.J0, {"map": "su2", "params": {}}, True)
-    return _spin_bundle(sc, rep, undeformed, {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0}, None)
+    return _spin_bundle(sc, frame, undeformed, {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0}, None)
 
 
-def _build_suq2(sc: Scenario) -> FamilyBundle:
-    rep = build_su2(sc.j)
-    return _deformed_bundle(sc, rep, build_suq2(rep, sc.q, sc.tol))
+def _build_suq2(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+    frame = _frame(sc, frames)
+    return _deformed_bundle(sc, frame, build_suq2(frame.rep, sc.q, sc.tol))
 
 
-def _build_witten(sc: Scenario) -> FamilyBundle:
-    rep = build_su2(sc.j)
-    triple = build_witten(rep, sc.r, sc.tol)
+def _build_witten(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+    frame = _frame(sc, frames)
+    triple = build_witten(frame.rep, sc.r, sc.tol)
     ops = {"W0": triple.J0, "Wp": triple.Jp, "Wm": triple.Jm}
-    return _spin_bundle(sc, rep, triple, ops, triple.provenance | {"hermitian_pair": True})
+    return _spin_bundle(sc, frame, triple, ops, triple.provenance | {"hermitian_pair": True})
 
 
-def _build_ab_map(sc: Scenario) -> FamilyBundle:
-    rep = build_su2(sc.j)
+def _build_ab_map(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+    frame = _frame(sc, frames)
     g = discrete_antiderivative(structure_function_for(sc), sc.j)
-    return _deformed_bundle(sc, rep, build_split_deformation(rep, g, sc.split, tol=sc.tol), g)
+    triple = build_split_deformation(frame.rep, g, sc.split, tol=sc.tol)
+    return _deformed_bundle(sc, frame, triple, g)
 
 
-def _build_f_deform(sc: Scenario) -> FamilyBundle:
-    rep = build_su2(sc.j)
+def _build_f_deform(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+    frame = _frame(sc, frames)
     coeff = sc.f_coeff
-    triple = build_scaled_deformation(rep, lambda c, m: 1.0 + coeff * m, sc.tol)
-    return _deformed_bundle(sc, rep, triple)
+    triple = build_scaled_deformation(frame.rep, lambda c, m: 1.0 + coeff * m, sc.tol)
+    return _deformed_bundle(sc, frame, triple)
 
 
-def _build_hermitian_f(sc: Scenario) -> FamilyBundle:
-    rep = build_su2(sc.j)
-    triple = build_hermitian_deformation(rep, structure_function_for(sc), sc.tol)
-    return _deformed_bundle(sc, rep, triple)
+def _build_hermitian_f(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+    frame = _frame(sc, frames)
+    triple = build_hermitian_deformation(frame.rep, structure_function_for(sc), sc.tol)
+    return _deformed_bundle(sc, frame, triple)
 
 
 def _oscillator_bundle(
@@ -177,13 +254,13 @@ def _oscillator_bundle(
     return FamilyBundle(sc, ops, None, meta, ham, a, -1j * sc.omega, (osc, a, adag))
 
 
-def _build_oscillator(sc: Scenario) -> FamilyBundle:
+def _build_oscillator(sc: Scenario, frames: FrameSource) -> FamilyBundle:
     osc = build_finite_oscillator(sc.s, sc.phi0, sc.tol)
     ops = {"N": osc.N, "a": osc.a, "adag": osc.adag, "U": osc.U.U}
     return _oscillator_bundle(sc, osc, osc.a, osc.adag, ops)
 
 
-def _build_q_oscillator(sc: Scenario) -> FamilyBundle:
+def _build_q_oscillator(sc: Scenario, frames: FrameSource) -> FamilyBundle:
     qosc = build_q_oscillator(sc.s, sc.phi0, sc.tol)
     ops = {"a_q": qosc.a_q, "a_qdag": qosc.a_qdag, "Nprime": qosc.Nprime, "U": qosc.U.U}
     return _oscillator_bundle(
@@ -192,7 +269,7 @@ def _build_q_oscillator(sc: Scenario) -> FamilyBundle:
     )
 
 
-def _build_jordan_schwinger(sc: Scenario) -> FamilyBundle:
+def _build_jordan_schwinger(sc: Scenario, frames: FrameSource) -> FamilyBundle:
     mode = build_q_oscillator(sc.s, sc.phi0, sc.tol)  # modes A and B are alike
     triple = jordan_schwinger(mode, mode, sc.tol)
     ham = two_mode_hamiltonian(sc.s, sc.omega1, sc.omega2)
@@ -228,7 +305,7 @@ def _from_builder(*names: str) -> Suite:
 
 def _spin(bundle: FamilyBundle) -> tuple[Scenario, Su2Rep, DeformedTriple, float]:
     """A spin bundle's scenario, representation, triple and tolerance."""
-    rep = bundle.parts.rep
+    rep = bundle.parts.frame.rep
     return bundle.scenario, rep, bundle.parts.triple, bundle.scenario.tol.for_dim(rep.dim)
 
 
@@ -242,18 +319,7 @@ def _unitarity(report: CheckReport, u: Operator, t: float) -> None:
 
 
 def _phase_suite(report: CheckReport, bundle: FamilyBundle) -> None:
-    """Unitarity, the four polar reconstructions, and the phase commutator."""
-    sc, rep, _, t = _spin(bundle)
-    phase = bundle.parts.phase
-    _unitarity(report, phase.U, t)
-    polar_decompose(rep, phase, sc.tol, report)
-    report.add(
-        "phase_number_commutator",
-        phase_number_commutator_residual(rep, phase),
-        t,
-        detail="[exp(+-i*phi), J0] matches its closed form incl. the corner term",
-        category="phase",
-    )
+    report.extend(bundle.parts.frame.phase_checks)
 
 
 def _image_norm(op: Operator, index: int) -> float:
@@ -366,9 +432,8 @@ def _dynamics_suite(
 
 def _spin_dynamics(report: CheckReport, bundle: FamilyBundle) -> None:
     """The phase derivation of the ladder dynamics, then the dynamics itself."""
-    sc, rep, triple, _ = _spin(bundle)
-    h = bundle.hamiltonian
-    report.extend(derive_ladder_dynamics_from_phase(rep, bundle.parts.phase, triple, h, sc.tol))
+    triple = bundle.parts.triple
+    report.extend(spin_ladder_from_phase(bundle.parts.frame.motion, triple.Jp, triple.Jm))
     _dynamics_suite(report, bundle, triple.Jp, triple.Jm, triple.J0)
 
 

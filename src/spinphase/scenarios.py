@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Any
 
-from .families import FAMILY_TABLE, FamilyBundle
+from .families import FAMILY_TABLE, FamilyBundle, FrameSource, spin_frame
 from .operators import ParameterError, Tolerance
 from .su2 import parse_spin
 
@@ -153,6 +153,9 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
     )
 
 
-def build_bundle(sc: Scenario) -> FamilyBundle:
-    """Construct the family's operators; algebraic failures propagate."""
-    return FAMILY_TABLE[sc.family].build(sc)
+def build_bundle(sc: Scenario, frames: FrameSource | None = None) -> FamilyBundle:
+    """Construct the family's operators; algebraic failures propagate.
+
+    A spin family takes its phase frame from ``frames`` (default
+    ``families.spin_frame``, a new frame per call)."""
+    return FAMILY_TABLE[sc.family].build(sc, frames or spin_frame)

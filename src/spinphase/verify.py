@@ -5,11 +5,18 @@ builder already verified is reported from its residual, not recomputed, and
 no suite raises.  A violated relation in the scenario's own builder still
 raises ``ArithmeticError``, not a typed error, so such a scenario ends in a
 traceback instead of a failed check.
+
+A spin scenario's phase checks and U's equation of motion come from its
+phase frame (``families.spin_frame``), which reads only j, theta0, muB and
+tol: J+~ = U G, and only the diagonal weight G reads the deformation.
+``verify`` builds one frame; ``sweep`` passes ``run_verify`` a memo, so
+the points of a grid that share those four values share one frame and its
+checks are reported, not recomputed, at every such point.
 """
 
 from __future__ import annotations
 
-from .families import FAMILY_TABLE
+from .families import FAMILY_TABLE, FrameSource
 from .operators import NegativeNormError, SplitError
 from .report import CheckReport
 from .scenarios import FamilyBundle, Scenario, build_bundle
@@ -24,8 +31,11 @@ def collect_checks(bundle: FamilyBundle) -> CheckReport:
     return report
 
 
-def run_verify(sc: Scenario) -> tuple[CheckReport, FamilyBundle | None]:
-    """Build the scenario and run its checks.
+def run_verify(
+    sc: Scenario, frames: FrameSource | None = None
+) -> tuple[CheckReport, FamilyBundle | None]:
+    """Build the scenario (its spin frame from ``frames``; see build_bundle)
+    and run its checks.
 
     Mathematical impossibilities during construction (negative norm, an
     impossible split) come back as a failed check instead of an exception,
@@ -34,7 +44,7 @@ def run_verify(sc: Scenario) -> tuple[CheckReport, FamilyBundle | None]:
     propagates, as the builder's ``ArithmeticError``.
     """
     try:
-        bundle = build_bundle(sc)
+        bundle = build_bundle(sc, frames)
     except (NegativeNormError, SplitError) as exc:
         report = CheckReport()
         report.add(

@@ -12,7 +12,8 @@ diffing two runs::
 
 The argv cover ``build``, ``verify --report`` and ``evolve`` of every family
 on a size ladder, ``verify`` and ``evolve`` of jordan_schwinger at s = 30,
-the benchmark's sweeps, zero-rate controls, the inputs on which a builder
+the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
+on deformed families, zero-rate controls, the inputs on which a builder
 raises, and usage errors.
 """
 
@@ -107,6 +108,12 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--family", "su2", "--j", "1", "--param", "muB:-1:1:3"],
         ["sweep", "--family", "ab_map", "--j", "2", "--param", "q:0.5:2.5:5"],
         ["sweep", "--family", "oscillator", "--param", "s:1:9:5"],
+        # frame fields (j, theta0, muB) swept on deformed families, inner and outer
+        ["sweep", "--family", "hermitian_f", "--j", "5/2", "--q", "1.3", "--param", "theta0:0:6:7"],
+        ["sweep", "--family", "ab_map", "--j", "5/2", "--q", "1.3", "--param", "muB:-2:2:5"],
+        ["sweep", "--family", "witten", "--param", "r:1.1:2.0:6", "--param", "j:0.5:4.5:9"],
+        ["sweep", "--family", "f_deform", "--j", "5/2", "--param", "f_coeff:-0.1:0.3:5",
+         "--param", "theta0:0:1.4:3"],
     ]
 
     argvs += [
@@ -118,6 +125,8 @@ def corpus(tmp: str) -> list[list[str]]:
         ["build", "--family", "witten", "--j", "1", "--r", "1"],
         ["evolve", "--family", "su2", "--j", "1", "--t-max", "0", "--steps", "5"],
         ["sweep", "--family", "su2", "--j", "1", "--param", "q:1:2:3"],
+        ["sweep", "--family", "suq2", "--j", "1", "--param", "q:1.1:2:2", "--param", "q:2:3:2"],
+        ["sweep", "--family", "hermitian_f", "--j", "1", "--q-phase", "3", "--param", "q:1.1:2:3"],
     ]
     return argvs
 

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, file outputs, and byte-identical reruns."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -12,8 +13,12 @@ import pytest
 
 import spinphase
 from spinphase import operators
-from spinphase.cli import main
-from spinphase.serialize import operator_from_jsonable
+from spinphase import cli
+from spinphase.cli import _summary_cells, main
+from spinphase.families import spin_frame
+from spinphase.scenarios import resolve_scenario
+from spinphase.serialize import format_float, operator_from_jsonable
+from spinphase.verify import run_verify
 
 
 def read_json(path):
@@ -344,6 +349,110 @@ class TestSweep:
         # r is a Witten parameter; suq2 does not consume it
         assert main(["sweep", "--family", "suq2", "--j", "1", "--param", "r:0.5:2:3"]) == 2
         capsys.readouterr()
+
+    def test_repeated_parameter_rejected(self, capsys):
+        rc = main(["sweep", "--family", "suq2", "--j", "1",
+                   "--param", "q:1.1:2:2", "--param", "q:2:3:2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "spinphase sweep: --param q is given twice; sweep each parameter once\n"
+        )
+
+    @pytest.mark.parametrize("grids", [["q:1.1:2:3"], ["q:1.1:2:2", "q_phase:3:5:2"]])
+    def test_q_under_q_phase_rejected(self, capsys, grids):
+        # hermitian_f reads the phase-valued q instead, so every row would run at it
+        flags = ["--q-phase", "3"] if len(grids) == 1 else []
+        argv = ["sweep", "--family", "hermitian_f", "--j", "1", *flags]
+        for grid in grids:
+            argv += ["--param", grid]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "spinphase sweep: cannot sweep q with --q-phase set: "
+            "the phase-valued q replaces it\n"
+        )
+
+
+def _flags(base: dict) -> list[str]:
+    argv = []
+    for key, value in base.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+def _sweep_rows(base: dict, grids: list[str], capsys) -> list[str]:
+    argv = ["sweep", *_flags(base)]
+    for grid in grids:
+        argv += ["--param", grid]
+    main(argv)
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def _verify_rows(base: dict, grids: list[str]) -> list[str]:
+    """The sweep rows built from a fresh run_verify of each resolved point."""
+    axes = []
+    for grid in grids:
+        name, start, stop, count = grid.split(":")
+        axes.append([(name, v) for v in np.linspace(float(start), float(stop), int(count))])
+    rows = []
+    for point in itertools.product(*axes):
+        report, _ = run_verify(resolve_scenario({**base, **dict(point)}))
+        rows.append(",".join([format_float(float(v)) for _, v in point] + _summary_cells(report)))
+    return rows
+
+
+# per spin family: a 2-D grid with a frame field (j, theta0 or muB) inner,
+# then one with it outer; hermitian_f also at a phase-valued q, whose p = 3
+# point fails its construction
+_FRAME_GRIDS = [
+    ({"family": "su2", "j": "1"}, ["muB:-1:1:3", "theta0:0.3:1.3:2"]),
+    ({"family": "su2", "muB": 0.5}, ["theta0:0.3:1.3:2", "j:0.5:1.5:3"]),
+    ({"family": "suq2", "j": "3/2"}, ["q:1.1:2:3", "theta0:0.3:1.3:2"]),
+    ({"family": "suq2", "theta0": 1.3}, ["j:0.5:1.5:3", "q:0.5:2:2"]),
+    ({"family": "witten", "theta0": 1.3}, ["r:1.1:2:2", "j:0.5:1.5:3"]),
+    ({"family": "witten", "j": "3/2"}, ["muB:-1:1:3", "r:0.5:0.8:2"]),
+    ({"family": "ab_map", "j": "3/2"}, ["q:1.1:1.5:2", "muB:0.5:1:2"]),
+    ({"family": "ab_map", "j": "3/2"}, ["theta0:0.3:1.3:2", "q:0.8:1.3:2"]),
+    ({"family": "f_deform", "j": "1"}, ["f_coeff:0:0.2:3", "theta0:0.3:1.3:2"]),
+    ({"family": "f_deform", "theta0": 1.3}, ["j:0.5:2:4", "f_coeff:0.01:0.1:2"]),
+    ({"family": "hermitian_f", "theta0": 1.3}, ["q:1.1:1.5:2", "j:0.5:1:2"]),
+    ({"family": "hermitian_f", "j": "3/2"}, ["muB:0.5:1.5:3", "q:1.2:1.4:2"]),
+    ({"family": "hermitian_f", "j": "1"}, ["q_phase:3:7:3", "theta0:0.3:1.3:2"]),
+]
+
+
+class TestSweepRowsAreVerifies:
+    """A sweep shares one phase frame among the points with the same (j,
+    theta0, muB, tol); every row still equals the verify of its own point."""
+
+    @pytest.mark.parametrize(
+        "base, grids", _FRAME_GRIDS, ids=lambda v: "-".join(v) if isinstance(v, list) else None
+    )
+    def test_row_is_the_verify_of_its_point(self, capsys, base, grids):
+        assert _sweep_rows(base, grids, capsys) == _verify_rows(base, grids)
+
+    def test_no_frame_outlives_its_request(self, capsys, monkeypatch):
+        built = []
+
+        def spy(*key):
+            built.append(key)
+            return spin_frame(*key)
+
+        monkeypatch.setattr(cli, "spin_frame", spy)
+        grids = ["q:1.1:2:3", "muB:0.5:1:2"]
+        rows = {}
+        for theta0 in (0.3, 1.3):
+            base = {"family": "suq2", "j": "3/2", "theta0": theta0}
+            rows[theta0] = _sweep_rows(base, grids, capsys)
+            assert rows[theta0] == _verify_rows(base, grids)
+        assert rows[0.3] != rows[1.3]  # theta0 reaches the residuals
+        assert len(built) == 4  # two muB values per sweep, one frame each
+        _sweep_rows({"family": "suq2", "j": "3/2", "theta0": 1.3}, grids, capsys)
+        assert built[4:] == built[2:4]  # the identical sweep builds its frames again
 
 
 class TestScenarioFile:

@@ -2,6 +2,7 @@
 computed, builders still raise on a violation, and the shared phase
 derivation keeps each family's negative-control floor."""
 
+import functools
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from spinphase import (
     qbracket_structure,
 )
 from spinphase import deform
-from spinphase.families import SpinParts
+from spinphase.families import SpinParts, spin_frame
 from spinphase.operators import Tolerance
 from spinphase.scenarios import build_bundle, resolve_scenario
 from spinphase.verify import collect_checks, run_verify
@@ -191,3 +192,35 @@ def test_oscillators_share_one_check_body():
         "ladder_dynamics_from_phase",
         "phase_equation_without_boundary",
     ]
+
+
+_FRAME_CHECKS = [
+    "phase_unitarity",
+    "polar_raising_left",
+    "polar_raising_right",
+    "polar_lowering_left",
+    "polar_lowering_right",
+    "phase_number_commutator",
+    "phase_equation_with_boundary",
+    "conjugate_phase_equation_with_boundary",
+    "phase_equation_without_boundary",
+]
+
+
+@pytest.mark.parametrize("family, field", [("suq2", "q"), ("witten", "r"), ("f_deform", "f_coeff")])
+def test_deformations_on_one_frame_share_its_checks(family, field):
+    # J+~ = U G: U's checks are the frame's, only the G- and K-checks differ
+    frames = functools.cache(spin_frame)
+    reports = [
+        run_verify(resolve_scenario({"family": family, "j": "3/2", field: value}), frames)[0]
+        for value in (0.3, 1.3)
+    ]
+    assert frames.cache_info().currsize == 1
+    for name in _FRAME_CHECKS:
+        assert reports[0].named(name)[0] is reports[1].named(name)[0]
+    for name in ("raising_dynamics_from_phase", "lowering_dynamics_from_phase"):
+        assert reports[0].named(name)[0] is not reports[1].named(name)[0]
+    # the frame's checks keep their places in the report
+    alone = run_verify(resolve_scenario({"family": family, "j": "3/2", field: 1.3}))[0]
+    assert [c.name for c in alone] == [c.name for c in reports[1]]
+    assert alone.to_jsonable() == reports[1].to_jsonable()
