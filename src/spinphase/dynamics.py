@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ from .operators import (
 )
 from .deform import DeformedTriple
 from .phase import PhaseOperator
-from .report import CheckReport
+from .report import CheckReport, CheckResult
 from .su2 import Su2Rep
 
 __all__ = [
@@ -205,10 +206,15 @@ class PhaseMotion:
     """A phase unitary's equation of motion dU/dt = (1/i)[U, H] = -i*rate*(U - corner):
     the part of the phase derivation that no ladder enters.
 
-    ``du`` is (1/i)[U, H] and ``du_dag`` is (1/i)[U^dag, H] (None unless the
-    conjugate equation was asked for); ``checks`` holds, by name, the phase
-    equation with the corner, its conjugate and the negative control.  ``t``
-    and ``details`` are what the ladder's checks are reported with.
+    Each part is computed on first use and then kept: ``du`` is (1/i)[U, H],
+    ``du_dag`` is (1/i)[U^dag, H], and ``with_boundary``,
+    ``conjugate_with_boundary`` (both need the corner) and
+    ``without_boundary`` are the checks of the phase equation with the
+    corner, its conjugate and the negative control.  So the first
+    derivation from a motion computes each part just before it reports it,
+    and the large temporaries of its dense residuals are freed and allocated
+    in one fixed order.  ``t`` and ``details`` are what the ladder's checks
+    are reported with.
     """
 
     u: Operator
@@ -217,46 +223,40 @@ class PhaseMotion:
     rate: float
     t: float
     details: dict[str, str]
-    du: Operator
-    du_dag: Operator | None
-    checks: CheckReport
 
+    @cached_property
+    def du(self) -> Operator:
+        return heisenberg_derivative(self.u, self.h)
 
-def phase_motion(
-    u: Operator,
-    corner: Operator | None,
-    h: Hamiltonian,
-    rate: float,
-    t: float,
-    details: dict[str, str],
-    conjugate: bool = False,
-) -> PhaseMotion:
-    """U's equation of motion under H and its ladder-free checks (see
-    phase_derivation_checks); ``conjugate`` adds U^dag's equation, which
-    needs the corner."""
-    checks = CheckReport()
+    @cached_property
+    def du_dag(self) -> Operator:
+        return heisenberg_derivative(self.u.adjoint(), self.h)
 
-    def add(name: str, res: float) -> None:
-        checks.add(name, res, t, detail=details[name], category="derivation")
+    def _check(self, name: str, res: float) -> CheckResult:
+        detail = self.details[name]
+        return CheckReport().add(name, res, self.t, detail=detail, category="derivation")
 
-    du = heisenberg_derivative(u, h)
-    if corner is not None:
-        add("phase_equation_with_boundary", residual(du, (-1j * rate) * (u - corner)))
-    du_dag = None
-    if conjugate:
-        udag = u.adjoint()
-        du_dag = heisenberg_derivative(udag, h)
-        analytic_m = (1j * rate) * (udag - corner.adjoint())
-        add("conjugate_phase_equation_with_boundary", residual(du_dag, analytic_m))
-    checks.add(
-        "phase_equation_without_boundary",
-        residual(du, (-1j * rate) * u),
-        NEGATIVE_CONTROL_FLOOR * max(abs(rate), 1e-300),
-        detail=details["phase_equation_without_boundary"],
-        category="control",
-        mode="ge",
-    )
-    return PhaseMotion(u, corner, h, rate, t, details, du, du_dag, checks)
+    @cached_property
+    def with_boundary(self) -> CheckResult:
+        analytic = (-1j * self.rate) * (self.u - self.corner)
+        return self._check("phase_equation_with_boundary", residual(self.du, analytic))
+
+    @cached_property
+    def conjugate_with_boundary(self) -> CheckResult:
+        analytic = (1j * self.rate) * (self.u.adjoint() - self.corner.adjoint())
+        res = residual(self.du_dag, analytic)
+        return self._check("conjugate_phase_equation_with_boundary", res)
+
+    @cached_property
+    def without_boundary(self) -> CheckResult:
+        return CheckReport().add(
+            "phase_equation_without_boundary",
+            residual(self.du, (-1j * self.rate) * self.u),
+            NEGATIVE_CONTROL_FLOOR * max(abs(self.rate), 1e-300),
+            detail=self.details["phase_equation_without_boundary"],
+            category="control",
+            mode="ge",
+        )
 
 
 def ladder_from_phase(
@@ -275,16 +275,16 @@ def ladder_from_phase(
         report.add(name, res, motion.t, detail=motion.details[name], category="derivation")
 
     if motion.corner is not None:
-        report.extend(motion.checks.named("phase_equation_with_boundary"))
+        report.checks.append(motion.with_boundary)
         add("boundary_term_annihilated", (motion.corner @ right).norm())
     moved = motion.du @ right if left is None else left @ motion.du @ right
     name = "ladder_dynamics_from_phase" if lowering is None else "raising_dynamics_from_phase"
     add(name, residual(moved, (-1j * rate) * ladder))
     if lowering is not None:
         k, jm = lowering
-        report.extend(motion.checks.named("conjugate_phase_equation_with_boundary"))
+        report.checks.append(motion.conjugate_with_boundary)
         add("lowering_dynamics_from_phase", residual(k @ motion.du_dag, (1j * rate) * jm))
-    report.extend(motion.checks.named("phase_equation_without_boundary"))
+    report.checks.append(motion.without_boundary)
     return report
 
 
@@ -313,10 +313,9 @@ def phase_derivation_checks(
     and the control fails instead of passing with residual 0 >= tol 0.
     ``details`` maps each check's name to its report text; all but the
     control are held to t.  The checks U's equation alone decides come from
-    phase_motion, the rest from ladder_from_phase.
+    a PhaseMotion, the rest from ladder_from_phase.
     """
-    motion = phase_motion(u, corner, h, rate, t, details, conjugate=lowering is not None)
-    return ladder_from_phase(motion, moduli, ladder, lowering)
+    return ladder_from_phase(PhaseMotion(u, corner, h, rate, t, details), moduli, ladder, lowering)
 
 
 _SPIN_DETAILS = {
@@ -337,11 +336,11 @@ _SPIN_DETAILS = {
 
 def spin_phase_motion(phase: PhaseOperator, h: Hamiltonian, t: float) -> PhaseMotion:
     """The spin phase unitary's equation of motion under the dipole H, with
-    the corner (2j+1) e^{i(2j+1)theta0} |-j><j| and U^dag's equation."""
+    the corner (2j+1) e^{i(2j+1)theta0} |-j><j|."""
     dim = phase.dim
     corner = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase)
     muB = float(h.params["muB"])
-    return phase_motion(phase.U, corner, h, muB, t, _SPIN_DETAILS, conjugate=True)
+    return PhaseMotion(phase.U, corner, h, muB, t, _SPIN_DETAILS)
 
 
 def spin_ladder_from_phase(motion: PhaseMotion, jp: Operator, jm: Operator) -> CheckReport:

@@ -35,6 +35,7 @@ from spinphase import (
     trajectory,
     two_mode_hamiltonian,
 )
+from spinphase import dynamics
 from spinphase.deform import DeformedTriple
 from spinphase.scenarios import build_bundle, resolve_scenario
 
@@ -315,6 +316,25 @@ class TestPhaseDerivation:
         assert control.residual == pytest.approx(2.0, abs=1e-12)
         assert control.residual >= 0.5
         assert control.passed  # "ge" mode: failing the identity is the point
+
+    def test_residuals_are_computed_in_report_order(self, monkeypatch):
+        # U's own residuals are computed where they are reported, between
+        # the ladder's, so the dense temporaries of the residuals are made
+        # and freed in one fixed order
+        computed = []
+
+        def spy(a, b):
+            computed.append(residual(a, b))
+            return computed[-1]
+
+        monkeypatch.setattr(dynamics, "residual", spy)
+        rep = build_su2("5/2")
+        h = dipole_hamiltonian(rep.J0, 1.0)
+        report = derive_ladder_dynamics_from_phase(rep, build_phase_operator(rep.j, 0.3), None, h)
+        skipped = ("weight_commutes_with_h", "boundary_term_annihilated")
+        assert report.checks[-1].residual > 0  # the control tells the orders apart
+        # weight_commutes_with_h reports the larger of the first two
+        assert computed[2:] == [c.residual for c in report if c.name not in skipped]
 
     def test_requires_dipole_hamiltonian(self):
         rep = build_su2(1)
