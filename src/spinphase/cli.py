@@ -149,9 +149,12 @@ def _scenario_values(args: argparse.Namespace) -> dict:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _report_payload(sc: Scenario, report: CheckReport) -> dict:

@@ -35,11 +35,9 @@ from .operators import (
     Tolerance,
     from_diagonal,
     identity,
-    matrix_unit,
     residual,
     _held,
     _kron,
-    _product,
 )
 from .deform import DeformedTriple
 from .phase import PhaseOperator
@@ -109,9 +107,7 @@ def heisenberg_derivative(o: Operator, h: Hamiltonian) -> Operator:
     :mod:`spinphase.operators`); an H with off-diagonal entries inside the
     tolerance, or a non-finite O, takes the dense products.
     """
-    if o.dim != h.dim:
-        raise ShapeError(f"shape mismatch: {o.dim} vs {h.dim}")
-    return (_product(o, h.op) - _product(h.op, o)) / 1j
+    return (o @ h.op - h.op @ o) / 1j
 
 
 def eigenoperator_residual(o: Operator, h: Hamiltonian, lam: complex) -> float:
@@ -265,8 +261,23 @@ def ladder_from_phase(
     ladder: Operator,
     lowering: tuple[Operator, Operator] | None = None,
 ) -> CheckReport:
-    """The checks of phase_derivation_checks, in its order, taking U's own
-    from ``motion`` and computing only those the ladder enters."""
+    """Recover a ladder operator's dynamics from its phase unitary's equation.
+
+    The ladder is L U R with diagonal moduli (L, R) = ``moduli`` (L None for
+    the identity), and U = ``motion.u`` obeys dU/dt = (1/i)[U, H] =
+    -i*rate*(U - corner), the corner being the boundary term closing U's
+    cyclic shift.  Checks, in order: the phase equation and corner R = 0
+    (with a corner only); L dU/dt R = -i*rate*ladder; with ``lowering`` =
+    (K, J-~), J-~ = K U^dag (needs the corner), the adjoint equation and
+    K dU^dag/dt = +i*rate*J-~; and the negative control, (1/i)[U, H] missing
+    -i*rate*U by at least NEGATIVE_CONTROL_FLOOR*max(|rate|, 1e-300), one
+    rule for every family.  The floor keeps the control able to fail: at
+    rate 0 nothing is missed, and the control fails instead of passing with
+    residual 0 >= tol 0.  The motion's ``details`` map each check's name to
+    its report text; all but the control are held to ``motion.t``.  The
+    checks U's equation alone decides are taken from ``motion``, computed
+    there once, and only those the ladder enters are computed here.
+    """
     left, right = moduli
     rate = motion.rate
     report = CheckReport()
@@ -288,36 +299,6 @@ def ladder_from_phase(
     return report
 
 
-def phase_derivation_checks(
-    u: Operator,
-    moduli: tuple[Operator | None, Operator],
-    corner: Operator | None,
-    h: Hamiltonian,
-    rate: float,
-    ladder: Operator,
-    t: float,
-    details: dict[str, str],
-    lowering: tuple[Operator, Operator] | None = None,
-) -> CheckReport:
-    """Recover a ladder operator's dynamics from its phase unitary's equation.
-
-    The ladder is L U R with diagonal moduli (L, R) = ``moduli`` (L None for
-    the identity), and U obeys dU/dt = (1/i)[U, H] = -i*rate*(U - corner),
-    the corner being the boundary term closing U's cyclic shift.  Checks, in
-    order: the phase equation and corner R = 0 (with a corner only);
-    L dU/dt R = -i*rate*ladder; with ``lowering`` = (K, J-~), J-~ = K U^dag
-    (needs the corner), the adjoint equation and K dU^dag/dt = +i*rate*J-~;
-    and the negative control, (1/i)[U, H] missing -i*rate*U by at least
-    NEGATIVE_CONTROL_FLOOR*max(|rate|, 1e-300), one rule for every family.
-    The floor keeps the control able to fail: at rate 0 nothing is missed,
-    and the control fails instead of passing with residual 0 >= tol 0.
-    ``details`` maps each check's name to its report text; all but the
-    control are held to t.  The checks U's equation alone decides come from
-    a PhaseMotion, the rest from ladder_from_phase.
-    """
-    return ladder_from_phase(PhaseMotion(u, corner, h, rate, t, details), moduli, ladder, lowering)
-
-
 _SPIN_DETAILS = {
     "phase_equation_with_boundary": "(1/i)[U,H] = -i*muB*(U - (2j+1)e^{i(2j+1)theta0}|-j><j|)",
     "boundary_term_annihilated": "the boundary projector times G vanishes (top state is killed)",
@@ -337,10 +318,7 @@ _SPIN_DETAILS = {
 def spin_phase_motion(phase: PhaseOperator, h: Hamiltonian, t: float) -> PhaseMotion:
     """The spin phase unitary's equation of motion under the dipole H, with
     the corner (2j+1) e^{i(2j+1)theta0} |-j><j|."""
-    dim = phase.dim
-    corner = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase)
-    muB = float(h.params["muB"])
-    return PhaseMotion(phase.U, corner, h, muB, t, _SPIN_DETAILS)
+    return PhaseMotion(phase.U, phase.boundary, h, float(h.params["muB"]), t, _SPIN_DETAILS)
 
 
 def spin_ladder_from_phase(motion: PhaseMotion, jp: Operator, jm: Operator) -> CheckReport:
@@ -382,7 +360,7 @@ def derive_ladder_dynamics_from_phase(
     plus the negative control: with the boundary projector removed the phase
     equation itself fails by a residual of muB*(2j+1), so the phase dynamics
     is *not* recoverable from the eigen-operator relation alone.  (ii), (iii)
-    and the control are phase_derivation_checks with the corner
+    and the control are ladder_from_phase with the corner
     (2j+1) e^{i(2j+1)theta0} |-j><j|.  Only G and K depend on the ladder:
     U's part (spin_phase_motion) is the same for every deformation.
     """

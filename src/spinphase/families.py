@@ -44,8 +44,8 @@ from .dynamics import (
     PhaseMotion,
     dipole_hamiltonian,
     eigenoperator_residual,
+    ladder_from_phase,
     number_hamiltonian,
-    phase_derivation_checks,
     spin_ladder_from_phase,
     spin_phase_motion,
     two_mode_hamiltonian,
@@ -57,7 +57,6 @@ from .operators import (
     commutator,
     from_diagonal,
     identity,
-    matrix_unit,
     psd_sqrt,
     residual,
     _kron,
@@ -458,18 +457,14 @@ def _oscillator_checks(algebra: Callable[[CheckReport, FamilyBundle, float], Ope
     def check(report: CheckReport, bundle: FamilyBundle) -> None:
         sc = bundle.scenario
         osc, a, adag = bundle.parts
-        dim = osc.s + 1
-        t = sc.tol.for_dim(dim)
-        u = osc.U.U
-        _unitarity(report, u, t)
+        t = sc.tol.for_dim(osc.s + 1)
+        phase = osc.U
+        _unitarity(report, phase.U, t)
         modulus = algebra(report, bundle, t)
-        corner = matrix_unit(dim, dim - 1, 0, dim * np.exp(1j * dim * osc.phi0))
-        report.extend(
-            phase_derivation_checks(
-                u, (None, modulus), corner, bundle.hamiltonian, sc.omega, a, t,
-                _OSCILLATOR_DETAILS,
-            )
+        motion = PhaseMotion(
+            phase.U, phase.boundary, bundle.hamiltonian, sc.omega, t, _OSCILLATOR_DETAILS
         )
+        report.extend(ladder_from_phase(motion, (None, modulus), a))
         _dynamics_suite(report, bundle, a, adag, osc.N)
 
     return check
@@ -554,12 +549,8 @@ def _check_jordan_schwinger(report: CheckReport, bundle: FamilyBundle) -> None:
         detail="J+~ factors through the relative phase unitary U_A^dag (x) U_B",
         category="derivation",
     )
-    report.extend(
-        phase_derivation_checks(
-            v, (left, right), None, bundle.hamiltonian, delta, triple.Jp, t,
-            _TWO_MODE_DETAILS,
-        )
-    )
+    motion = PhaseMotion(v, None, bundle.hamiltonian, delta, t, _TWO_MODE_DETAILS)
+    report.extend(ladder_from_phase(motion, (left, right), triple.Jp))
 
 
 _LADDER = _from_builder("j0_ladder_raising", "j0_ladder_lowering")

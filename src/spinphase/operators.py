@@ -8,20 +8,19 @@ one, a phase unitary two and the two-mode U_A^dag (x) U_B four; an operator
 made from a matrix keeps the matrix.  Sums, scalar multiples, adjoints,
 tensor products, the diagonal and hermitian tests and the root of a
 diagonal operator are O(n) numpy work on the diagonals, entry for entry the
-dense operations.  ``mat`` is built only when read, in the dense
-arithmetic's memory order (Fortran for an adjoint or a sum of two such).
+dense operations.  ``mat`` is built only when read.
 
-A product is formed on the diagonals only when every entry of the result
-has at most one nonzero term, one operand is real and both are finite
-(``_structured`` decides, for ``@``, commutators, the Heisenberg derivative
-and ``apply``): each entry is then the one rounded product BLAS gives, with
-zeros made +0.0.  numpy's complex multiply may fuse where BLAS does not, and
-0 * inf is NaN only in the dense sum, so any other product materializes both
-operands and calls BLAS.  Norms stay dense: ``Operator.norm`` (and so
-``residual``) materializes the operator for ``np.linalg.norm``, whose
-summation order sets the last bits of every printed residual.  The one
-exception is an operator stored as diagonals whose entries and fill are all
-zero: its norm is 0.0, the dense norm of signed zeros, without the matrix.
+A product is formed on the diagonals only when no two of its terms land on
+one entry, one operand is real and both are finite (``_structured`` decides,
+for ``@``, commutators, the Heisenberg derivative and ``apply``): each entry
+is then the one rounded product BLAS gives, with zeros made +0.0.  numpy's
+complex multiply may fuse where BLAS does not, and 0 * inf is NaN only in
+the dense sum, so any other product materializes both operands and calls
+BLAS.  Norms stay dense: ``Operator.norm`` (and so ``residual``)
+materializes the operator for ``np.linalg.norm``, whose summation order sets
+the last bits of every printed residual.  The one exception is an operator
+stored as diagonals whose entries and fill are all zero: its norm is 0.0,
+the dense norm of signed zeros, without the matrix.
 
 That summation order is fixed only at a fixed BLAS thread count: above 10000
 entries (dim >= 101) OpenBLAS splits the norm's ``ddot`` across its threads,
@@ -125,7 +124,7 @@ class Operator:
     immutable (assigning an attribute raises ``AttributeError``), so they can
     be shared freely between threads."""
 
-    __slots__ = ("dim", "label", "_offsets", "_data", "_order", "_dense", "_facts")
+    __slots__ = ("dim", "label", "_offsets", "_data", "_dense", "_facts")
 
     def __new__(cls, mat, label: str = "") -> "Operator":
         arr = np.array(mat, dtype=np.complex128)
@@ -133,7 +132,7 @@ class Operator:
             raise ShapeError(f"operator matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("operator dimension must be positive")
-        return _new(arr.shape[0], label, None, None, "C", arr)
+        return _new(arr.shape[0], label, None, None, arr)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"Operator is immutable: cannot set {name!r}")
@@ -144,15 +143,15 @@ class Operator:
     def __reduce__(self):
         # pickle and copy rebuild through _new, as stored
         dense = self._dense if self._offsets is None else None
-        return _new, (self.dim, self.label, self._offsets, self._data, self._order, dense)
+        return _new, (self.dim, self.label, self._offsets, self._data, dense)
 
     @staticmethod
-    def _from_diagonals(dim, diagonals: dict, label="", fill=0j, order="C") -> "Operator":
+    def _from_diagonals(dim, diagonals: dict, label="", fill=0j) -> "Operator":
         """Entries ``diagonals[k]`` on each diagonal k (dim - |k| of them),
         ``fill`` elsewhere."""
         parts = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in diagonals.values()]
         data = np.concatenate([*parts, np.array([fill], dtype=np.complex128)])
-        return _new(dim, label, tuple(diagonals), data, order)
+        return _new(dim, label, tuple(diagonals), data)
 
     @property
     def mat(self) -> np.ndarray:
@@ -166,11 +165,11 @@ class Operator:
         """The dense matrix: the one held, else built afresh."""
         if self._dense is not None:
             return self._dense
-        n, order = self.dim, self._order
-        m = np.zeros((n, n), dtype=np.complex128, order=order)
+        n = self.dim
+        m = np.zeros((n, n), dtype=np.complex128)
         if self._data[-1:].tobytes() != bytes(16):  # a fill other than +0.0 + 0.0j
             m[...] = self._data[-1]
-        m.ravel(order="K")[_positions(n, self._offsets, order)] = self._data[:-1]
+        m.reshape(-1)[_positions(n, self._offsets)] = self._data[:-1]
         return m
 
     def _items(self) -> list[tuple[int, np.ndarray]]:
@@ -189,20 +188,20 @@ class Operator:
     def relabel(self, label: str) -> "Operator":
         if self._offsets is None:
             return _held(self._dense, label)
-        return _new(self.dim, label, self._offsets, self._data, self._order)
+        return _new(self.dim, label, self._offsets, self._data)
 
     def adjoint(self) -> "Operator":
         if self._offsets is None:
             return _held(self._dense.conj().T, self.label)
         # diagonal -k of the adjoint is diagonal k conjugated, entry for entry
-        flipped = "C" if self._order == "F" else "F"
         offsets = tuple(-k for k in self._offsets)
-        return _new(self.dim, self.label, offsets, self._data.conj(), flipped)
+        return _new(self.dim, self.label, offsets, self._data.conj())
 
     def diagonal(self, offset: int = 0) -> np.ndarray:
         if self._offsets is None:
             return np.diagonal(self._dense, offset).copy()
-        entries = dict(self._items()).get(offset, self._data[-1:].repeat(self.dim - abs(offset)))
+        fill = self._data[-1:].repeat(max(0, self.dim - abs(offset)))  # [] off the matrix
+        entries = dict(self._items()).get(offset, fill)
         return entries.copy()
 
     def is_hermitian(self, tol: float) -> bool:
@@ -233,18 +232,17 @@ class Operator:
         self._check_dim(other)
         if self._offsets is None or other._offsets is None:
             return _held(op(self._array(), other._array()))
-        order = "F" if self._order == other._order == "F" else "C"
         if self._offsets == other._offsets:
-            return _new(self.dim, "", self._offsets, op(self._data, other._data), order)
+            return _new(self.dim, "", self._offsets, op(self._data, other._data))
         offsets, ia, ib = _union(self.dim, self._offsets, other._offsets)
-        return _new(self.dim, "", offsets, op(self._data[ia], other._data[ib]), order)
+        return _new(self.dim, "", offsets, op(self._data[ia], other._data[ib]))
 
     def _scalar(self, op, *scalar) -> "Operator":
         if any(isinstance(x, Operator) for x in scalar):
             raise TypeError("use @ for operator products; * is scalar-only")
         if self._offsets is None:
             return _held(op(self._dense, *scalar))
-        return _new(self.dim, "", self._offsets, op(self._data, *scalar), self._order)
+        return _new(self.dim, "", self._offsets, op(self._data, *scalar))
 
     def __add__(self, other: "Operator") -> "Operator":
         return self._binary(np.add, other)
@@ -265,6 +263,8 @@ class Operator:
 
     def apply(self, vec: Iterable[complex]) -> np.ndarray:
         x = np.asarray(vec, dtype=np.complex128)
+        if x.shape != (self.dim,):
+            raise ShapeError(f"vector of shape {x.shape} for a dim-{self.dim} operator")
         # one diagonal gives each entry of the image one term, M[i, i+k] x[i+k]
         if len(self._offsets or ()) != 1 or not _structured(self, _diagonal(x)):
             return self._array() @ x
@@ -274,11 +274,11 @@ class Operator:
 
 
 @lru_cache(maxsize=4096)
-def _positions(dim: int, offsets: tuple[int, ...], order: str) -> np.ndarray:
+def _positions(dim: int, offsets: tuple[int, ...]) -> np.ndarray:
     """Where the stored entries sit in the flattened dense matrix: entry
-    (i, i+k) at i*dim + i+k in C order, at (i+k)*dim + i in Fortran order."""
+    (i, i+k) at i*dim + i+k."""
     rows = [np.arange(max(0, -k), dim - max(0, k)) for k in offsets]
-    flat = [r * dim + r + k if order == "C" else (r + k) * dim + r for r, k in zip(rows, offsets)]
+    flat = [r * dim + r + k for r, k in zip(rows, offsets)]
     return np.concatenate([np.zeros(0, dtype=np.intp), *flat])
 
 
@@ -306,7 +306,7 @@ class _Draft(Operator):
     __setattr__, __delattr__ = object.__setattr__, object.__delattr__
 
 
-def _new(dim, label, offsets, data, order="C", dense=None) -> Operator:
+def _new(dim, label, offsets, data, dense=None) -> Operator:
     """The operator stored as (offsets, data), or holding the array ``dense``.
     Every operator is made here: its array is made read-only and its fields
     are written on a draft, which then becomes the Operator that no
@@ -314,23 +314,22 @@ def _new(dim, label, offsets, data, order="C", dense=None) -> Operator:
     (dense if data is None else data).setflags(write=False)
     op = object.__new__(_Draft)
     op.dim, op.label, op._offsets, op._data = dim, label, offsets, data
-    op._order, op._dense, op._facts = order, dense, None
+    op._dense, op._facts = dense, None
     op.__class__ = Operator
     return op
 
 
 def _held(mat: np.ndarray, label: str = "") -> Operator:
     """The operator holding mat itself, a fresh array nothing else writes."""
-    return _new(mat.shape[0], label, None, None, "C", mat)
+    return _new(mat.shape[0], label, None, None, mat)
 
 
 @lru_cache(maxsize=4096)
 def _plan(dim: int, a: tuple[int, ...], b: tuple[int, ...]):
-    """How a @ b falls on diagonals: the product's offsets and data size, and
-    where the factors of each term A[i, l] B[l, j] sit in a's and b's data.
-    When no two terms share an entry they are listed entry by entry (an entry
-    without a term reading the fills) and ``at`` is None; else ``at`` names
-    each term's entry."""
+    """How a @ b falls on diagonals: the product's offsets and, entry by
+    entry, where the factors of its one term A[i, l] B[l, j] sit in a's and
+    b's data (an entry without a term reads the fills).  None when two terms
+    land on one entry."""
     a_s, b_s = _starts(dim, a), _starts(dim, b)
     terms: dict[int, list] = {}
     for (i, ka), (j, kb) in product(enumerate(a), enumerate(b)):
@@ -344,38 +343,32 @@ def _plan(dim: int, a: tuple[int, ...], b: tuple[int, ...]):
     flat = [(t[0], t[1], s[c] + t[2]) for c, group in enumerate(terms.values()) for t in group]
     ai, bi, at = (np.concatenate([np.zeros(0, np.intp), *(t[x] for t in flat)]) for x in range(3))
     if len(np.unique(at)) < len(at):
-        return offsets, s[-1] + 1, ai, bi, at
+        return None
     full_a, full_b = np.full(s[-1] + 1, a_s[-1]), np.full(s[-1] + 1, b_s[-1])
     full_a[at], full_b[at] = ai, bi
-    return offsets, s[-1] + 1, full_a, full_b, None
+    return offsets, full_a, full_b
 
 
 def _structured(a: Operator, b: Operator) -> bool:
     """Whether a @ b is formed on the diagonals: both stored as diagonals,
-    both finite, one real, and no entry of the result with two nonzero terms."""
+    both finite, one real, and no entry of the result with two terms."""
     if a._offsets is None or b._offsets is None:
         return False
     finite_a, real_a = a._facts or a._finite_real()
     finite_b, real_b = b._facts or b._finite_real()
     if not (finite_a and finite_b and (real_a or real_b)):
         return False
-    *_, ai, bi, at = _plan(a.dim, a._offsets, b._offsets)
-    return at is None or np.bincount(at, (a._data[ai] != 0) & (b._data[bi] != 0)).max() <= 1
+    return _plan(a.dim, a._offsets, b._offsets) is not None
 
 
 def _product(a: Operator, b: Operator) -> Operator:
     """a @ b, on the diagonals when ``_structured`` says so, else by BLAS.  Each
-    entry is one product plus zeros, made +0.0 when all are."""
+    entry is its one product, made +0.0 when zero."""
     if not _structured(a, b):
         return _held(a.mat @ b.mat)
-    offsets, size, ai, bi, at = _plan(a.dim, a._offsets, b._offsets)
+    offsets, ai, bi = _plan(a.dim, a._offsets, b._offsets)
     terms = a._data[ai] * b._data[bi]
-    if at is None:
-        terms += 0.0
-    else:
-        terms, summed = np.empty(size, dtype=np.complex128), terms
-        terms.real = np.bincount(at, summed.real, size)
-        terms.imag = np.bincount(at, summed.imag, size)
+    terms += 0.0
     return _new(a.dim, "", offsets, terms)
 
 
@@ -414,6 +407,9 @@ def _diagonal(values: np.ndarray, label: str = "") -> Operator:
 
 def matrix_unit(dim: int, row: int, col: int, value: complex = 1.0) -> Operator:
     """|row><col| scaled by value."""
+    for name, index in (("row", row), ("col", col)):
+        if not 0 <= index < dim:
+            raise ParameterError(f"{name} index {index} outside a dim-{dim} operator")
     entries = np.zeros(dim - abs(col - row), dtype=np.complex128)
     entries[min(row, col)] = value
     return Operator._from_diagonals(dim, {col - row: entries})

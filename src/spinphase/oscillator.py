@@ -1,9 +1,10 @@
 """Finite-dimensional oscillator, its phase operator, and two-mode maps.
 
 The (s+1)-dimensional truncation admits a genuinely unitary phase operator:
-the Fock-lowering shift with a corner element exp(i*(s+1)*phi0) from |s> back
-to |0>.  The annihilation operator is exactly the polar product a = U sqrt(N);
-the corner never survives because sqrt(N) vanishes on |0>.
+the Fock-lowering shift sum_{n=1..s} |n-1><n| (not from n=0: |-1> does not
+exist) with a corner element exp(i*(s+1)*phi0) from |s> back to |0>.  The
+annihilation operator is exactly the polar product a = U sqrt(N); the corner
+never survives because sqrt(N) vanishes on |0>.
 
 The q-deformed oscillator at q = exp(i*2*pi/(s+1)) uses level weights
 [n - n0]_q + [n0]_q with n0 = (s+1)/4, which keeps every radicand
@@ -29,7 +30,7 @@ from .operators import (
     _kron,
 )
 from .deform import DeformedTriple, _ladder_checks, q_number
-from .phase import PhaseOperator
+from .phase import PhaseOperator, _cyclic_phase
 
 __all__ = [
     "FiniteOscillator",
@@ -68,25 +69,13 @@ class QOscillator:
     radicands: tuple[float, ...]
 
 
-def _oscillator_phase(s: int, phi0: float) -> PhaseOperator:
-    """Fock-lowering shift sum_{n=1..s} |n-1><n| plus the corner |s><0|.
-
-    The printed sum often starts at n=0, but |-1> does not exist; unitarity
-    forces the n = 1..s reading.
-    """
-    dim = s + 1
-    corner = [np.exp(1j * dim * phi0)]
-    u = Operator._from_diagonals(dim, {1: np.ones(dim - 1), 1 - dim: corner}, "exp(i*Phi)")
-    return PhaseOperator(dim, float(phi0), u)
-
-
 def build_finite_oscillator(
     s: int, phi0: float = 0.0, tol: Tolerance = DEFAULT_TOL
 ) -> FiniteOscillator:
     """Number operator, unitary phase, and a = U sqrt(N) at dimension s+1."""
     if s < 1:
         raise ParameterError(f"s must be a positive integer, got {s}")
-    phase = _oscillator_phase(s, phi0)
+    phase = _cyclic_phase(s + 1, phi0, True, "exp(i*Phi)")
     n_op = from_diagonal(range(s + 1), "N")
     a = (phase.U @ psd_sqrt(n_op, tol)).relabel("a")
     return FiniteOscillator(int(s), float(phi0), n_op, a, a.adjoint().relabel("a+"), phase)
@@ -115,7 +104,7 @@ def build_q_oscillator(
             raise NegativeNormError(f"negative norm: radicand {val:.6g} at level n={n}")
         radicands.append(max(val, 0.0))
 
-    phase = _oscillator_phase(s, phi0)
+    phase = _cyclic_phase(s + 1, phi0, True, "exp(i*Phi)")
     n_op = from_diagonal(range(dim), "N")
     nprime = from_diagonal([n - n0 for n in range(dim)], "N'")
     a_q = (phase.U @ from_diagonal(np.sqrt(radicands))).relabel("a_q")

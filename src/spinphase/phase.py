@@ -3,13 +3,15 @@
 In the ascending-m basis the exponential phase operator is the cyclic shift
 raising m by one step, with a single corner element exp(i*(2j+1)*theta0)
 closing the cycle from the top state back to the bottom.  theta0 is the
-reference angle fixing the phase window [theta0, theta0 + 2*pi).
+reference angle fixing the phase window [theta0, theta0 + 2*pi).  The
+oscillator's runs the same cycle the other way; ``_cyclic_phase`` builds both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -36,27 +38,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseOperator:
-    """The unitary exp(i*phi) together with its reference angle."""
+    """The unitary exp(i*phi) together with its reference angle: a cyclic
+    shift closed by exp(i*dim*theta0) at its wrap-around entry, (0, dim-1)
+    for the spin's raising shift or, with ``lowering``, (dim-1, 0)."""
 
     dim: int
     theta0: float
     U: Operator
+    lowering: bool = False
 
     @property
     def corner_phase(self) -> complex:
         return complex(np.exp(1j * self.dim * self.theta0))
+
+    @cached_property
+    def boundary(self) -> Operator:
+        """dim*exp(i*dim*theta0) at U's wrap-around entry: the boundary term
+        of U's equation of motion dU/dt = -i*rate*(U - boundary)."""
+        row, col = (self.dim - 1, 0) if self.lowering else (0, self.dim - 1)
+        return matrix_unit(self.dim, row, col, self.dim * self.corner_phase)
 
     def adjoint(self) -> Operator:
         """exp(-i*phi); phi is hermitian, so this is just U-dagger."""
         return self.U.adjoint()
 
 
+def _cyclic_phase(dim: int, theta0: float, lowering: bool, label: str) -> PhaseOperator:
+    """The cyclic shift raising the index by one (lowering it, with
+    ``lowering``), closed by exp(i*dim*theta0) at its wrap-around entry."""
+    shift = 1 if lowering else -1
+    diagonals = {shift: np.ones(dim - 1), -shift * (dim - 1): [np.exp(1j * dim * theta0)]}
+    u = Operator._from_diagonals(dim, diagonals, label)
+    return PhaseOperator(dim, float(theta0), u, lowering)
+
+
 def build_phase_operator(j: float | int | str | Fraction, theta0: float = 0.0) -> PhaseOperator:
     """Cyclic-shift unitary with corner phase exp(i*(2j+1)*theta0)."""
-    dim = int(parse_spin(j) * 2) + 1
-    corner = [np.exp(1j * dim * theta0)]
-    u = Operator._from_diagonals(dim, {-1: np.ones(dim - 1), dim - 1: corner}, "exp(i*phi)")
-    return PhaseOperator(dim, float(theta0), u)
+    return _cyclic_phase(int(parse_spin(j) * 2) + 1, theta0, False, "exp(i*phi)")
 
 
 def polar_decompose(
@@ -100,8 +118,7 @@ def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float
     [U, J0] = -U + (2j+1) exp(i(2j+1)theta0) |-j><j| (hbar = 1), and
     [U^dag, J0] is minus its adjoint.
     """
-    dim = phase.dim
-    rhs = matrix_unit(dim, 0, dim - 1, dim * phase.corner_phase) - phase.U
+    rhs = phase.boundary - phase.U
     res_plus = residual(commutator(phase.U, rep.J0), rhs)
     res_minus = residual(commutator(phase.adjoint(), rep.J0), -1.0 * rhs.adjoint())
     return max(res_plus, res_minus)

@@ -6,9 +6,10 @@ needs.  ``families.FAMILY_TABLE`` is the one place that states which
 parameters each family reads: the family list, the report's scenario block,
 the parameters a scenario keeps and the ones a sweep may vary all derive
 from it, and its entries build the family's operators.  Scenario files are
-flat JSON mirroring the CLI flag names; flags override file values, defaults
-are the Scenario field defaults, and every numeric value must be a finite
-number.
+flat JSON whose keys are Scenario fields (of any family; the CLI flag names,
+q_phase for --q-phase); flags override file values, defaults are the
+Scenario field defaults, and every numeric value, j and s included, must be
+a finite number and no JSON boolean.
 Validation failures raise ParameterError/BadSpinError (CLI exit 2);
 mathematically impossible constructions surface later as check failures
 (CLI exit 1).
@@ -67,6 +68,9 @@ class Scenario:
         return out
 
 
+_KEYS = tuple(f.name for f in fields(Scenario))
+
+
 def _as_float(values: dict, key: str) -> float | None:
     v = values.get(key)
     if v is None:
@@ -82,6 +86,11 @@ def _as_float(values: dict, key: str) -> float | None:
 
 def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
     """Merge raw values (file + flags, flags already layered on top)."""
+    for key, value in values.items():
+        if key not in _KEYS:
+            raise ParameterError(f"unknown scenario key {key!r}; choose from {', '.join(_KEYS)}")
+        if isinstance(value, bool) and key not in ("family", "split"):
+            raise ParameterError(f"{key} expects a number, got {value!r}")
     family = values.get("family")
     if family not in FAMILIES:
         raise ParameterError(

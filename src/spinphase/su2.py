@@ -93,14 +93,14 @@ def _place_ladders(
 
     J- is the adjoint of J+, with ``lowering``'s entries written over its
     steps when given; either way its other entries are the adjoint's (-0
-    imaginary parts included) and its ``mat`` has the adjoint's memory order.
+    imaginary parts included).
     """
     dim = len(raising) + 1
     jp = Operator._from_diagonals(dim, {-1: raising}, labels[0])
     if lowering is None:
         return jp, jp.adjoint().relabel(labels[1])
-    # the adjoint's other entries are conjugated zeros, 0 - 0j, in Fortran order
-    return jp, Operator._from_diagonals(dim, {1: lowering}, labels[1], complex(0.0, -0.0), "F")
+    # the adjoint's other entries are conjugated zeros, 0 - 0j
+    return jp, Operator._from_diagonals(dim, {1: lowering}, labels[1], complex(0.0, -0.0))
 
 
 def build_su2(j: float | int | str | Fraction) -> Su2Rep:

@@ -1,10 +1,12 @@
 """Build a scenario and run its family's check suite (the verify/sweep commands).
 
 The suites live with the families (``families.FAMILY_TABLE``); a relation a
-builder already verified is reported from its residual, not recomputed, and
-no suite raises.  A violated relation in the scenario's own builder still
-raises ``ArithmeticError``, not a typed error, so such a scenario ends in a
-traceback instead of a failed check.
+builder already verified is reported from its residual, not recomputed.  A
+violated relation in the scenario's own builder raises ``ArithmeticError``,
+not a typed error, and so do two suites: ``su2.casimir`` (the orderings or
+the scalar) and ``phase.polar_decompose`` (a reconstruction).  Such a
+scenario ends in a traceback instead of a failed check, for example
+``verify --family su2 --j 1 --tol 0``.
 
 A spin scenario's phase checks and U's equation of motion come from its
 phase frame (``families.spin_frame``), which reads only j, theta0, muB and
@@ -40,8 +42,8 @@ def run_verify(
     Mathematical impossibilities during construction (negative norm, an
     impossible split) come back as a failed check instead of an exception,
     so the CLI can exit 1 with a report; genuine parameter errors propagate.
-    A violated defining relation inside the scenario's own builder also
-    propagates, as the builder's ``ArithmeticError``.
+    A violated defining relation inside the scenario's own builder, or in
+    the casimir or polar suite, also propagates as ``ArithmeticError``.
     """
     try:
         bundle = build_bundle(sc, frames)

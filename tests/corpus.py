@@ -14,7 +14,8 @@ The argv cover ``build``, ``verify --report`` and ``evolve`` of every family
 on a size ladder, ``verify`` and ``evolve`` of jordan_schwinger at s = 30,
 the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
 on deformed families, zero-rate controls, the inputs on which a builder
-raises, and usage errors.
+raises, usage errors and output paths that cannot be written.  Temporary
+paths print as ``$TMP``: in the argv, the outcome and the stderr line alike.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ def corpus(tmp: str) -> list[list[str]]:
         json.dump({"f_coeff": 0.01}, fh)
     with open(left, "w", encoding="utf-8") as fh:
         json.dump({"family": "ab_map", "split": "left"}, fh)
+    misspelt, boolean = os.path.join(tmp, "misspelt.json"), os.path.join(tmp, "boolean.json")
+    with open(misspelt, "w", encoding="utf-8") as fh:
+        json.dump({"family": "su2", "j": "1/2", "thta0": 1}, fh)
+    with open(boolean, "w", encoding="utf-8") as fh:
+        json.dump({"family": "oscillator", "s": True}, fh)
+    unwritable = os.path.join(tmp, "missing", "x.json")
     report = os.path.join(tmp, "report.json")
 
     scenarios = spin_scenarios(f_deform)
@@ -127,6 +134,14 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--family", "su2", "--j", "1", "--param", "q:1:2:3"],
         ["sweep", "--family", "suq2", "--j", "1", "--param", "q:1.1:2:2", "--param", "q:2:3:2"],
         ["sweep", "--family", "hermitian_f", "--j", "1", "--q-phase", "3", "--param", "q:1.1:2:3"],
+        ["verify", "--scenario", misspelt],
+        ["verify", "--scenario", boolean],
+        # output paths that cannot be written
+        ["verify", "--family", "su2", "--j", "1", "--report", unwritable],
+        ["build", "--family", "su2", "--j", "1", "--out", unwritable],
+        ["evolve", "--family", "su2", "--j", "1", "--t-max", "1", "--steps", "3",
+         "--out", unwritable],
+        ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out", unwritable],
     ]
     return argvs
 
@@ -144,7 +159,7 @@ def run(argv: list[str], report: str) -> tuple[str, str]:
         except SystemExit as exc:
             outcome = f"exit={exc.code}"
     digest = hashlib.sha256(out.getvalue().encode())
-    lines = err.getvalue().splitlines()
+    lines = err.getvalue().replace(os.path.dirname(report), "$TMP").splitlines()
     digest.update(("\0" + (lines[-1] if lines else "") + "\0").encode())
     if os.path.exists(report):
         with open(report, "rb") as fh:
@@ -158,8 +173,7 @@ def main_corpus() -> int:
         report = os.path.join(tmp, "report.json")
         for argv in corpus(tmp):
             outcome, digest = run(argv, report)
-            shown = " ".join(argv).replace(tmp, "$TMP")
-            print(f"{digest[:16]} {outcome} | {shown}")
+            print(f"{digest[:16]} {outcome} | {' '.join(argv)}".replace(tmp, "$TMP"))
     return 0
 
 

@@ -683,6 +683,57 @@ class TestRejectedInput:
         assert rc == main([command, "--family", "oscillator", "--s", "3"]) == 0
         assert capsys.readouterr() == from_file
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"family": "su2", "j": "1/2", "thta0": 1}', "unknown scenario key 'thta0'"),
+            ('{"family": "su2", "j": "1/2", "q-phase": 5}', "unknown scenario key 'q-phase'"),
+            ('{"family": "oscillator", "s": true}', "s expects a number, got True"),
+            ('{"family": "su2", "j": true}', "j expects a number, got True"),
+            ('{"family": "su2", "j": "1", "muB": false}', "muB expects a number, got False"),
+            ('{"family": "suq2", "j": "1", "q": true}', "q expects a number, got True"),
+            ('{"family": "su2", "j": "1", "tol": true}', "tol expects a number, got True"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "build"])
+    def test_scenario_file_key_and_boolean(self, tmp_path, capsys, text, message, command):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        rc = main([command, "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err.startswith(f"spinphase {command}: {message}")
+
+    def test_scenario_file_keeps_other_families_fields(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        fields = {"family": "su2", "j": "1", "r": 3, "s": 4, "omega": 2, "split": "left"}
+        scenario.write_text(json.dumps(fields))
+        rc = main(["verify", "--scenario", str(scenario)])
+        from_file = capsys.readouterr()
+        assert rc == main(["verify", "--family", "su2", "--j", "1"]) == 0
+        assert capsys.readouterr() == from_file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "su2", "--j", "1", "--report"],
+            ["build", "--family", "su2", "--j", "1", "--out"],
+            ["evolve", "--family", "su2", "--j", "1", "--t-max", "1", "--steps", "3", "--out"],
+            ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_output_path(self, tmp_path, capsys, argv, where):
+        path = str(tmp_path / where)
+        rc = main([*argv, path])
+        captured = capsys.readouterr()
+        reason = "No such file or directory" if where != "." else "Is a directory"
+        assert rc == 2
+        assert "Traceback" not in captured.err
+        assert captured.err == f"spinphase {argv[0]}: cannot write {path}: {reason}\n"
+        assert not (tmp_path / "missing").exists()
+
     def test_non_finite_tol_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINPHASE_TOL", "inf")
         rc = main(["verify", "--family", "su2", "--j", "1"])

@@ -529,7 +529,6 @@ def _ref_scaled(j, weight):
 
 
 def _assert_same_bits(got: Operator, want: Operator) -> None:
-    assert got.mat.flags.c_contiguous == want.mat.flags.c_contiguous
     a, b = np.ascontiguousarray(got.mat), np.ascontiguousarray(want.mat)
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 

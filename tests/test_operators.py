@@ -23,6 +23,7 @@ from spinphase import (
     diag_function,
     from_diagonal,
     identity,
+    matrix_unit,
     psd_sqrt,
     r_commutator,
     residual,
@@ -357,6 +358,20 @@ class TestScalingProduct:
         assert_same_bits(_product(hop, hop).mat, hop.mat @ hop.mat)
         assert _structured(u, u.adjoint())  # the corner term lands where the shift's does not
 
+    @pytest.mark.parametrize("dim", [3, 6, 33, 101])
+    def test_terms_sharing_an_entry_go_to_blas(self, dim):
+        # two terms land on each inner diagonal entry of the square of a
+        # two-sided band, even where one of them is zero: BLAS forms it
+        rng = np.random.default_rng(dim)
+        band = Operator._from_diagonals(
+            dim, {-1: rng.uniform(0.5, 2.0, dim - 1), 1: np.zeros(dim - 1)}
+        )
+        assert not _structured(band, band)
+        for got in (band @ band, _product(band, band)):
+            assert got._offsets is None
+            assert_same_bits(got.mat, band.mat @ band.mat)
+        assert_same_bits(commutator(band, band).mat, band.mat @ band.mat - band.mat @ band.mat)
+
 
 class TestStructuredCore:
     """Operations other than products act on the diagonals, entry for entry."""
@@ -377,7 +392,6 @@ class TestStructuredCore:
             (u / 1j, u.mat / 1j),
             (-jm, -jm.mat),
         ]:
-            assert got.mat.flags.c_contiguous == want.flags.c_contiguous
             assert_same_bits(got.mat, want)
 
     @pytest.mark.parametrize("phi0", [0.0, 4.9])
@@ -455,3 +469,44 @@ class TestStructuredCore:
             evals, evecs = np.linalg.eigh(modulus.mat)
             dense = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
             assert_same_bits(root.mat, dense)
+
+
+class TestInputChecks:
+    """Out-of-range offsets, vectors and indices, on both storage kinds."""
+
+    @staticmethod
+    def _both_kinds():
+        rep = build_su2(1)
+        return [rep.Jp, Operator(rep.Jp.mat), build_finite_oscillator(2, 0.3).U.U]
+
+    @pytest.mark.parametrize("offset", [3, 5, -3, -5, 100])
+    def test_diagonal_off_the_matrix_is_empty(self, offset):
+        for op in self._both_kinds():
+            got = op.diagonal(offset)
+            assert got.shape == (0,) and got.dtype == np.complex128
+            assert_same_bits(got, np.diagonal(op.mat, offset))
+
+    @pytest.mark.parametrize("vec", [[1, 0, 0, 7, 7], [1, 0], [], [[1, 0, 0]], np.eye(3)])
+    def test_apply_rejects_a_vector_of_another_shape(self, vec):
+        for op in self._both_kinds():
+            with pytest.raises(ShapeError, match="dim-3"):
+                op.apply(vec)
+
+    @pytest.mark.parametrize(
+        "row, col, bad",
+        [
+            (-1, 0, "row index -1"),
+            (2, 3, "col index 3"),
+            (3, 0, "row index 3"),
+            (0, -2, "col index -2"),
+        ],
+    )
+    def test_matrix_unit_rejects_an_index_outside(self, row, col, bad):
+        with pytest.raises(ParameterError, match=bad):
+            matrix_unit(3, row, col)
+
+    def test_matrix_unit_places_its_value(self):
+        for row, col in [(0, 0), (0, 2), (2, 0), (1, 2)]:
+            want = np.zeros((3, 3), dtype=complex)
+            want[row, col] = 2.5j
+            assert_same_bits(matrix_unit(3, row, col, 2.5j).mat, want)

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from spinphase import (
+    Operator,
+    PhaseOperator,
     Tolerance,
+    build_finite_oscillator,
     build_phase_operator,
+    build_q_oscillator,
     build_su2,
     commutator,
     identity,
+    matrix_unit,
     phase_number_commutator_residual,
     phase_recovery_ambiguity,
     polar_decompose,
@@ -54,6 +59,47 @@ class TestBuildPhaseOperator:
             power = power @ phase.U
         expected = phase.corner_phase * identity(phase.dim)
         assert residual(power, expected) < TOL.for_dim(phase.dim)
+
+
+def _bits(op):
+    """Every bit of an operator's matrix and of what it stores, zero signs included."""
+    stored = [] if op._offsets is None else op._data.view(np.uint64).tolist()
+    return op._offsets, stored, np.ascontiguousarray(op.mat).view(np.uint64).tolist()
+
+
+class TestOneConstructor:
+    """The spin's and the oscillator's phase unitaries and their boundary
+    terms come from one constructor, bit for bit the matrices each family
+    used to build inline."""
+
+    @pytest.mark.parametrize("theta0", [0, 0.0, -0.0, 0.7, np.pi / 2, 2 * np.pi, 1e3])
+    def test_spin_raising_shift(self, theta0):
+        for dim in range(2, 102):
+            phase = build_phase_operator(Fraction(dim - 1, 2), theta0)
+            corner = [np.exp(1j * dim * theta0)]
+            u = Operator._from_diagonals(dim, {-1: np.ones(dim - 1), dim - 1: corner})
+            boundary = matrix_unit(dim, 0, dim - 1, dim * complex(np.exp(1j * dim * float(theta0))))
+            assert _bits(phase.U) == _bits(u) and phase.U.label == "exp(i*phi)"
+            assert _bits(phase.boundary) == _bits(boundary)
+            assert not phase.lowering
+
+    @pytest.mark.parametrize("phi0", [0, 0.0, -0.0, 0.7, np.pi / 2, 2 * np.pi, 1e3])
+    def test_oscillator_lowering_shift(self, phi0):
+        for s in range(1, 101):
+            dim = s + 1
+            u = Operator._from_diagonals(dim, {1: np.ones(s), -s: [np.exp(1j * dim * phi0)]})
+            boundary = matrix_unit(dim, s, 0, dim * np.exp(1j * dim * float(phi0)))
+            builders = [build_finite_oscillator] + [build_q_oscillator] * (s > 1)
+            for phase in (build(s, phi0).U for build in builders):
+                assert _bits(phase.U) == _bits(u) and phase.U.label == "exp(i*Phi)"
+                assert _bits(phase.boundary) == _bits(boundary)
+                assert phase.lowering
+
+    def test_a_hand_built_phase_has_the_spin_boundary(self):
+        built = build_phase_operator("3/2", 0.7)
+        by_hand = PhaseOperator(4, 0.7, built.U)
+        assert _bits(by_hand.boundary) == _bits(built.boundary)
+        assert by_hand.boundary.mat[0, 3] == 4 * by_hand.corner_phase
 
 
 class TestPolarDecompose:
