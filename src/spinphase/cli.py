@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .operators import AlgebraError, ParameterError
 from .report import CheckReport
-from .families import FAMILY_TABLE, FrameSource, spin_frame
+from .families import FAMILY_TABLE, spin_frame
 from .scenarios import FAMILIES, Scenario, build_bundle, resolve_scenario
 from .serialize import (
     dumps,
@@ -39,7 +39,7 @@ from .serialize import (
 )
 from .su2 import parse_spin
 from .dynamics import trajectory
-from .verify import run_verify
+from .verify import run_verify, verify_points
 
 __all__ = ["main", "run"]
 
@@ -188,7 +188,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     sc = resolve_scenario(_scenario_values(args), _default_tol())
-    report, _ = run_verify(sc)
+    report, _ = run_verify(sc, spin_frame)  # what a sweep runs on each batch
     for check in report:
         marker = "PASS" if check.passed else "FAIL"
         print(
@@ -279,21 +279,6 @@ def _summary_cells(report: CheckReport) -> list[str]:
     return cells + ["true" if report.all_pass else "false", ""]
 
 
-def _sweep_point(
-    base: dict, assignment: dict, default_tol: float, frames: FrameSource
-) -> tuple[bool, list[str]]:
-    """(all checks pass, the row's cells after the grid values) at one point."""
-    values = dict(base)
-    values.update(assignment)
-    try:
-        sc = resolve_scenario(values, default_tol)
-        report, _ = run_verify(sc, frames)
-    except AlgebraError as exc:
-        error = str(exc).replace(",", ";")
-        return False, ["NaN"] * (len(_CATEGORIES) + 1) + ["false", error]
-    return report.all_pass, _summary_cells(report)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grids = _parse_sweep_params(args.param)
     if args.jobs < 1:
@@ -313,20 +298,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if "q" in names and template.q_phase is not None:
         raise ParameterError("cannot sweep q with --q-phase set: the phase-valued q replaces it")
 
-    # Only G in J+~ = U G reads the deformation: the points sharing (j,
-    # theta0, muB, tol) share one phase frame, built at the first of them.
-    # The memo lives for this request only.
-    @functools.cache
-    def frames(j, theta0, muB, tol):
-        return spin_frame(j, theta0, muB, tol)
-
+    # each point resolves alone; those on one phase frame then run as a batch
     points = [dict(zip(names, combo)) for combo in itertools.product(*(v for _, v in grids))]
+    resolved: list = []
+    for pt in points:
+        try:
+            resolved.append(resolve_scenario({**base, **pt}, default_tol))
+        except AlgebraError as exc:
+            resolved.append(exc)
+    outcomes = iter(verify_points([sc for sc in resolved if isinstance(sc, Scenario)], spin_frame))
     header = names + [f"max_{c}" for c in _CATEGORIES] + ["min_control", "all_pass", "error"]
     lines = [",".join(header)]
     ok = True
-    for pt in points:
-        passed, cells = _sweep_point(base, pt, default_tol, frames)
-        ok = ok and passed
+    for pt, sc in zip(points, resolved):
+        outcome = next(outcomes) if isinstance(sc, Scenario) else sc
+        if isinstance(outcome, AlgebraError):
+            cells = ["NaN"] * (len(_CATEGORIES) + 1) + ["false", str(outcome).replace(",", ";")]
+        else:
+            cells = _summary_cells(outcome)
+        ok = ok and cells[-2] == "true"
         lines.append(",".join([format_float(float(pt[name])) for name in names] + cells))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if ok else 1

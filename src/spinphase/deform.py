@@ -13,6 +13,8 @@ relation and SU_q(2)'s casimir.  Witten's map and the scaled map (which also
 deforms J0) place their entries with the same helper and verify their own
 relations.  A builder's residuals ride along on the result as named checks
 (``checks``), so a verifier reports them instead of computing them again.
+Every builder also takes a batch, its parameter a list over the points:
+each point's entries, from its own float expressions, are one row (``per_point``).
 
 Weights with apparent 0/0 at the edge of the spectrum (the hermitian map,
 Witten's map) are evaluated on the ladder steps only, where the denominators
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -40,8 +42,11 @@ from .operators import (
     Tolerance,
     commutator,
     from_diagonal,
+    per_point,
     r_commutator,
     residual,
+    _holds,
+    _larger,
 )
 from .report import CheckReport
 from .su2 import Su2Rep, _place_ladders, parse_spin
@@ -241,7 +246,7 @@ def _ladder_checks(
     checks.add("j0_ladder_raising", residual(commutator(j0, jp), jp), t)
     checks.add("j0_ladder_lowering", residual(commutator(j0, jm), -1.0 * jm), t)
     adjoint = residual(jm, jp.adjoint())
-    if hermitian or adjoint <= t:
+    if hermitian or _holds(adjoint <= t, branch=True):
         checks.add("adjoint_pair", adjoint, t)
     return checks
 
@@ -262,13 +267,14 @@ def build_deformation(
     a hermitian pair, J-~ = (J+~)^dagger are recorded as checks; the ladder
     relations must hold within tolerance or ArithmeticError is raised.
     """
-    if len(raising) != rep.dim - 1 or (lowering is not None and len(lowering) != rep.dim - 1):
+    raising, steps = np.asarray(raising, dtype=np.complex128), rep.dim - 1  # a row per point
+    if raising.shape[-1] != steps or (lowering is not None and np.shape(lowering)[-1] != steps):
         raise ShapeError(f"a spin-{rep.j} ladder has {rep.dim - 1} steps")
     t = tol.for_dim(rep.dim)
     jp, jm = _place_ladders(raising, lowering)
     checks = _ladder_checks(rep.J0, jp, jm, t, lowering is None)
-    worst = max(c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering"))
-    if worst > t:
+    worst = _larger(*(c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering")))
+    if _holds(worst > t):
         raise ArithmeticError(f"[J0~, J+-~] = +-J+-~ violated: residual {worst:.3e}")
     return DeformedTriple(jp, jm, rep.J0, provenance, bool(checks.named("adjoint_pair")), checks)
 
@@ -292,15 +298,14 @@ def build_split_deformation(
         raise ParameterError(f"unknown split {split!r}")
     support = rep.m_values()[:-1]
     t = tol.for_dim(rep.dim)
-    ab = (g.values[0] - np.array(g.values[1:-1])) / (
-        rep.casimir_value - support * (support + 1.0)
-    )
+    values = np.asarray(per_point(lambda gf: gf.values, g))
+    ab = (values[..., :1] - values[..., 1:-1]) / (rep.casimir_value - support * (support + 1.0))
     if split == "left":
         a, b = ab, np.ones_like(ab)
     else:
-        negative = np.flatnonzero(ab < -t)
-        if negative.size:
-            k = negative[0]
+        negative = ab < -t
+        if _holds(negative.any(axis=-1)):
+            k = np.flatnonzero(negative)[0]
             raise SplitError(
                 f"product A*B = {ab[k]:.6g} < 0 at m={float(support[k])}: "
                 "needs non-hermitian split"
@@ -310,8 +315,8 @@ def build_split_deformation(
     provenance = {"map": "ab_map", "params": {"split": split}}
     triple = build_deformation(rep, su2 * a, su2 * b, provenance=provenance, tol=tol)
     # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
-    res = residual(triple.bracket, from_diagonal(np.diff(g.values)))
-    if res > t:
+    res = residual(triple.bracket, from_diagonal(np.diff(values)))
+    if _holds(res > t):
         raise ArithmeticError(f"split map violates its structure relation: {res:.3e}")
     return triple
 
@@ -343,13 +348,16 @@ def build_hermitian_deformation(
     rep: Su2Rep, f: StructureFunction, tol: Tolerance = DEFAULT_TOL
 ) -> DeformedTriple:
     """Adjoint-preserving deformation J+~ = h(J0) J+, J-~ = (J+~)^dagger."""
-    h = _hermitian_weights(rep, f, tol.for_dim(rep.dim))
-    provenance = {"map": "hermitian_f", "params": {**f.params, "f": f.description}}
+    h = per_point(lambda fn: _hermitian_weights(rep, fn, tol.for_dim(rep.dim)), f)
+    params = per_point(lambda fn: {**fn.params, "f": fn.description}, f)
+    provenance = {"map": "hermitian_f", "params": params}
     return build_deformation(rep, rep.ladder_entries() * h, provenance=provenance, tol=tol)
 
 
 def _suq2_entries(rep: Su2Rep, q: float) -> list[float]:
     """SU_q(2)'s J+ entries: the step m -> m+1 has sqrt([j-m]_q [j+m+1]_q)."""
+    if q <= 0:
+        raise ParameterError(f"q must be positive real, got {q}")
     jv = float(rep.j)
     ms = map(float, rep.m_values()[:-1])
     return [np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q)) for m in ms]
@@ -358,9 +366,10 @@ def _suq2_entries(rep: Su2Rep, q: float) -> list[float]:
 def _casimir_orderings(triple: DeformedTriple, g) -> tuple[Operator, Operator]:
     """C~ in both orderings, J-~ J+~ + g(J0) and J+~ J-~ + g(J0 - 1), for
     J0 = diag(-j, ..., j) and g given by its values on {-j-1, ..., j}."""
+    g = np.asarray(g)
     return (
-        triple.Jm @ triple.Jp + from_diagonal(g[1:]),
-        triple.Jp @ triple.Jm + from_diagonal(g[:-1]),
+        triple.Jm @ triple.Jp + from_diagonal(g[..., 1:]),
+        triple.Jp @ triple.Jm + from_diagonal(g[..., :-1]),
     )
 
 
@@ -371,19 +380,37 @@ def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedT
     The deformed casimir identity, with g(x) = [x]_q [x+1]_q, is verified
     before returning.
     """
-    if q <= 0:
-        raise ParameterError(f"q must be positive real, got {q}")
-    provenance = {"map": "suq2", "params": {"q": float(q)}}
-    triple = build_deformation(rep, _suq2_entries(rep, q), provenance=provenance, tol=tol)
-    g = [q_number(x, q) * q_number(x + 1.0, q) for x in _grid(rep.twoj)]
+    provenance = {"map": "suq2", "params": {"q": per_point(float, q)}}
+    entries = per_point(lambda v: _suq2_entries(rep, v), q)
+    triple = build_deformation(rep, entries, provenance=provenance, tol=tol)
+    xs = _grid(rep.twoj)
+    g = np.asarray(per_point(lambda v: [q_number(x, v) * q_number(x + 1.0, v) for x in xs], q))
     c_up, c_down = _casimir_orderings(triple, g)
     t = tol.for_dim(rep.dim)
-    if residual(c_up, c_down) > t or residual(c_up, from_diagonal([g[-1]] * rep.dim)) > t:
+    scalar = from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))
+    if _holds(residual(c_up, c_down) > t) or _holds(residual(c_up, scalar) > t):
         raise ArithmeticError("SU_q(2) casimir identity violated")
     return triple
 
 
-def build_witten(rep: Su2Rep, r: float, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple:
+def _witten_point(rep: Su2Rep, r: float) -> tuple:
+    """One point's W0 diagonal, ladder weights and the scalars of its checks."""
+    if r <= 0 or r == 1.0:
+        raise ParameterError(f"r must be positive and != 1, got {r}")
+    jv = float(rep.j)
+    ms = rep.m_values()
+    kappa = (r ** (2 * jv + 1) + r ** (-2 * jv - 1)) / (r + 1.0 / r)
+    scale = 1.0 / (r - 1.0 / r)
+    w0 = [scale * (1.0 - kappa * r ** (-2.0 * float(m))) for m in ms]
+    # the ladder weight is r^(-x) times the hermitian map's at f = [2x]_r,
+    # whose radicand is positive for real r > 0
+    norm = np.sqrt(r / (r + 1.0 / r))
+    base = _hermitian_weights(rep, qbracket_structure(r), 0.0)
+    weights = [float(r ** (-x) * norm * h) for x, h in zip(map(float, ms[1:]), base)]
+    return w0, weights, r, 1.0 / r**2, 1.0 / abs(r - 1.0 / r), r + 1.0 / r
+
+
+def build_witten(rep: Su2Rep, r, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple:
     """Witten's second deformation via the diagonal map on SU(2).
 
     The triple is (W+, W-, W0), under those labels.  W0 is the printed
@@ -399,44 +426,31 @@ def build_witten(rep: Su2Rep, r: float, tol: Tolerance = DEFAULT_TOL) -> Deforme
     scale the achievable residual above the flat tolerance.  The adjoint
     pairing W- = (W+)^dagger is recorded at the flat tolerance.
     """
-    if r <= 0 or r == 1.0:
-        raise ParameterError(f"r must be positive and != 1, got {r}")
-    jv = float(rep.j)
-    ms = rep.m_values()
-
-    kappa = (r ** (2 * jv + 1) + r ** (-2 * jv - 1)) / (r + 1.0 / r)
-    scale = 1.0 / (r - 1.0 / r)
-    w0 = from_diagonal(
-        [scale * (1.0 - kappa * r ** (-2.0 * float(m))) for m in ms], "W0"
-    )
-
-    # the ladder weight is r^(-x) times the hermitian map's at f = [2x]_r,
-    # whose radicand is positive for real r > 0
-    norm = np.sqrt(r / (r + 1.0 / r))
-    base = _hermitian_weights(rep, qbracket_structure(r), 0.0)
-    weights = [float(r ** (-x) * norm * h) for x, h in zip(map(float, ms[1:]), base)]
+    point = per_point(lambda v: _witten_point(rep, v), r)
+    fields = map(np.array, zip(*point)) if isinstance(r, list) else point  # a batch's: rows
+    w0_entries, weights, r_rows, inv_r2, cancellation, spread = fields
+    w0 = from_diagonal(w0_entries, "W0")
     wp, wm = _place_ladders(rep.ladder_entries() * weights, labels=("W+", "W-"))
 
     t = tol.for_dim(rep.dim)
     eps = float(np.finfo(float).eps)
-    cancellation = 1.0 / abs(r - 1.0 / r)
-    magnitude = (r + 1.0 / r) * (1.0 + w0.norm()) * (1.0 + wp.norm())
-    t_w = max(t, 64.0 * eps * rep.dim * (cancellation + magnitude))
+    magnitude = spread * (1.0 + w0.norm()) * (1.0 + wp.norm())
+    t_w = _larger(t, 64.0 * eps * rep.dim * (cancellation + magnitude))
     checks = CheckReport()
     residuals = [
         checks.add(name, residual(bracket, target), t_w, detail=detail).residual
         for name, bracket, target, detail in (
-            ("witten_relation_raising", r_commutator(w0, wp, r), wp, "[W0, W+]_r = W+"),
-            ("witten_relation_pair", r_commutator(wp, wm, 1.0 / r**2), w0,
-             "[W+, W-]_{1/r^2} = W0"),
-            ("witten_relation_lowering", r_commutator(wm, w0, r), wm, "[W-, W0]_r = W-"),
+            ("witten_relation_raising", r_commutator(w0, wp, r_rows), wp, "[W0, W+]_r = W+"),
+            ("witten_relation_pair", r_commutator(wp, wm, inv_r2), w0, "[W+, W-]_{1/r^2} = W0"),
+            ("witten_relation_lowering", r_commutator(wm, w0, r_rows), wm, "[W-, W0]_r = W-"),
         )
     ]
-    worst = max(residuals)
-    if worst > t_w:
+    worst = reduce(_larger, residuals)
+    if _holds(worst > t_w):
         raise ArithmeticError(f"Witten defining relations violated: residual {worst:.3e}")
     checks.add("adjoint_pair", residual(wm, wp.adjoint()), t)
-    return DeformedTriple(wp, wm, w0, {"map": "witten", "params": {"r": float(r)}}, True, checks)
+    provenance = {"map": "witten", "params": {"r": per_point(float, r)}}
+    return DeformedTriple(wp, wm, w0, provenance, True, checks)
 
 
 def build_scaled_deformation(
@@ -457,17 +471,19 @@ def build_scaled_deformation(
     c_val = rep.casimir_value
     jv = float(rep.j)
 
-    w = np.array([float(weight(c_val, -jv + k)) for k in range(-1, dim + 1)])
-    vanishing = np.flatnonzero(np.abs(w) <= t)
-    if vanishing.size:
-        raise ParameterError(f"singular F: weight vanishes at m={-jv + vanishing[0] - 1.0}")
+    ks = range(-1, dim + 1)
+    w = np.array(per_point(lambda fn: [float(fn(c_val, -jv + k)) for k in ks], weight))
+    vanishing = np.abs(w) <= t
+    if _holds(vanishing.any(axis=-1)):
+        m = -jv + np.flatnonzero(vanishing)[0] - 1.0
+        raise ParameterError(f"singular F: weight vanishes at m={m}")
 
     def w_at(shift: int) -> np.ndarray:
         """w(J0 + shift) on the diagonal of J0; w[k] is w(C, m) at m = -j-1+k."""
-        return w[1 + shift : 1 + shift + dim]
+        return w[..., 1 + shift : 1 + shift + dim]
 
     su2 = rep.ladder_entries()
-    jp_t, jm_t = _place_ladders(su2 * w_at(0)[:-1], su2 * w_at(0)[1:])
+    jp_t, jm_t = _place_ladders(su2 * w_at(0)[..., :-1], su2 * w_at(0)[..., 1:])
     j0_t = from_diagonal(ms * w_at(0), "J0~")
 
     # [J0~, J+-~] = {1 - w(J0 -+ 1)/w(J0)} J0~ J+-~  +- w(J0 -+ 1) J+-~
@@ -491,8 +507,8 @@ def build_scaled_deformation(
     # keeping J0 undeformed collapses the first identity to the plain ladder rule
     checks.extend(_ladder_checks(rep.J0, jp_t, jm_t, t))
     res_list += [c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering")]
-    worst = max(res_list)
-    if worst > t:
+    worst = reduce(_larger, res_list)
+    if _holds(worst > t):
         raise ArithmeticError(f"scaled-deformation identities violated: {worst:.3e}")
 
     hermitian = bool(checks.named("adjoint_pair"))

@@ -38,6 +38,7 @@ from .operators import (
     residual,
     _held,
     _kron,
+    _larger,
 )
 from .deform import DeformedTriple
 from .phase import PhaseOperator
@@ -330,7 +331,7 @@ def spin_ladder_from_phase(motion: PhaseMotion, jp: Operator, jm: Operator) -> C
     report = CheckReport()
     report.add(
         "weight_commutes_with_h",
-        max(residual(g @ h, h @ g), residual(k @ h, h @ k)),
+        _larger(residual(g @ h, h @ g), residual(k @ h, h @ k)),
         motion.t,
         detail="diagonal weights G = U^dag J+~ and K = J-~ U commute with H",
         category="derivation",

@@ -9,11 +9,12 @@ Every deformed ladder factors as J+~ = U G with only the diagonal weight G
 depending on the deformation, so a spin scenario is built on a *phase
 frame* (``spin_frame``) that reads only (j, theta0, muB, tol): the SU(2)
 representation, the phase operator U, the dipole H, the phase suite's
-checks and U's equation of motion with its ladder-free residuals.  The
-suites add only the checks that G and K = J-~ U enter.  A build takes its
-frames from a source, ``spin_frame`` itself by default; a sweep passes a
-memo of it, so each distinct frame of a grid is built once.  [J+~, J-~] is
-built once per scenario (``DeformedTriple.bracket``).
+checks and U's equation of motion with its ladder-free residuals.  The suites
+add only the checks that G and K = J-~ U enter.  A build takes its frames from
+a source, ``spin_frame`` itself by default.  [J+~, J-~] is built once per
+scenario (``DeformedTriple.bracket``).  A sweep's points on one frame run as a
+batch: q, q_phase, r or f_coeff is a list, the weights and every operator
+reading them hold a row per point, and each residual is a row of dense norms.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ from .operators import (
     commutator,
     from_diagonal,
     identity,
+    per_point,
     psd_sqrt,
     residual,
     _kron,
+    _larger,
 )
 from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
 from .phase import (
@@ -173,11 +176,11 @@ class Family(NamedTuple):
 
 
 def structure_function_for(sc: Scenario):
-    """f = [2x]_q with q real or the phase exp(i*2*pi/q_phase)."""
+    """f = [2x]_q with q real or the phase exp(i*2*pi/q_phase); a batch's
+    list of them, one per point."""
     if sc.q_phase is not None:
-        arg = 2.0 * np.pi / float(sc.q_phase)
-        return qbracket_structure(cmath.rect(1.0, arg))
-    return qbracket_structure(float(sc.q))
+        return per_point(lambda p: qbracket_structure(cmath.rect(1.0, 2.0 * np.pi / p)), sc.q_phase)
+    return per_point(lambda q: qbracket_structure(float(q)), sc.q)
 
 
 # --- builds ---------------------------------------------------------------
@@ -227,15 +230,15 @@ def _build_witten(sc: Scenario, frames: FrameSource) -> FamilyBundle:
 
 def _build_ab_map(sc: Scenario, frames: FrameSource) -> FamilyBundle:
     frame = _frame(sc, frames)
-    g = discrete_antiderivative(structure_function_for(sc), sc.j)
+    g = per_point(lambda f: discrete_antiderivative(f, sc.j), structure_function_for(sc))
     triple = build_split_deformation(frame.rep, g, sc.split, tol=sc.tol)
     return _deformed_bundle(sc, frame, triple, g)
 
 
 def _build_f_deform(sc: Scenario, frames: FrameSource) -> FamilyBundle:
     frame = _frame(sc, frames)
-    coeff = sc.f_coeff
-    triple = build_scaled_deformation(frame.rep, lambda c, m: 1.0 + coeff * m, sc.tol)
+    weight = per_point(lambda coeff: lambda c, m: 1.0 + coeff * m, sc.f_coeff)
+    triple = build_scaled_deformation(frame.rep, weight, sc.tol)
     return _deformed_bundle(sc, frame, triple)
 
 
@@ -322,10 +325,11 @@ def _phase_suite(report: CheckReport, bundle: FamilyBundle) -> None:
 
 
 def _image_norm(op: Operator, index: int) -> float:
-    """|| op |index> || for the basis state at index."""
+    """|| op |index> || for the basis state at index; per row for a batch."""
     state = np.zeros(op.dim, dtype=complex)
     state[index] = 1.0
-    return float(np.linalg.norm(op.apply(state)))
+    image, norm = op.apply(state), np.linalg.norm  # a batch's image: a row per point
+    return float(norm(image)) if image.ndim == 1 else np.array([*map(norm, image)])
 
 
 def _annihilation(report: CheckReport, bundle: FamilyBundle) -> None:
@@ -341,7 +345,7 @@ def _casimir_central(
 ) -> None:
     report.add(
         "casimir_central",
-        max(residual(commutator(c, jp), 0.0 * jp), residual(commutator(c, jm), 0.0 * jm)),
+        _larger(residual(commutator(c, jp), 0.0 * jp), residual(commutator(c, jm), 0.0 * jm)),
         t,
     )
 
@@ -362,14 +366,15 @@ def _su2_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
 def _qbracket_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
     """[J+~, J-~] = [2 J0]_q and the casimir built from its antiderivative g."""
     sc, rep, triple, t = _spin(bundle)
-    f = structure_function_for(sc)
-    f_diag = from_diagonal([f(float(m)) for m in rep.m_values()])
+    f, ms = structure_function_for(sc), rep.m_values()
+    f_diag = from_diagonal(per_point(lambda fn: [fn(float(m)) for m in ms], f))
     report.add(
         "structure_relation", residual(triple.bracket, f_diag), t,
         detail="[J+~, J-~] = f(J0) with f = [2x]_q",
     )
-    g = bundle.parts.g or discrete_antiderivative(f, sc.j)  # ab_map's build solved it
-    c_up, c_down = _casimir_orderings(triple, g.values)
+    # ab_map's build solved g
+    g = bundle.parts.g or per_point(lambda fn: discrete_antiderivative(fn, sc.j), f)
+    c_up, c_down = _casimir_orderings(triple, per_point(lambda gf: gf.values, g))
     report.add("casimir_orderings", residual(c_up, c_down), t)
     _casimir_central(report, c_up, triple.Jp, triple.Jm, t)
 
@@ -377,10 +382,10 @@ def _qbracket_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
 def _matches_suq2(report: CheckReport, bundle: FamilyBundle) -> None:
     sc, rep, triple, t = _spin(bundle)
     if sc.q is not None:  # a phase-valued q has no SU_q(2) counterpart here
-        ref_p, ref_m = _place_ladders(_suq2_entries(rep, sc.q))
+        ref_p, ref_m = _place_ladders(per_point(lambda q: _suq2_entries(rep, q), sc.q))
         report.add(
             "matches_suq2_representation",
-            max(residual(triple.Jp, ref_p), residual(triple.Jm, ref_m)),
+            _larger(residual(triple.Jp, ref_p), residual(triple.Jm, ref_m)),
             t,
             detail="hermitian map at f = [2x]_q equals the SU_q(2) elements",
         )

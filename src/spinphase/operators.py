@@ -25,6 +25,11 @@ the dense norm of signed zeros, without the matrix.
 That summation order is fixed only at a fixed BLAS thread count: above 10000
 entries (dim >= 101) OpenBLAS splits the norm's ``ddot`` across its threads,
 so the last digit of a residual can move with ``OPENBLAS_NUM_THREADS``.
+
+A *batch* (a sweep's points on one phase frame) stores one row of data per
+point, offsets shared: sums, scalars (one per row: a (P, 1) column), adjoints
+and products index the last axis, and its norm is each row's dense norm.  It
+never goes to BLAS: rows whose facts or branches differ run apart (``Diverged``).
 """
 
 from __future__ import annotations
@@ -93,6 +98,33 @@ class SplitError(AlgebraError):
     """The requested weight split is impossible (needs non-hermitian split)."""
 
 
+class Diverged(Exception):
+    """The rows of a batch (mask ``args[0]``) that run apart: alone, each on its own branch."""
+
+
+def per_point(fn, param):
+    """fn(param), or fn at each point of a batch (param a list); a raise sends all rows apart."""
+    if not isinstance(param, list):
+        return fn(param)
+    try:
+        return [fn(p) for p in param]
+    except (AlgebraError, ArithmeticError) as exc:
+        raise Diverged(np.ones(len(param), dtype=bool)) from exc
+
+
+def _holds(cond, branch: bool = False) -> bool:
+    """Whether cond holds at a point.  A batch's rows where it holds run apart (Diverged)
+    to raise their own errors, or take a ``branch`` that not every row takes."""
+    if isinstance(cond, np.ndarray) and cond.any() and not (branch and cond.all()):
+        raise Diverged(cond)
+    return bool(cond.all() if isinstance(cond, np.ndarray) else cond)
+
+
+def _larger(a, b):
+    """max(a, b), row by row in a batch: b only where b > a, so a NaN b loses."""
+    return np.where(b > a, b, a) if isinstance(b > a, np.ndarray) else max(a, b)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute tolerance, scaled by operator dimension."""
@@ -125,6 +157,7 @@ class Operator:
     be shared freely between threads."""
 
     __slots__ = ("dim", "label", "_offsets", "_data", "_dense", "_facts")
+    __array_ufunc__ = None  # an array times an operator is the operator's __rmul__
 
     def __new__(cls, mat, label: str = "") -> "Operator":
         arr = np.array(mat, dtype=np.complex128)
@@ -149,8 +182,9 @@ class Operator:
     def _from_diagonals(dim, diagonals: dict, label="", fill=0j) -> "Operator":
         """Entries ``diagonals[k]`` on each diagonal k (dim - |k| of them),
         ``fill`` elsewhere."""
-        parts = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in diagonals.values()]
-        data = np.concatenate([*parts, np.array([fill], dtype=np.complex128)])
+        parts = [np.asarray(v, dtype=np.complex128) for v in diagonals.values()]
+        fills = [[fill]] * len(parts[0]) if parts and parts[0].ndim > 1 else [fill]  # per row
+        data = np.concatenate([*parts, np.array(fills, dtype=np.complex128)], axis=-1)
         return _new(dim, label, tuple(diagonals), data)
 
     @property
@@ -165,11 +199,16 @@ class Operator:
         """The dense matrix: the one held, else built afresh."""
         if self._dense is not None:
             return self._dense
-        n = self.dim
+        n, data = self.dim, self._data
+        if data.ndim > 1:  # a batch: one matrix per row
+            m = np.zeros((len(data), n, n), dtype=np.complex128)
+            m[...] = data[:, -1, None, None]
+            m.reshape(len(data), n * n)[:, _positions(n, self._offsets)] = data[:, :-1]
+            return m
         m = np.zeros((n, n), dtype=np.complex128)
-        if self._data[-1:].tobytes() != bytes(16):  # a fill other than +0.0 + 0.0j
-            m[...] = self._data[-1]
-        m.reshape(-1)[_positions(n, self._offsets)] = self._data[:-1]
+        if data[-1:].tobytes() != bytes(16):  # a fill other than +0.0 + 0.0j
+            m[...] = data[-1]
+        m.reshape(-1)[_positions(n, self._offsets)] = data[:-1]
         return m
 
     def _items(self) -> list[tuple[int, np.ndarray]]:
@@ -178,10 +217,10 @@ class Operator:
         return [(k, self._data[s[i] : s[i + 1]]) for i, k in enumerate(self._offsets)]
 
     def _finite_real(self) -> tuple[bool, bool]:
-        """Whether the stored entries are finite, and whether they are real."""
+        """Whether the stored entries (of every row) are finite, and whether they are real."""
         if self._facts is None:
             d = self._data
-            facts = np.count_nonzero(np.isfinite(d)) == len(d), not np.count_nonzero(d.imag)
+            facts = np.count_nonzero(np.isfinite(d)) == d.size, not np.count_nonzero(d.imag)
             object.__setattr__(self, "_facts", facts)
         return self._facts
 
@@ -213,10 +252,14 @@ class Operator:
             return float(np.linalg.norm(self._dense - np.diag(np.diagonal(self._dense)))) <= tol
         return math.hypot(0.0, *(np.linalg.norm(v) for k, v in self._items() if k)) <= tol
 
-    def norm(self) -> float:
-        """Frobenius norm.  When every stored entry and the fill are zero it is
-        0.0 without the dense matrix: the dense norm of signed zeros is +0.0."""
-        if self._offsets is not None and not self._data.any():  # NaN counts as nonzero
+    def norm(self):
+        """Frobenius norm (a batch's: each row's dense norm).  With every entry and
+        the fill zero it is 0.0 without the dense matrix, the dense norm of signed zeros."""
+        if self._offsets is not None and self._data.ndim > 1:
+            rows, norms = self._data.any(axis=1), np.zeros(len(self._data))  # NaN is nonzero
+            norms[rows] = [np.linalg.norm(m) for m in self._array()[rows]]
+            return norms
+        if self._offsets is not None and not self._data.any():
             return 0.0
         return float(np.linalg.norm(self._array()))
 
@@ -235,11 +278,15 @@ class Operator:
         if self._offsets == other._offsets:
             return _new(self.dim, "", self._offsets, op(self._data, other._data))
         offsets, ia, ib = _union(self.dim, self._offsets, other._offsets)
-        return _new(self.dim, "", offsets, op(self._data[ia], other._data[ib]))
+        da, db = self._data, other._data
+        data = op(da[ia], db[ib]) if da.ndim == db.ndim == 1 else op(da[..., ia], db[..., ib])
+        return _new(self.dim, "", offsets, data)
 
     def _scalar(self, op, *scalar) -> "Operator":
         if any(isinstance(x, Operator) for x in scalar):
             raise TypeError("use @ for operator products; * is scalar-only")
+        if scalar and isinstance(scalar[0], np.ndarray):  # one per row: a (P, 1) column
+            scalar = (scalar[0][:, None],)
         if self._offsets is None:
             return _held(op(self._dense, *scalar))
         return _new(self.dim, "", self._offsets, op(self._data, *scalar))
@@ -268,8 +315,9 @@ class Operator:
         # one diagonal gives each entry of the image one term, M[i, i+k] x[i+k]
         if len(self._offsets or ()) != 1 or not _structured(self, _diagonal(x)):
             return self._array() @ x
-        k, n, out = self._offsets[0], self.dim, np.zeros(self.dim, dtype=np.complex128)
-        out[max(0, -k) : n - max(0, k)] = self._data[:-1] * x[max(0, k) : n - max(0, -k)]
+        k, n = self._offsets[0], self.dim
+        out = np.zeros(self._data.shape[:-1] + (n,), dtype=np.complex128)
+        out[..., max(0, -k) : n - max(0, k)] = self._data[..., :-1] * x[max(0, k) : n - max(0, -k)]
         return out + 0.0
 
 
@@ -351,14 +399,19 @@ def _plan(dim: int, a: tuple[int, ...], b: tuple[int, ...]):
 
 def _structured(a: Operator, b: Operator) -> bool:
     """Whether a @ b is formed on the diagonals: both stored as diagonals,
-    both finite, one real, and no entry of the result with two terms."""
+    both finite, one real, and no entry of the result with two terms.  A
+    batch never goes to BLAS: its rows that fail this run apart (Diverged)."""
     if a._offsets is None or b._offsets is None:
         return False
     finite_a, real_a = a._facts or a._finite_real()
     finite_b, real_b = b._facts or b._finite_real()
-    if not (finite_a and finite_b and (real_a or real_b)):
+    if finite_a and finite_b and (real_a or real_b) and _plan(a.dim, a._offsets, b._offsets):
+        return True
+    if a._data.ndim == b._data.ndim == 1:
         return False
-    return _plan(a.dim, a._offsets, b._offsets) is not None
+    finite, real = zip(*((np.isfinite(x._data).all(-1), ~x._data.imag.any(-1)) for x in (a, b)))
+    ok = finite[0] & finite[1] & (real[0] | real[1]) & bool(_plan(a.dim, a._offsets, b._offsets))
+    raise Diverged(~ok)  # a batch's rows for which it fails
 
 
 def _product(a: Operator, b: Operator) -> Operator:
@@ -367,7 +420,8 @@ def _product(a: Operator, b: Operator) -> Operator:
     if not _structured(a, b):
         return _held(a.mat @ b.mat)
     offsets, ai, bi = _plan(a.dim, a._offsets, b._offsets)
-    terms = a._data[ai] * b._data[bi]
+    da, db = a._data, b._data  # a batch's rows: the same entries of each
+    terms = da[ai] * db[bi] if da.ndim == db.ndim == 1 else da[..., ai] * db[..., bi]
     terms += 0.0
     return _new(a.dim, "", offsets, terms)
 
@@ -398,11 +452,12 @@ def zero(dim: int, label: str = "0") -> Operator:
 
 
 def from_diagonal(values: Iterable[complex], label: str = "") -> Operator:
-    return _diagonal(np.asarray(list(values), dtype=np.complex128), label)
+    values = values if isinstance(values, np.ndarray) else list(values)
+    return _diagonal(np.asarray(values, dtype=np.complex128), label)
 
 
 def _diagonal(values: np.ndarray, label: str = "") -> Operator:
-    return Operator._from_diagonals(len(values), {0: values}, label)
+    return Operator._from_diagonals(values.shape[-1], {0: values}, label)
 
 
 def matrix_unit(dim: int, row: int, col: int, value: complex = 1.0) -> Operator:
@@ -424,7 +479,7 @@ def commutator(a: Operator, b: Operator) -> Operator:
 def r_commutator(a: Operator, b: Operator, r: float) -> Operator:
     """The deformed bracket r*AB - (1/r)*BA; reduces to [A,B] at r=1."""
     a._check_dim(b)
-    if r == 0:
+    if _holds(r == 0):
         raise ParameterError("parameter r must be nonzero")
     return r * _product(a, b) - (1.0 / r) * _product(b, a)
 

@@ -88,8 +88,9 @@ def polar_decompose(
     Returns (sqrt(J+J-), sqrt(J-J+)) for the phase operator U = ``phase``.
     All four reconstructions of J+ and J- are verified, and added to
     ``report``, when given, as the checks polar_raising_left/right and
-    polar_lowering_left/right; the corner element of U always multiplies a
-    zero modulus entry, so the result does not depend on theta0.
+    polar_lowering_left/right (without a report a reconstruction above
+    tolerance raises ArithmeticError); the corner element of U always
+    multiplies a zero modulus entry, so the result does not depend on theta0.
     """
     mod_p = psd_sqrt(rep.Jp @ rep.Jm, tol).relabel("sqrt(J+J-)")
     mod_m = psd_sqrt(rep.Jm @ rep.Jp, tol).relabel("sqrt(J-J+)")
@@ -107,7 +108,7 @@ def polar_decompose(
         )
     ]
     worst = max(residuals)
-    if worst > t:
+    if report is None and worst > t:
         raise ArithmeticError(f"polar reconstruction failed: residual {worst:.3e}")
     return mod_p, mod_m
 

@@ -1,9 +1,12 @@
-"""Named residual checks with tolerances and pass/fail verdicts."""
+"""Named residual checks with tolerances and pass/fail verdicts; a batch's
+report holds a row of residuals per check, and ``split`` divides it by point."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 __all__ = ["CheckResult", "CheckReport"]
 
@@ -16,7 +19,8 @@ class CheckResult:
     ``mode`` is "le" for ordinary checks (pass iff residual <= tol) and "ge"
     for negative controls (pass iff residual >= tol, i.e. the identity is
     *supposed* to fail by at least that much).  ``category`` groups checks
-    for sweep summaries; neither field is serialized.
+    for sweep summaries; neither field is serialized.  In a batch's report
+    residual and tol may be arrays and passed a list, one entry per point.
     """
 
     name: str
@@ -52,10 +56,27 @@ class CheckReport:
         category: str = "algebra",
         mode: str = "le",
     ) -> CheckResult:
+        if not isinstance(res, np.ndarray):  # else a row per point of a batch
+            res, tol = float(res), float(tol)
         passed = res <= tol if mode == "le" else res >= tol
-        result = CheckResult(name, float(res), float(tol), passed, detail, category, mode)
+        passed = passed.tolist() if isinstance(passed, np.ndarray) else passed  # plain bools
+        result = CheckResult(name, res, tol, passed, detail, category, mode)
         self.checks.append(result)
         return result
+
+    def split(self, points: int) -> list[CheckReport]:
+        """One report per point of a batch: a check with a row of residuals
+        gives each point its own, a shared check (a frame's) is every point's."""
+        reports = [CheckReport() for _ in range(points)]
+        for c in self.checks:
+            rows = [c] * points
+            if isinstance(c.residual, np.ndarray):  # a batch's check: a result per point
+                tols = c.tol.tolist() if isinstance(c.tol, np.ndarray) else [c.tol] * points
+                rows = [CheckResult(c.name, *f, c.detail, c.category, c.mode)
+                        for f in zip(c.residual.tolist(), tols, c.passed)]
+            for report, row in zip(reports, rows):
+                report.checks.append(row)
+        return reports
 
     def extend(self, other: Iterable[CheckResult]) -> None:
         self.checks.extend(other)

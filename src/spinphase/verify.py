@@ -3,27 +3,32 @@
 The suites live with the families (``families.FAMILY_TABLE``); a relation a
 builder already verified is reported from its residual, not recomputed.  A
 violated relation in the scenario's own builder raises ``ArithmeticError``,
-not a typed error, and so do two suites: ``su2.casimir`` (the orderings or
-the scalar) and ``phase.polar_decompose`` (a reconstruction).  Such a
-scenario ends in a traceback instead of a failed check, for example
-``verify --family su2 --j 1 --tol 0``.
+not a typed error.  The casimir and polar suites record a failed
+reconstruction as a failed check.
 
 A spin scenario's phase checks and U's equation of motion come from its
 phase frame (``families.spin_frame``), which reads only j, theta0, muB and
 tol: J+~ = U G, and only the diagonal weight G reads the deformation.
-``verify`` builds one frame; ``sweep`` passes ``run_verify`` a memo, so
-the points of a grid that share those four values share one frame and its
-checks are reported, not recomputed, at every such point.
+``verify_points`` runs the scenarios sharing those values as one *batch*: a
+deformation parameter is a list over the points, an operator reading G holds
+one row per point and each check is one numpy operation (``operators``).
+Norms stay dense, one per row, so a point's report is its lone run's, bit
+for bit; rows that branch or raise apart run alone (``operators.Diverged``).
 """
 
 from __future__ import annotations
 
-from .families import FAMILY_TABLE, FrameSource
-from .operators import NegativeNormError, SplitError
+import dataclasses
+
+from .families import FAMILY_TABLE, FrameSource, spin_frame
+from .operators import AlgebraError, Diverged, NegativeNormError, SplitError
 from .report import CheckReport
 from .scenarios import FamilyBundle, Scenario, build_bundle
 
-__all__ = ["run_verify", "collect_checks"]
+__all__ = ["run_verify", "collect_checks", "verify_points"]
+
+# the Scenario fields a batch of one frame may vary, a list over its points
+_BATCHED = ("q", "q_phase", "r", "f_coeff")
 
 
 def collect_checks(bundle: FamilyBundle) -> CheckReport:
@@ -42,18 +47,53 @@ def run_verify(
     Mathematical impossibilities during construction (negative norm, an
     impossible split) come back as a failed check instead of an exception,
     so the CLI can exit 1 with a report; genuine parameter errors propagate.
-    A violated defining relation inside the scenario's own builder, or in
-    the casimir or polar suite, also propagates as ``ArithmeticError``.
+    A violated defining relation inside the scenario's own builder also
+    propagates as ``ArithmeticError``.
     """
     try:
         bundle = build_bundle(sc, frames)
     except (NegativeNormError, SplitError) as exc:
         report = CheckReport()
-        report.add(
-            "construction",
-            float("inf"),
-            sc.tol.abs_tol,
-            detail=str(exc),
-        )
+        report.add("construction", float("inf"), sc.tol.abs_tol, detail=str(exc))
         return report, None
     return collect_checks(bundle), bundle
+
+
+def verify_points(
+    scenarios: list[Scenario], frames: FrameSource = spin_frame
+) -> list[CheckReport | AlgebraError]:
+    """Each scenario's report, or the AlgebraError it raised; the first bare
+    ArithmeticError, in order, ends the call.  Spin scenarios of one family on
+    one frame (from ``frames``) run as a batch: diverging rows run again alone,
+    and a batch that raises, point by point."""
+    groups: dict = {}
+    for i, sc in enumerate(scenarios):
+        key = (sc.family, sc.split, sc.j, sc.theta0, sc.muB, sc.tol) if sc.j is not None else i
+        groups.setdefault(key, []).append(i)
+    outcomes: list = [None] * len(scenarios)
+    for key, pending in groups.items():
+        frame = frames(*key[2:]) if isinstance(key, tuple) else None
+        source, pending = frame and (lambda *_, frame=frame: frame), [pending]
+        while pending:
+            rows = pending.pop()
+            points = [scenarios[i] for i in rows]
+            batch = points[0] if len(rows) == 1 else dataclasses.replace(points[0], **{
+                name: [getattr(sc, name) for sc in points]
+                for name in _BATCHED if getattr(points[0], name) is not None
+            })
+            try:
+                report, _ = run_verify(batch, source)
+                results = report.split(len(rows)) if len(rows) > 1 else [report]
+            except (Diverged, AlgebraError, ArithmeticError) as exc:
+                if len(rows) > 1:
+                    apart = exc.args[0] if isinstance(exc, Diverged) else [True] * len(rows)
+                    rest = [i for i, alone in zip(rows, apart) if not alone]
+                    pending += [[i] for i, alone in zip(rows, apart) if alone] + [rest] * bool(rest)
+                    continue
+                results = [exc.with_traceback(None)]  # its frames would hold it in a cycle
+            for i, result in zip(rows, results):
+                outcomes[i] = result
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, ArithmeticError):  # raised again, traceback and all
+            run_verify(scenarios[i], frames)
+    return outcomes

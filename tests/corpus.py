@@ -13,8 +13,10 @@ diffing two runs::
 The argv cover ``build``, ``verify --report`` and ``evolve`` of every family
 on a size ladder, ``verify`` and ``evolve`` of jordan_schwinger at s = 30,
 the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
-on deformed families, zero-rate controls, the inputs on which a builder
-raises, usage errors and output paths that cannot be written.  Temporary
+on deformed families, sweeps whose points on one frame part ways (error
+rows, a failed construction, a branch only some points take), zero-rate
+controls, the inputs on which a builder or a check suite raises, usage
+errors and output paths that cannot be written.  Temporary
 paths print as ``$TMP``: in the argv, the outcome and the stderr line alike.
 """
 
@@ -88,6 +90,8 @@ def corpus(tmp: str) -> list[list[str]]:
         ["--family", "hermitian_f", "--j", "5", "--q", "3"],
         ["--family", "hermitian_f", "--j", "15/2", "--q", "2"],
         ["--scenario", left, "--j", "15/2", "--q", "2"],
+        # the casimir suite at zero tolerance
+        ["--family", "su2", "--j", "1", "--tol", "0"],
         # zero rates: the negative control has nothing to miss
         ["--family", "su2", "--j", "3/2", "--muB", "0"],
         ["--family", "suq2", "--j", "3/2", "--q", "1.3", "--muB", "0"],
@@ -121,6 +125,13 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--family", "witten", "--param", "r:1.1:2.0:6", "--param", "j:0.5:4.5:9"],
         ["sweep", "--family", "f_deform", "--j", "5/2", "--param", "f_coeff:-0.1:0.3:5",
          "--param", "theta0:0:1.4:3"],
+        # points of one frame that part ways: singular-F error rows, a failed
+        # construction, an r = 1 usage row, and the left split's adjoint check
+        # that only q = 1 passes
+        ["sweep", "--family", "f_deform", "--j", "1", "--param", "f_coeff:-1:1:5"],
+        ["sweep", "--family", "hermitian_f", "--j", "1", "--param", "q_phase:3:7:5"],
+        ["sweep", "--family", "witten", "--j", "3/2", "--param", "r:0.5:1.5:3"],
+        ["sweep", "--scenario", left, "--j", "2", "--param", "q:0.5:2.5:5"],
     ]
 
     argvs += [

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, file outputs, and byte-identical reruns."""
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -393,15 +394,20 @@ def _sweep_rows(base: dict, grids: list[str], capsys) -> list[str]:
 
 
 def _verify_rows(base: dict, grids: list[str]) -> list[str]:
-    """The sweep rows built from a fresh run_verify of each resolved point."""
+    """The sweep rows built from a fresh run_verify of each resolved point; a
+    point whose resolution or run raises an AlgebraError gives its error row."""
     axes = []
     for grid in grids:
         name, start, stop, count = grid.split(":")
         axes.append([(name, v) for v in np.linspace(float(start), float(stop), int(count))])
     rows = []
     for point in itertools.product(*axes):
-        report, _ = run_verify(resolve_scenario({**base, **dict(point)}))
-        rows.append(",".join([format_float(float(v)) for _, v in point] + _summary_cells(report)))
+        try:
+            report, _ = run_verify(resolve_scenario({**base, **dict(point)}))
+            cells = _summary_cells(report)
+        except operators.AlgebraError as exc:
+            cells = ["NaN"] * 5 + ["false", str(exc).replace(",", ";")]
+        rows.append(",".join([format_float(float(v)) for _, v in point] + cells))
     return rows
 
 
@@ -434,6 +440,80 @@ class TestSweepRowsAreVerifies:
     )
     def test_row_is_the_verify_of_its_point(self, capsys, base, grids):
         assert _sweep_rows(base, grids, capsys) == _verify_rows(base, grids)
+
+    @pytest.mark.parametrize(
+        "base, grids",
+        [
+            # four singular-F error rows around one passing row
+            ({"family": "f_deform", "j": "1"}, ["f_coeff:-1:1:5"]),
+            # p = 3 fails its construction (inf); p = 4..7 pass
+            ({"family": "hermitian_f", "j": "1"}, ["q_phase:3:7:5"]),
+            # r = 1 is a usage error row between two passing rows
+            ({"family": "witten", "j": "3/2"}, ["r:0.5:1.5:3"]),
+            # the left split: no hermitian pair, except within tolerance at q = 1
+            ({"family": "ab_map", "j": "2", "split": "left"}, ["q:0.5:2.5:5"]),
+        ],
+        ids=["f_deform-singular", "hermitian_f-negative-norm", "witten-r-1", "ab_map-left"],
+    )
+    def test_edge_grid_row_is_the_verify_of_its_point(self, capsys, tmp_path, base, grids):
+        # split has no flag: it reaches the sweep through a scenario file
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"split": base.get("split", "symmetric")}))
+        argv = ["sweep", "--scenario", str(scenario), *_flags(
+            {k: v for k, v in base.items() if k != "split"}
+        )]
+        for grid in grids:
+            argv += ["--param", grid]
+        main(argv)
+        assert capsys.readouterr().out.splitlines()[1:] == _verify_rows(base, grids)
+
+    def test_raising_point_ends_the_sweep_as_before(self, capsys):
+        # q > ~2.58 at j = 5 violates the SU_q(2) casimir identity inside the builder
+        with pytest.raises(ArithmeticError) as info:
+            main(["sweep", "--family", "suq2", "--j", "5", "--param", "q:1.0001:3:21"])
+        assert type(info.value) is ArithmeticError
+        assert str(info.value) == "SU_q(2) casimir identity violated"
+        assert capsys.readouterr().out == ""
+
+    def test_a_frame_runs_its_points_as_one_batch(self, capsys, monkeypatch):
+        # every product of a single-frame sweep acts on all its points at once
+        calls = []
+        product = operators._product
+
+        def counted(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(operators, "_product", counted)
+        counts = []
+        for count in (2, 101):
+            calls.clear()
+            argv = ["sweep", "--family", "suq2", "--j", "5/2", "--param", f"q:1.0001:3:{count}"]
+            assert main(argv) == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1] > 0
+
+    def test_a_sweep_leaves_no_reference_cycles(self, capsys):
+        # what a sweep keeps (reports, stored errors, frames) is freed when it
+        # returns or raises, not left to the cyclic collector
+        def sweep(*grid):
+            try:
+                main(["sweep", "--family", "suq2", *grid])
+            except ArithmeticError:  # q > ~2.58 at j = 5 (test above)
+                pass
+
+        for grid in (["--j", "5/2", "--param", "q:1.0001:3:7"],
+                     ["--j", "5", "--param", "q:1.0001:3:21"]):
+            sweep(*grid)
+            gc.collect()
+            gc.disable()
+            try:
+                sweep(*grid)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+        capsys.readouterr()
 
     def test_no_frame_outlives_its_request(self, capsys, monkeypatch):
         built = []
@@ -752,6 +832,9 @@ class TestNoCheckSuiteRaises:
             (None, ["--family", "hermitian_f", "--j", "15/2", "--q", "2"]),
             (None, ["--family", "hermitian_f", "--j", "35/2", "--q", "1.3"]),
             ({"family": "ab_map", "split": "left"}, ["--j", "15/2", "--q", "2"]),
+            # the casimir suite at zero tolerance: failed checks, not a traceback
+            (None, ["--family", "su2", "--j", "1", "--tol", "0"]),
+            (None, ["--family", "su2", "--j", "5", "--theta0", "0.3", "--tol", "0"]),
         ],
     )
     def test_verify_writes_its_report(self, tmp_path, capsys, scenario, flags):

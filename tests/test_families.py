@@ -108,11 +108,14 @@ def _corrupt(rep: Su2Rep) -> Su2Rep:
     return Su2Rep(rep.twoj, jp, jp.adjoint(), rep.J0)
 
 
-def test_polar_decompose_still_raises():
+def test_polar_decompose_records_its_failure_or_raises():
+    # given a report the failed reconstruction is a failed check; without one it raises
+    rep, phase = _corrupt(build_su2("5/2")), build_phase_operator("5/2")
     report = CheckReport()
+    polar_decompose(rep, phase, report=report)
+    assert len(report) == 4 and not report.all_pass
     with pytest.raises(ArithmeticError, match="polar reconstruction failed: residual "):
-        polar_decompose(_corrupt(build_su2("5/2")), build_phase_operator("5/2"), report=report)
-    assert not report.all_pass
+        polar_decompose(rep, phase)
 
 
 def test_casimir_adds_its_orderings_and_still_raises():
@@ -122,6 +125,13 @@ def test_casimir_adds_its_orderings_and_still_raises():
     assert report.all_pass
     with pytest.raises(ArithmeticError, match="casimir orderings disagree"):
         casimir(_corrupt(build_su2(2)))
+
+
+def test_casimir_records_its_failure_given_a_report():
+    report = CheckReport()
+    casimir(_corrupt(build_su2(2)), report=report)
+    assert [c.name for c in report] == ["casimir_orderings", "casimir_scalar"]
+    assert not report.all_pass
 
 
 def test_ladder_violation_still_raises():

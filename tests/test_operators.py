@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphase import (
+    CheckReport,
     NotDiagonalError,
     NotPSDError,
     Operator,
@@ -29,7 +30,7 @@ from spinphase import (
     residual,
     zero,
 )
-from spinphase.operators import _product, _structured
+from spinphase.operators import Diverged, _product, _structured
 
 TOL = Tolerance()
 
@@ -510,3 +511,65 @@ class TestInputChecks:
             want = np.zeros((3, 3), dtype=complex)
             want[row, col] = 2.5j
             assert_same_bits(matrix_unit(3, row, col, 2.5j).mat, want)
+
+
+class TestBatchAxis:
+    """A batch stores one row per point: every operation and norm is, row by
+    row, the lone operator's to the last bit, and a batch never goes to BLAS."""
+
+    @staticmethod
+    def _rows(dim, seed, points=7):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((points, dim - 1)) * 10.0 ** rng.integers(-3, 4, (points, 1))
+
+    @pytest.mark.parametrize("dim", [2, 6, 26])
+    def test_rows_are_the_lone_operators(self, dim):
+        rows = self._rows(dim, dim)
+        rep = build_su2(f"{dim - 1}/2")
+        u = build_finite_oscillator(dim - 1, 0.7).U.U
+        scale = np.linspace(0.5, 2.0, len(rows))
+
+        def ops(jp, s):
+            jm = jp.adjoint()
+            yield commutator(rep.J0, jp) - jp
+            yield jm @ jp + from_diagonal(np.arange(dim)) - jp @ jm
+            yield u.adjoint() @ jp
+            yield (jm @ u) / 1j - (-1j * 0.7) * jm
+            yield r_commutator(jp, jm, s) - s * jm
+            yield jp.adjoint() - jm
+
+        batch = Operator._from_diagonals(dim, {-1: rows})
+        batched = list(ops(batch, scale))
+        for i, row in enumerate(rows):
+            for got, want in zip(batched, ops(Operator._from_diagonals(dim, {-1: row}), scale[i])):
+                assert_same_bits(got.mat[i], want.mat)
+                assert got.norm()[i].hex() == want.norm().hex()
+        assert_same_bits(batch.apply(np.eye(dim)[0])[2], Operator._from_diagonals(
+            dim, {-1: rows[2]}).apply(np.eye(dim)[0]))
+
+    def test_rows_that_would_go_to_blas_run_apart(self):
+        rows = self._rows(6, 1)
+        rows[[1, 4], 2] = [np.inf, np.nan]
+        batch = Operator._from_diagonals(6, {-1: rows})
+        with pytest.raises(Diverged) as info:
+            batch @ batch.adjoint()
+        assert info.value.args[0].tolist() == [False, True, False, False, True, False, False]
+        phase = build_finite_oscillator(5, 0.7).U.U  # complex: the rows must be real
+        with pytest.raises(Diverged) as info:
+            phase @ (1j * Operator._from_diagonals(6, {-1: self._rows(6, 2)}))
+        assert info.value.args[0].all()
+
+    def test_report_splits_by_point(self):
+        report = CheckReport()
+        shared = report.add("frame", 0.0, 1.0)
+        report.add("rows", np.array([0.5, 2.0, np.nan]), 1.0, detail="d", category="phase")
+        report.add("control", np.array([3.0, 0.1, 1.0]), np.array([0.5, 0.5, 1.0]), mode="ge")
+        reports = report.split(3)
+        assert all(r.checks[0] is shared for r in reports)
+        assert [[c.passed for c in r] for r in reports] == [
+            [True, True, True], [True, False, False], [True, False, True]
+        ]
+        assert [(c.residual, c.tol, c.detail, c.category) for c in reports[1]][1] == (
+            2.0, 1.0, "d", "phase"
+        )
+        assert all(type(c.residual) is float and type(c.passed) is bool for r in reports for c in r)
