@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import itertools
 import json
@@ -332,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
+        path = getattr(args, "out", None) or getattr(args, "report", None)
+        if path and not os.path.exists(os.path.dirname(path) or "."):  # before any work
+            raise ParameterError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
         return handlers[args.command](args)
     except AlgebraError as exc:
         print(f"spinphase {args.command}: {exc}", file=sys.stderr)

@@ -27,14 +27,13 @@ import cmath
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
     NegativeNormError,
-    NotDiagonalError,
     Operator,
     ParameterError,
     ShapeError,
@@ -58,7 +57,6 @@ __all__ = [
     "q_number",
     "linear_structure",
     "qbracket_structure",
-    "table_structure",
     "discrete_antiderivative",
     "build_deformation",
     "build_split_deformation",
@@ -66,7 +64,6 @@ __all__ = [
     "build_suq2",
     "build_witten",
     "build_scaled_deformation",
-    "deformed_casimir",
 ]
 
 
@@ -90,7 +87,10 @@ def q_number(x: float, q: complex) -> float:
         if qr <= 0.0:
             raise ParameterError(f"q must be positive real or a phase, got {qr}")
         log_q = np.log(qr)
-        return float(np.sinh(x * log_q) / np.sinh(log_q))
+        y = float(x * log_q)
+        if abs(y) > 710.4758600739439:  # sinh overflows: inf, for the builders to reject
+            return float(np.copysign(np.inf, x))
+        return float(np.sinh(y) / np.sinh(log_q))
     if abs(abs(qc) - 1.0) > 1e-12:
         raise ParameterError(f"complex q must lie on the unit circle, got |q|={abs(qc)}")
     a = cmath.phase(qc)
@@ -127,19 +127,6 @@ def qbracket_structure(q: complex) -> StructureFunction:
     return StructureFunction(lambda x: q_number(2.0 * x, qc), params, "[2x]_q")
 
 
-def table_structure(table: Mapping[float, float]) -> StructureFunction:
-    """f given by explicit values on the half-integer grid."""
-    keyed = {round(2.0 * float(x)): float(v) for x, v in table.items()}
-
-    def look(x: float) -> float:
-        key = round(2.0 * x)
-        if key not in keyed or abs(key - 2.0 * x) > 1e-9:
-            raise ParameterError(f"structure table has no value at x={x}")
-        return keyed[key]
-
-    return StructureFunction(look, {}, "table")
-
-
 def _grid(twoj: int) -> list[float]:
     """The half-integer grid {-j-1, ..., j} of g."""
     lo = -(twoj / 2.0) - 1.0
@@ -166,23 +153,6 @@ class GridFunction:
 
     twoj: int
     values: tuple[float, ...]
-
-    def grid(self) -> list[float]:
-        return _grid(self.twoj)
-
-    def value(self, x: float) -> float:
-        idx = _grid_index(x, self.twoj)
-        if idx is None:
-            raise ParameterError(f"x={x} is off the solution grid")
-        return self.values[idx]
-
-    def shift_residual(self, f: StructureFunction) -> float:
-        """Worst |g(x) - g(x-1) - f(x)| over the grid; zero as solved."""
-        xs = self.grid()
-        return max(
-            abs(self.values[k] - self.values[k - 1] - f(xs[k]))
-            for k in range(1, len(xs))
-        )
 
 
 def discrete_antiderivative(
@@ -263,13 +233,18 @@ def build_deformation(
 
     ``raising`` and ``lowering`` are the entries of J+~ and J-~ on the ladder
     steps m -> m+1, m = -j, ..., j-1 (the su2 entries times A(m) and B(m));
-    ``lowering`` None makes J-~ = (J+~)^dagger.  [J0, J+-~] = +-J+-~ and, for
-    a hermitian pair, J-~ = (J+~)^dagger are recorded as checks; the ladder
-    relations must hold within tolerance or ArithmeticError is raised.
+    ``lowering`` None makes J-~ = (J+~)^dagger.  A non-finite entry raises
+    ParameterError.  [J0, J+-~] = +-J+-~ and, for a hermitian pair,
+    J-~ = (J+~)^dagger are recorded as checks; the ladder relations must hold
+    within tolerance or ArithmeticError is raised.
     """
     raising, steps = np.asarray(raising, dtype=np.complex128), rep.dim - 1  # a row per point
     if raising.shape[-1] != steps or (lowering is not None and np.shape(lowering)[-1] != steps):
         raise ShapeError(f"a spin-{rep.j} ladder has {rep.dim - 1} steps")
+    bad = ~np.isfinite(raising) | ~np.isfinite(raising if lowering is None else lowering)
+    if _holds(bad.any(axis=-1)):
+        m = rep.m_values()[np.flatnonzero(bad)[0]]
+        raise ParameterError(f"the {provenance['map']} ladder is not finite at m={m:g} -> m+1")
     t = tol.for_dim(rep.dim)
     jp, jm = _place_ladders(raising, lowering)
     checks = _ladder_checks(rep.J0, jp, jm, t, lowering is None)
@@ -399,14 +374,17 @@ def _witten_point(rep: Su2Rep, r: float) -> tuple:
         raise ParameterError(f"r must be positive and != 1, got {r}")
     jv = float(rep.j)
     ms = rep.m_values()
-    kappa = (r ** (2 * jv + 1) + r ** (-2 * jv - 1)) / (r + 1.0 / r)
     scale = 1.0 / (r - 1.0 / r)
-    w0 = [scale * (1.0 - kappa * r ** (-2.0 * float(m))) for m in ms]
     # the ladder weight is r^(-x) times the hermitian map's at f = [2x]_r,
     # whose radicand is positive for real r > 0
     norm = np.sqrt(r / (r + 1.0 / r))
     base = _hermitian_weights(rep, qbracket_structure(r), 0.0)
-    weights = [float(r ** (-x) * norm * h) for x, h in zip(map(float, ms[1:]), base)]
+    try:
+        kappa = (r ** (2 * jv + 1) + r ** (-2 * jv - 1)) / (r + 1.0 / r)
+        w0 = [scale * (1.0 - kappa * r ** (-2.0 * float(m))) for m in ms]
+        weights = [float(r ** (-x) * norm * h) for x, h in zip(map(float, ms[1:]), base)]
+    except OverflowError as exc:
+        raise ParameterError(f"r={r} overflows Witten's map at j={rep.j}") from exc
     return w0, weights, r, 1.0 / r**2, 1.0 / abs(r - 1.0 / r), r + 1.0 / r
 
 
@@ -429,6 +407,8 @@ def build_witten(rep: Su2Rep, r, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple
     point = per_point(lambda v: _witten_point(rep, v), r)
     fields = map(np.array, zip(*point)) if isinstance(r, list) else point  # a batch's: rows
     w0_entries, weights, r_rows, inv_r2, cancellation, spread = fields
+    if _holds(~(np.isfinite(w0_entries).all(-1) & np.isfinite(weights).all(-1))):
+        raise ParameterError(f"r={r} overflows Witten's map at j={rep.j}")
     w0 = from_diagonal(w0_entries, "W0")
     wp, wm = _place_ladders(rep.ladder_entries() * weights, labels=("W+", "W-"))
 
@@ -513,23 +493,3 @@ def build_scaled_deformation(
 
     hermitian = bool(checks.named("adjoint_pair"))
     return DeformedTriple(jp_t, jm_t, j0_t, {"map": "f_deform", "params": {}}, hermitian, checks)
-
-
-def deformed_casimir(
-    triple: DeformedTriple, g: GridFunction, tol: Tolerance = DEFAULT_TOL
-) -> Operator:
-    """C~ = J-~ J+~ + g(J0~) = J+~ J-~ + g(J0~ - 1), verified central; J0~
-    must be diag(-j, ..., j) at g's spin."""
-    t = tol.for_dim(triple.dim)
-    if residual(triple.J0, from_diagonal(g.grid()[1:])) > t:
-        raise NotDiagonalError("deformed casimir needs J0~ = diag(-j, ..., j) at g's spin")
-    c_up, c_down = _casimir_orderings(triple, g.values)
-    if residual(c_up, c_down) > t:
-        raise ArithmeticError("deformed casimir orderings disagree")
-    central = max(
-        residual(commutator(c_up, triple.Jp), 0.0 * c_up),
-        residual(commutator(c_up, triple.Jm), 0.0 * c_up),
-    )
-    if central > t:
-        raise ArithmeticError(f"deformed casimir is not central: {central:.3e}")
-    return c_up.relabel("C~")

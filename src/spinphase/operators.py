@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "matrix_unit",
     "commutator",
     "r_commutator",
-    "diag_function",
     "psd_sqrt",
     "residual",
 ]
@@ -482,19 +481,6 @@ def r_commutator(a: Operator, b: Operator, r: float) -> Operator:
     if _holds(r == 0):
         raise ParameterError("parameter r must be nonzero")
     return r * _product(a, b) - (1.0 / r) * _product(b, a)
-
-
-def diag_function(
-    fn: Callable[[float], complex], d: Operator, tol: Tolerance = DEFAULT_TOL
-) -> Operator:
-    """Apply fn elementwise to the (real) diagonal of a diagonal operator."""
-    t = tol.for_dim(d.dim)
-    if not d.is_diagonal(t):
-        raise NotDiagonalError("not diagonal within tolerance")
-    diag = d.diagonal()
-    if float(np.max(np.abs(diag.imag))) > t:
-        raise NotDiagonalError("diagonal entries are not real within tolerance")
-    return from_diagonal([fn(float(x)) for x in diag.real])
 
 
 def psd_sqrt(a: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:

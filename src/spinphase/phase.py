@@ -32,7 +32,6 @@ __all__ = [
     "build_phase_operator",
     "polar_decompose",
     "phase_number_commutator_residual",
-    "phase_recovery_ambiguity",
 ]
 
 
@@ -123,48 +122,3 @@ def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float
     res_plus = residual(commutator(phase.U, rep.J0), rhs)
     res_minus = residual(commutator(phase.adjoint(), rep.J0), -1.0 * rhs.adjoint())
     return max(res_plus, res_minus)
-
-
-def phase_recovery_ambiguity(
-    rep: Su2Rep, phase: PhaseOperator, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Show that pinv(sqrt(J+J-)) J+ recovers exp(i*phi) except at the corner.
-
-    The modulus sqrt(J+J-) has a zero eigenvalue at the bottom state, so the
-    pseudo-inverse kills exactly the row holding the corner element: the
-    reference-angle information is unrecoverable from the ladder operator.
-    """
-    dim = rep.dim
-    t = tol.for_dim(dim)
-
-    mod_p = psd_sqrt(rep.Jp @ rep.Jm, tol)
-    evals, evecs = np.linalg.eigh(mod_p.mat)
-    inv = np.where(evals > t, 1.0 / np.where(evals > t, evals, 1.0), 0.0)
-    pinv = Operator((evecs * inv) @ evecs.conj().T)
-    candidate = pinv @ rep.Jp
-
-    diff = candidate.mat - phase.U.mat
-    corner = diff[0, dim - 1]
-    off_corner = diff.copy()
-    off_corner[0, dim - 1] = 0.0
-
-    report = CheckReport()
-    report.add(
-        "phase_recovery_off_corner",
-        float(np.linalg.norm(off_corner)),
-        t,
-        detail="pinv(sqrt(J+J-))*J+ matches exp(i*phi) away from the corner",
-        category="phase",
-    )
-    report.add(
-        "phase_recovery_corner_lost",
-        float(abs(corner)),
-        0.5,
-        detail=(
-            f"undetermined element at (0, {dim - 1}): true value "
-            f"exp(i*(2j+1)*theta0) = {phase.corner_phase!r} is not recovered"
-        ),
-        category="phase",
-        mode="ge",
-    )
-    return report

@@ -30,7 +30,6 @@ __all__ = [
     "format_float",
     "dumps",
     "operator_to_jsonable",
-    "operator_from_jsonable",
     "trajectory_csv_lines",
 ]
 
@@ -81,15 +80,6 @@ def operator_to_jsonable(op: Operator) -> dict:
         "re": op.mat.real.tolist(),
         "im": op.mat.imag.tolist(),
     }
-
-
-def operator_from_jsonable(payload: dict) -> Operator:
-    dim = int(payload["dim"])
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload["im"], dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(f"operator payload shape does not match dim={dim}")
-    return Operator(re + 1j * im, str(payload.get("label", "")))
 
 
 def trajectory_csv_lines(

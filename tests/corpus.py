@@ -15,8 +15,9 @@ on a size ladder, ``verify`` and ``evolve`` of jordan_schwinger at s = 30,
 the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
 on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
-controls, the inputs on which a builder or a check suite raises, usage
-errors and output paths that cannot be written.  Temporary
+controls, the inputs on which a builder or a check suite raises, parameters
+at which a ladder overflows, usage errors and output paths that cannot be
+written.  Temporary
 paths print as ``$TMP``: in the argv, the outcome and the stderr line alike.
 """
 
@@ -101,6 +102,11 @@ def corpus(tmp: str) -> list[list[str]]:
          "--muB", "0"],
         ["--family", "jordan_schwinger", "--s", "3", "--omega1", "1", "--omega2", "1",
          "--muB", "0"],
+        # parameters at which the ladder's weights overflow
+        ["--family", "witten", "--j", "50", "--r", "1e10"],
+        ["--family", "witten", "--j", "3/2", "--r", "1e-300"],
+        ["--family", "suq2", "--j", "3/2", "--q", "1e300"],
+        ["--family", "hermitian_f", "--j", "3/2", "--q", "1e300"],
     ]
     argvs += [["verify", *sc, "--report", report] for sc in verify_only]
 
@@ -132,6 +138,8 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--family", "hermitian_f", "--j", "1", "--param", "q_phase:3:7:5"],
         ["sweep", "--family", "witten", "--j", "3/2", "--param", "r:0.5:1.5:3"],
         ["sweep", "--scenario", left, "--j", "2", "--param", "q:0.5:2.5:5"],
+        # a point that runs, then two whose weights overflow
+        ["sweep", "--family", "witten", "--j", "50", "--param", "r:1.2:1e10:3"],
     ]
 
     argvs += [

@@ -17,14 +17,13 @@ import contextlib
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 import spinphase.operators as structured
 from spinphase.operators import (
     DEFAULT_TOL,
-    NotDiagonalError,
     NotPSDError,
     ParameterError,
     ShapeError,
@@ -194,18 +193,6 @@ def _operator_product(a: Operator, b: Operator) -> Operator:
     return Operator(_product(a, b))
 
 
-def diag_function(
-    fn: Callable[[float], complex], d: Operator, tol: Tolerance = DEFAULT_TOL
-) -> Operator:
-    t = tol.for_dim(d.dim)
-    if not d.is_diagonal(t):
-        raise NotDiagonalError("not diagonal within tolerance")
-    diag = d.diagonal()
-    if float(np.max(np.abs(diag.imag))) > t:
-        raise NotDiagonalError("diagonal entries are not real within tolerance")
-    return from_diagonal([fn(float(x)) for x in diag.real])
-
-
 def psd_sqrt(a: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
     t = tol.for_dim(a.dim)
     if not a.is_hermitian(t):
@@ -230,7 +217,6 @@ REPLACEMENTS = {
     "matrix_unit": matrix_unit,
     "commutator": commutator,
     "r_commutator": r_commutator,
-    "diag_function": diag_function,
     "psd_sqrt": psd_sqrt,
     "residual": residual,
     "_product": _operator_product,

@@ -18,7 +18,7 @@ from spinphase import cli
 from spinphase.cli import _summary_cells, main
 from spinphase.families import spin_frame
 from spinphase.scenarios import resolve_scenario
-from spinphase.serialize import format_float, operator_from_jsonable
+from spinphase.serialize import format_float
 from spinphase.verify import run_verify
 
 
@@ -145,8 +145,8 @@ class TestBuild:
         assert rc == 0
         payload = read_json(out)
         assert sorted(payload["operators"]) == ["J0", "Jm", "Jp"]
-        jp = operator_from_jsonable(payload["operators"]["Jp"])
-        assert np.allclose(jp.mat, [[0, 0], [1, 0]])
+        jp = payload["operators"]["Jp"]
+        assert np.allclose(np.array(jp["re"]) + 1j * np.array(jp["im"]), [[0, 0], [1, 0]])
         assert payload["metadata"]["basis"] == "ascending_m"
 
     def test_witten_provenance(self, tmp_path, capsys):
@@ -452,8 +452,14 @@ class TestSweepRowsAreVerifies:
             ({"family": "witten", "j": "3/2"}, ["r:0.5:1.5:3"]),
             # the left split: no hermitian pair, except within tolerance at q = 1
             ({"family": "ab_map", "j": "2", "split": "left"}, ["q:0.5:2.5:5"]),
+            # a row that runs, then two whose weights overflow: error rows
+            ({"family": "witten", "j": "50"}, ["r:1.2:1e10:3"]),
+            ({"family": "suq2", "j": "3/2"}, ["q:1.3:1e300:3"]),
         ],
-        ids=["f_deform-singular", "hermitian_f-negative-norm", "witten-r-1", "ab_map-left"],
+        ids=[
+            "f_deform-singular", "hermitian_f-negative-norm", "witten-r-1", "ab_map-left",
+            "witten-overflow", "suq2-overflow",
+        ],
     )
     def test_edge_grid_row_is_the_verify_of_its_point(self, capsys, tmp_path, base, grids):
         # split has no flag: it reaches the sweep through a scenario file
@@ -466,6 +472,16 @@ class TestSweepRowsAreVerifies:
             argv += ["--param", grid]
         main(argv)
         assert capsys.readouterr().out.splitlines()[1:] == _verify_rows(base, grids)
+
+    def test_overflowing_points_are_error_rows(self, capsys):
+        rc = main(["sweep", "--family", "witten", "--j", "50", "--param", "r:1.2:1e10:3"])
+        errors = [row.rsplit(",", 1)[1] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert rc == 1
+        assert errors == [
+            "",
+            "r=5000000000.599999 overflows Witten's map at j=50",
+            "r=10000000000.0 overflows Witten's map at j=50",
+        ]
 
     def test_raising_point_ends_the_sweep_as_before(self, capsys):
         # q > ~2.58 at j = 5 violates the SU_q(2) casimir identity inside the builder
@@ -702,6 +718,14 @@ _REJECTED_FLAGS = [
 ]
 
 
+_OUTPUT_FLAGS = [
+    ["verify", "--family", "su2", "--j", "1", "--report"],
+    ["build", "--family", "su2", "--j", "1", "--out"],
+    ["evolve", "--family", "su2", "--j", "1", "--t-max", "1", "--steps", "3", "--out"],
+    ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out"],
+]
+
+
 class TestRejectedInput:
     @staticmethod
     def _assert_usage_error(rc, captured, command):
@@ -793,16 +817,7 @@ class TestRejectedInput:
         assert rc == main(["verify", "--family", "su2", "--j", "1"]) == 0
         assert capsys.readouterr() == from_file
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--family", "su2", "--j", "1", "--report"],
-            ["build", "--family", "su2", "--j", "1", "--out"],
-            ["evolve", "--family", "su2", "--j", "1", "--t-max", "1", "--steps", "3", "--out"],
-            ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", _OUTPUT_FLAGS, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("where", ["missing/x.json", "."])
     def test_unwritable_output_path(self, tmp_path, capsys, argv, where):
         path = str(tmp_path / where)
@@ -813,6 +828,43 @@ class TestRejectedInput:
         assert "Traceback" not in captured.err
         assert captured.err == f"spinphase {argv[0]}: cannot write {path}: {reason}\n"
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("argv", _OUTPUT_FLAGS, ids=lambda argv: argv[0])
+    def test_missing_output_directory_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError("the request did its work before checking its output path")
+
+        monkeypatch.setattr(cli, "resolve_scenario", work)
+        monkeypatch.setattr(cli, "verify_points", work)
+        path = str(tmp_path / "missing" / "x.json")
+        rc = main([*argv, path])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, argv[0])
+        assert captured.err == f"spinphase {argv[0]}: cannot write {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "witten", "--j", "50", "--r", "1e10"],
+             "r=10000000000.0 overflows Witten's map at j=50"),
+            (["--family", "witten", "--j", "3/2", "--r", "1e-300"],
+             "r=1e-300 overflows Witten's map at j=3/2"),
+            (["--family", "suq2", "--j", "3/2", "--q", "1e300"],
+             "the suq2 ladder is not finite at m=-1.5 -> m+1"),
+            (["--family", "hermitian_f", "--j", "3/2", "--q", "1e300"],
+             "the hermitian_f ladder is not finite at m=-1.5 -> m+1"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    @pytest.mark.parametrize("command", ["verify", "build"])
+    def test_overflowing_parameter(self, capsys, flags, message, command):
+        # no traceback and no RuntimeWarning: the builder rejects the parameter
+        rc = main([command, *flags])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err == f"spinphase {command}: {message}\n"
 
     def test_non_finite_tol_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINPHASE_TOL", "inf")

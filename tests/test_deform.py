@@ -26,8 +26,6 @@ from spinphase import (
     build_suq2,
     build_witten,
     commutator,
-    deformed_casimir,
-    diag_function,
     discrete_antiderivative,
     from_diagonal,
     linear_structure,
@@ -35,8 +33,8 @@ from spinphase import (
     qbracket_structure,
     r_commutator,
     residual,
-    table_structure,
 )
+from spinphase.operators import Diverged
 
 TOL = Tolerance()
 
@@ -87,12 +85,12 @@ class TestQNumber:
 class TestDiscreteAntiderivative:
     def test_linear_anchored_at_zero(self):
         g = discrete_antiderivative(linear_structure(), 1, anchor_value=0.0, anchor_point=0.0)
-        for x in (-2.0, -1.0, 0.0, 1.0):
-            assert g.value(x) == pytest.approx(x * (x + 1.0), abs=1e-14)
+        for x, gx in zip((-2.0, -1.0, 0.0, 1.0), g.values):
+            assert gx == pytest.approx(x * (x + 1.0), abs=1e-14)
 
     def test_default_anchor_is_lowest_point(self):
         g = discrete_antiderivative(linear_structure(), Fraction(3, 2))
-        assert g.value(-2.5) == 0.0
+        assert g.values[0] == 0.0  # g(-5/2)
 
     def test_qbracket_matches_product_form(self):
         q = 1.3
@@ -102,10 +100,10 @@ class TestDiscreteAntiderivative:
         def oracle(x):
             return q_number(x, q) * q_number(x + 1.0, q)
 
-        # equal up to the anchor constant
-        offset = g.value(0.0) - oracle(0.0)
-        for x in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0):
-            assert g.value(x) - oracle(x) == pytest.approx(offset, abs=1e-11)
+        # equal up to the anchor constant; g.values runs over x = -3, ..., 2
+        offset = g.values[3] - oracle(0.0)
+        for x, gx in zip((-3.0, -2.0, -1.0, 0.0, 1.0, 2.0), g.values):
+            assert gx - oracle(x) == pytest.approx(offset, abs=1e-11)
 
     def test_zero_function_constant(self):
         g = discrete_antiderivative(StructureFunction(lambda x: 0.0), 1, anchor_value=4.0)
@@ -115,18 +113,15 @@ class TestDiscreteAntiderivative:
     def test_shift_relation_exact(self, j):
         f = qbracket_structure(1.7)
         g = discrete_antiderivative(f, j)
-        assert g.shift_residual(f) < 1e-13
+        xs = [-float(j) + k for k in range(len(g.values) - 1)]  # x = -j, ..., j
+        assert max(abs(b - a - f(x)) for x, a, b in zip(xs, g.values, g.values[1:])) < 1e-13
 
     def test_off_grid_lookup_rejected(self):
-        g = discrete_antiderivative(linear_structure(), 1)
-        with pytest.raises(ParameterError):
-            g.value(0.5)
+        with pytest.raises(ParameterError, match="off the grid"):
+            discrete_antiderivative(linear_structure(), 1, anchor_point=0.5)
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf")])
     def test_non_finite_point_is_off_the_grid(self, x):
-        g = discrete_antiderivative(linear_structure(), 1)
-        with pytest.raises(ParameterError, match="off the solution grid"):
-            g.value(x)
         with pytest.raises(ParameterError, match="off the grid"):
             discrete_antiderivative(linear_structure(), 1, anchor_point=x)
 
@@ -140,11 +135,16 @@ class TestDiscreteAntiderivative:
         f = qbracket_structure(1.0 + 1e-8)
         assert all(abs(f(x) - 2.0 * x) < 1e-9 for x in (-2.5, -1.0, 0.5, 3.0))
 
-    def test_table_structure_lookup(self):
-        f = table_structure({-1.0: -2.0, 0.0: 0.0, 1.0: 2.0})
-        assert f(1.0) == 2.0
-        with pytest.raises(ParameterError):
-            f(2.0)
+
+class TestGeneralDeformation:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["raising", "lowering"])
+    def test_non_finite_entry_rejected(self, bad, side):
+        rep = build_su2(1)
+        entries = {"raising": list(rep.ladder_entries()), "lowering": list(rep.ladder_entries())}
+        entries[side][1] = bad
+        with pytest.raises(ParameterError, match=r"general ladder is not finite at m=0 -> m\+1"):
+            build_deformation(rep, **entries, provenance={"map": "general", "params": {}})
 
 
 class TestSplitDeformation:
@@ -241,17 +241,18 @@ class TestSuq2:
             assert triple.Jp.mat[1, 0] == pytest.approx(1.0)
 
     def test_casimir_scalar_spin_one_q_two(self):
-        q = 2.0
-        triple = build_suq2(build_su2(1), q)
-        g_up = diag_function(lambda m: q_number(m, q) * q_number(m + 1.0, q), triple.J0)
+        q, rep = 2.0, build_su2(1)
+        triple = build_suq2(rep, q)
+        g_up = from_diagonal([q_number(m, q) * q_number(m + 1.0, q) for m in rep.m_values()])
         c = triple.Jm @ triple.Jp + g_up
         assert np.allclose(c.mat, 2.5 * np.eye(3), atol=1e-13)
 
     @pytest.mark.parametrize("q", [0.5, 1.1, 1.3, 2.0])
     @pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(1), Fraction(5, 2)])
     def test_structure_relation(self, q, j):
-        triple = build_suq2(build_su2(j), q)
-        f_diag = diag_function(lambda m: q_number(2.0 * m, q), triple.J0)
+        rep = build_su2(j)
+        triple = build_suq2(rep, q)
+        f_diag = from_diagonal([q_number(2.0 * m, q) for m in rep.m_values()])
         assert residual(commutator(triple.Jp, triple.Jm), f_diag) < TOL.for_dim(triple.dim)
 
     def test_classical_limit(self):
@@ -264,6 +265,11 @@ class TestSuq2:
             build_suq2(build_su2(1), -0.5)
         with pytest.raises(ParameterError):
             build_suq2(build_su2(1), 0.0)
+
+    def test_overflowing_q_is_a_parameter_error(self):
+        # [3]_q overflows at q = 1e300: the builder rejects the infinite entries
+        with pytest.raises(ParameterError, match=r"suq2 ladder is not finite at m=-1.5 -> m\+1"):
+            build_suq2(build_su2("3/2"), 1e300)
 
 
 class TestHermitianDeformation:
@@ -303,11 +309,9 @@ class TestHermitianDeformation:
 
     def test_phase_q_positive_cases_build(self):
         # below the sign change the deformed rep exists and keeps its algebra
-        q5 = cmath.rect(1.0, 2.0 * np.pi / 5.0)
-        triple = build_hermitian_deformation(build_su2(1), qbracket_structure(q5))
-        f_diag = diag_function(
-            lambda m: q_number(2.0 * m, q5), triple.J0
-        )
+        q5, rep = cmath.rect(1.0, 2.0 * np.pi / 5.0), build_su2(1)
+        triple = build_hermitian_deformation(rep, qbracket_structure(q5))
+        f_diag = from_diagonal([q_number(2.0 * m, q5) for m in rep.m_values()])
         assert residual(commutator(triple.Jp, triple.Jm), f_diag) < TOL.for_dim(3)
 
     def test_zero_radicand_is_clamped(self):
@@ -354,6 +358,19 @@ class TestWitten:
         with pytest.raises(ParameterError):
             build_witten(build_su2(1), r)
 
+    @pytest.mark.parametrize(
+        "j, r",
+        [("50", 1e10), ("3/2", 1e-300), ("50", 100.0)],  # r ** (2j+1) overflows; the weights do
+    )
+    def test_overflow_is_a_parameter_error(self, j, r):
+        with pytest.raises(ParameterError, match=f"r={r} overflows Witten's map at j={j}$"):
+            build_witten(build_su2(j), r)
+
+    def test_overflowing_point_of_a_batch_runs_apart(self):
+        with pytest.raises(Diverged) as info:
+            build_witten(build_su2(50), [1.2, 100.0, 0.8])
+        assert info.value.args[0].tolist() == [False, True, False]
+
 
 class TestScaledDeformation:
     def test_unit_weight_is_identity(self):
@@ -381,33 +398,37 @@ class TestScaledDeformation:
 
 
 class TestDeformedCasimir:
+    """C~ = J-~ J+~ + g(J0) = J+~ J-~ + g(J0 - 1), with g on {-j-1, ..., j}:
+    scalar on an irreducible triple, central, its orderings equal."""
+
+    @staticmethod
+    def _orderings(triple, g):
+        up = triple.Jm @ triple.Jp + from_diagonal(g.values[1:])
+        return up, triple.Jp @ triple.Jm + from_diagonal(g.values[:-1])
+
     def test_undeformed_with_classical_g(self):
-        rep = build_su2("3/2")
         g = discrete_antiderivative(
             linear_structure(), "3/2", anchor_value=0.75, anchor_point=0.5
         )  # g(1/2) = 3/4 puts g(x) = x(x+1) on the half-integer grid
-        triple = build_suq2(build_su2("3/2"), 1.0)
-        c = deformed_casimir(triple, g)
+        c, _ = self._orderings(build_suq2(build_su2("3/2"), 1.0), g)
         assert np.allclose(c.mat, (1.5 * 2.5) * np.eye(4), atol=1e-13)  # j(j+1)*I
 
     def test_suq2_casimir_scalar_and_central(self):
         q = 1.3
-        f = qbracket_structure(q)
-        g = discrete_antiderivative(f, 1, anchor_value=0.0, anchor_point=0.0)
+        g = discrete_antiderivative(qbracket_structure(q), 1, anchor_value=0.0, anchor_point=0.0)
         triple = build_suq2(build_su2(1), q)
-        c = deformed_casimir(triple, g)
-        scalar = q_number(1.0, q) * q_number(2.0, q)
-        assert np.allclose(c.mat, scalar * np.eye(3), atol=1e-13)
+        c, _ = self._orderings(triple, g)
+        assert np.allclose(c.mat, q_number(1.0, q) * q_number(2.0, q) * np.eye(3), atol=1e-13)
+        for ladder in (triple.Jp, triple.Jm):
+            assert commutator(c, ladder).norm() < 1e-13
 
     def test_left_split_orderings_agree(self):
-        rep = build_su2(1)
-        f = qbracket_structure(1.3)
-        g = discrete_antiderivative(f, 1)
-        triple = build_split_deformation(rep, g, "left")
+        g = discrete_antiderivative(qbracket_structure(1.3), 1)
+        triple = build_split_deformation(build_su2(1), g, "left")
         assert not triple.hermitian_pair
-        c = deformed_casimir(triple, g)  # raises if the orderings disagree
-        off_diag = c.mat - np.diag(np.diagonal(c.mat))
-        assert np.linalg.norm(off_diag) < 1e-13
+        up, down = self._orderings(triple, g)
+        assert residual(up, down) < 1e-13
+        assert np.linalg.norm(up.mat - np.diag(np.diagonal(up.mat))) < 1e-13
 
 
 # --- bitwise placement against the entry-by-entry reference ---------------
@@ -505,7 +526,8 @@ def _ref_split(j, g, split):
     c_val = float(Fraction(j)) * (float(Fraction(j)) + 1.0)
     ab = {}
     for m in [float(m) for m in ms[:-1]]:
-        ab[round(2 * m)] = (g.values[0] - g.value(m)) / (c_val - m * (m + 1.0))
+        g_m = g.values[round(m + float(Fraction(j))) + 1]  # values[k] is g(-j-1+k)
+        ab[round(2 * m)] = (g.values[0] - g_m) / (c_val - m * (m + 1.0))
     if split == "left":
         a_weight, b_weight = ab, {k: 1.0 for k in ab}
     else:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from spinphase import (
     CheckReport,
-    NotDiagonalError,
     NotPSDError,
     Operator,
     ParameterError,
@@ -21,7 +20,6 @@ from spinphase import (
     build_su2,
     build_witten,
     commutator,
-    diag_function,
     from_diagonal,
     identity,
     matrix_unit,
@@ -161,27 +159,6 @@ class TestRCommutator:
     def test_witten_defining_relation(self):
         gens = build_witten(build_su2(1), 1.2)
         assert residual(r_commutator(gens.J0, gens.Jp, 1.2), gens.Jp) < TOL.for_dim(3)
-
-
-class TestDiagFunction:
-    def test_identity_map(self):
-        rep = build_su2(1)
-        assert residual(diag_function(lambda x: x, rep.J0), rep.J0) == 0.0
-
-    def test_quadratic_on_spin_half(self):
-        rep = build_su2("1/2")
-        got = diag_function(lambda x: x * (x + 1.0), rep.J0)
-        assert np.allclose(got.mat, np.diag([-0.25, 0.75]), atol=1e-15)
-
-    def test_power_weights_spin_one(self):
-        rep = build_su2(1)
-        got = diag_function(lambda x: 1.2 ** (-2.0 * x), rep.J0)
-        assert np.allclose(got.mat, np.diag([36 / 25, 1.0, 25 / 36]), atol=1e-15)
-
-    def test_rejects_non_diagonal(self):
-        rep = build_su2(1)
-        with pytest.raises(NotDiagonalError):
-            diag_function(lambda x: x, rep.Jp)
 
 
 class TestPsdSqrt:

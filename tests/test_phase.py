@@ -17,8 +17,8 @@ from spinphase import (
     identity,
     matrix_unit,
     phase_number_commutator_residual,
-    phase_recovery_ambiguity,
     polar_decompose,
+    psd_sqrt,
     residual,
 )
 
@@ -164,28 +164,33 @@ class TestPhaseNumberCommutator:
 
 
 class TestPhaseRecoveryAmbiguity:
+    """pinv(sqrt(J+J-)) J+ recovers exp(i*phi) except at its corner: the modulus
+    has a zero eigenvalue at the bottom state, so the pseudo-inverse kills the
+    row holding the corner, and the reference angle is lost."""
+
+    @staticmethod
+    def _miss(j, theta0):
+        """exp(i*phi) minus the pseudo-inverse candidate, as a matrix."""
+        rep = build_su2(j)
+        candidate = np.linalg.pinv(psd_sqrt(rep.Jp @ rep.Jm).mat) @ rep.Jp.mat
+        return build_phase_operator(j, theta0).U.mat - candidate
+
     def test_spin_half_candidate_misses_corner(self):
-        report = phase_recovery_ambiguity(build_su2("1/2"), build_phase_operator("1/2", 0.0))
-        assert report.all_pass
-        names = [c.name for c in report]
-        assert "phase_recovery_corner_lost" in names
+        diff = self._miss("1/2", 0.0)
+        assert abs(diff[0, 1]) == pytest.approx(1.0)
+        diff[0, 1] = 0.0
+        assert np.linalg.norm(diff) < TOL.for_dim(2)
 
     def test_exactly_one_element_differs(self):
-        rep = build_su2(1)
-        report = phase_recovery_ambiguity(build_su2(1), build_phase_operator(1, 0.0))
-        off = next(c for c in report if c.name == "phase_recovery_off_corner")
-        corner = next(c for c in report if c.name == "phase_recovery_corner_lost")
-        assert off.residual < TOL.for_dim(rep.dim)
-        assert corner.residual == pytest.approx(1.0)
+        diff = self._miss(1, 0.0)
+        assert np.count_nonzero(np.abs(diff) > TOL.for_dim(3)) == 1
+        assert abs(diff[0, 2]) == pytest.approx(1.0)
 
     def test_missing_element_is_reference_phase(self):
         theta0 = 0.77
-        report = phase_recovery_ambiguity(build_su2("1/2"), build_phase_operator("1/2", theta0))
-        corner = next(c for c in report if c.name == "phase_recovery_corner_lost")
-        # the lost value is exp(i*2*theta0) for 2j+1 = 2; only its size is
-        # observable from the report, and it is a pure phase
-        assert corner.residual == pytest.approx(abs(np.exp(2j * theta0)))
-        assert "exp(i*(2j+1)*theta0)" in corner.detail
+        diff = self._miss("3/2", theta0)
+        # the lost value is the corner phase exp(i*(2j+1)*theta0), here 2j+1 = 4
+        assert diff[0, 3] == pytest.approx(np.exp(4j * theta0))
 
     def test_candidate_reconstruction_oracle(self):
         # independent route: numpy pinv of the modulus applied to J+
