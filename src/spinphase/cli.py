@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .operators import AlgebraError, ParameterError
 from .report import CheckReport
-from .families import FAMILY_TABLE, spin_frame
+from .families import FAMILY_TABLE
 from .scenarios import FAMILIES, Scenario, build_bundle, resolve_scenario
 from .serialize import (
     dumps,
@@ -189,7 +189,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     sc = resolve_scenario(_scenario_values(args), _default_tol())
-    report, _ = run_verify(sc, spin_frame)  # what a sweep runs on each batch
+    report, _ = run_verify(sc)
     for check in report:
         marker = "PASS" if check.passed else "FAIL"
         print(
@@ -268,16 +268,19 @@ def _parse_sweep_params(specs: list[str]) -> list[tuple[str, np.ndarray]]:
     return grids
 
 
-def _summary_cells(report: CheckReport) -> list[str]:
-    """A sweep row's cells after the grid values: the largest residual per
-    category, the smallest control residual, the verdict and no error."""
-    cells = []
-    for cat in _CATEGORIES:
-        members = [c.residual for c in report if c.category == cat and c.mode == "le"]
-        cells.append(format_float(max(members) if members else float("nan")))
-    controls = [c.residual for c in report if c.mode == "ge"]
-    cells.append(format_float(min(controls) if controls else float("nan")))
-    return cells + ["true" if report.all_pass else "false", ""]
+def _summary_cells(report: CheckReport, points: int = 1) -> list[list[str]]:
+    """Each point's sweep cells after its grid values, from the report's columns:
+    the largest residual per category and the smallest control residual, folded
+    in report order as ``max`` and ``min`` fold, the verdict and no error."""
+    def fold(checks, wins) -> list[float]:  # a frame's check: one residual every point shares
+        columns = [np.broadcast_to(c.residual, points) for c in checks] or [np.full(points, np.nan)]
+        return functools.reduce(lambda a, b: np.where(wins(b, a), b, a), columns).tolist()
+
+    columns = [fold([c for c in report if c.category == cat and c.mode == "le"], np.greater)
+               for cat in _CATEGORIES] + [fold([c for c in report if c.mode == "ge"], np.less)]
+    passed = functools.reduce(np.logical_and, [c.passed for c in report], np.ones(points, bool))
+    return [[*map(format_float, row), "true" if ok else "false", ""]
+            for *row, ok in zip(*columns, passed.tolist())]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -301,26 +304,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # each point resolves alone; those on one phase frame then run as a batch
     points = [dict(zip(names, combo)) for combo in itertools.product(*(v for _, v in grids))]
-    resolved: list = []
+    rows: list = []
     for pt in points:
         try:
-            resolved.append(resolve_scenario({**base, **pt}, default_tol))
+            rows.append(resolve_scenario({**base, **pt}, default_tol))
         except AlgebraError as exc:
-            resolved.append(exc)
-    outcomes = iter(verify_points([sc for sc in resolved if isinstance(sc, Scenario)], spin_frame))
+            rows.append(exc)
+    valid = [i for i, sc in enumerate(rows) if isinstance(sc, Scenario)]
+    for covered, out in verify_points([rows[i] for i in valid]):
+        cells = [out] if isinstance(out, AlgebraError) else _summary_cells(out, len(covered))
+        for i, row in zip(covered, cells):
+            rows[valid[i]] = row
+    rows = [["NaN"] * (len(_CATEGORIES) + 1) + ["false", str(row).replace(",", ";")]
+            if isinstance(row, AlgebraError) else row for row in rows]
     header = names + [f"max_{c}" for c in _CATEGORIES] + ["min_control", "all_pass", "error"]
     lines = [",".join(header)]
-    ok = True
-    for pt, sc in zip(points, resolved):
-        outcome = next(outcomes) if isinstance(sc, Scenario) else sc
-        if isinstance(outcome, AlgebraError):
-            cells = ["NaN"] * (len(_CATEGORIES) + 1) + ["false", str(outcome).replace(",", ";")]
-        else:
-            cells = _summary_cells(outcome)
-        ok = ok and cells[-2] == "true"
-        lines.append(",".join([format_float(float(pt[name])) for name in names] + cells))
+    for pt, row in zip(points, rows):
+        lines.append(",".join([format_float(float(pt[name])) for name in names] + row))
     _write_text(args.out, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return 0 if all(row[-2] == "true" for row in rows) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -336,6 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         path = getattr(args, "out", None) or getattr(args, "report", None)
         if path and not os.path.exists(os.path.dirname(path) or "."):  # before any work
             raise ParameterError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+        if path and os.path.isdir(path):
+            raise ParameterError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         return handlers[args.command](args)
     except AlgebraError as exc:
         print(f"spinphase {args.command}: {exc}", file=sys.stderr)

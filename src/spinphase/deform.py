@@ -353,13 +353,15 @@ def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedT
 
     q must be positive real; q = 1 returns the classical representation.
     The deformed casimir identity, with g(x) = [x]_q [x+1]_q, is verified
-    before returning.
+    before returning; a q at which g overflows raises ParameterError.
     """
     provenance = {"map": "suq2", "params": {"q": per_point(float, q)}}
     entries = per_point(lambda v: _suq2_entries(rep, v), q)
     triple = build_deformation(rep, entries, provenance=provenance, tol=tol)
     xs = _grid(rep.twoj)
     g = np.asarray(per_point(lambda v: [q_number(x, v) * q_number(x + 1.0, v) for x in xs], q))
+    if _holds(~np.isfinite(g).all(-1)):
+        raise ParameterError(f"q={q} overflows SU_q(2)'s casimir at j={rep.j}")
     c_up, c_down = _casimir_orderings(triple, g)
     t = tol.for_dim(rep.dim)
     scalar = from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))

@@ -10,11 +10,12 @@ depending on the deformation, so a spin scenario is built on a *phase
 frame* (``spin_frame``) that reads only (j, theta0, muB, tol): the SU(2)
 representation, the phase operator U, the dipole H, the phase suite's
 checks and U's equation of motion with its ladder-free residuals.  The suites
-add only the checks that G and K = J-~ U enter.  A build takes its frames from
-a source, ``spin_frame`` itself by default.  [J+~, J-~] is built once per
-scenario (``DeformedTriple.bracket``).  A sweep's points on one frame run as a
-batch: q, q_phase, r or f_coeff is a list, the weights and every operator
-reading them hold a row per point, and each residual is a row of dense norms.
+add only the checks that G and K = J-~ U enter.  A spin family's build is
+given its frame (``scenarios.build_bundle`` makes one when none is passed).
+[J+~, J-~] is built once per scenario (``DeformedTriple.bracket``).  A sweep's
+points on one frame run as a batch: q, q_phase, r or f_coeff is a list, the
+weights and every operator reading them hold a row per point, and each
+residual is a row of dense norms.
 """
 
 from __future__ import annotations
@@ -142,9 +143,6 @@ class SpinFrame:
         return spin_phase_motion(self.phase, self.hamiltonian, self.tol.for_dim(self.rep.dim))
 
 
-FrameSource = Callable[[Fraction, float, float, Tolerance], SpinFrame]
-
-
 def spin_frame(j: Fraction, theta0: float, muB: float, tol: Tolerance) -> SpinFrame:
     """The phase frame of every spin scenario at (j, theta0, muB, tol)."""
     rep = build_su2(j)
@@ -167,11 +165,11 @@ Suite = Callable[[CheckReport, FamilyBundle], None]
 
 class Family(NamedTuple):
     """One operator family: the Scenario fields it reads (in report order),
-    its build function (given the scenario and the source of spin frames,
-    which the oscillator families do not read) and its check function."""
+    its build function (given the scenario and, for a spin family, its phase
+    frame) and its check function."""
 
     params: tuple[str, ...]
-    build: Callable[[Scenario, FrameSource], FamilyBundle]
+    build: Callable[[Scenario, SpinFrame | None], FamilyBundle]
     check: Suite
 
 
@@ -184,10 +182,6 @@ def structure_function_for(sc: Scenario):
 
 
 # --- builds ---------------------------------------------------------------
-
-
-def _frame(sc: Scenario, frames: FrameSource) -> SpinFrame:
-    return frames(sc.j, sc.theta0, sc.muB, sc.tol)
 
 
 def _spin_bundle(
@@ -209,41 +203,35 @@ def _deformed_bundle(
     return _spin_bundle(sc, frame, triple, ops, prov, g)
 
 
-def _build_su2(sc: Scenario, frames: FrameSource) -> FamilyBundle:
-    frame = _frame(sc, frames)
+def _build_su2(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
     rep = frame.rep
     undeformed = DeformedTriple(rep.Jp, rep.Jm, rep.J0, {"map": "su2", "params": {}}, True)
     return _spin_bundle(sc, frame, undeformed, {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0}, None)
 
 
-def _build_suq2(sc: Scenario, frames: FrameSource) -> FamilyBundle:
-    frame = _frame(sc, frames)
+def _build_suq2(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
     return _deformed_bundle(sc, frame, build_suq2(frame.rep, sc.q, sc.tol))
 
 
-def _build_witten(sc: Scenario, frames: FrameSource) -> FamilyBundle:
-    frame = _frame(sc, frames)
+def _build_witten(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
     triple = build_witten(frame.rep, sc.r, sc.tol)
     ops = {"W0": triple.J0, "Wp": triple.Jp, "Wm": triple.Jm}
     return _spin_bundle(sc, frame, triple, ops, triple.provenance | {"hermitian_pair": True})
 
 
-def _build_ab_map(sc: Scenario, frames: FrameSource) -> FamilyBundle:
-    frame = _frame(sc, frames)
+def _build_ab_map(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
     g = per_point(lambda f: discrete_antiderivative(f, sc.j), structure_function_for(sc))
     triple = build_split_deformation(frame.rep, g, sc.split, tol=sc.tol)
     return _deformed_bundle(sc, frame, triple, g)
 
 
-def _build_f_deform(sc: Scenario, frames: FrameSource) -> FamilyBundle:
-    frame = _frame(sc, frames)
+def _build_f_deform(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
     weight = per_point(lambda coeff: lambda c, m: 1.0 + coeff * m, sc.f_coeff)
     triple = build_scaled_deformation(frame.rep, weight, sc.tol)
     return _deformed_bundle(sc, frame, triple)
 
 
-def _build_hermitian_f(sc: Scenario, frames: FrameSource) -> FamilyBundle:
-    frame = _frame(sc, frames)
+def _build_hermitian_f(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
     triple = build_hermitian_deformation(frame.rep, structure_function_for(sc), sc.tol)
     return _deformed_bundle(sc, frame, triple)
 
@@ -256,13 +244,13 @@ def _oscillator_bundle(
     return FamilyBundle(sc, ops, None, meta, ham, a, -1j * sc.omega, (osc, a, adag))
 
 
-def _build_oscillator(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+def _build_oscillator(sc: Scenario, frame: SpinFrame | None) -> FamilyBundle:
     osc = build_finite_oscillator(sc.s, sc.phi0, sc.tol)
     ops = {"N": osc.N, "a": osc.a, "adag": osc.adag, "U": osc.U.U}
     return _oscillator_bundle(sc, osc, osc.a, osc.adag, ops)
 
 
-def _build_q_oscillator(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+def _build_q_oscillator(sc: Scenario, frame: SpinFrame | None) -> FamilyBundle:
     qosc = build_q_oscillator(sc.s, sc.phi0, sc.tol)
     ops = {"a_q": qosc.a_q, "a_qdag": qosc.a_qdag, "Nprime": qosc.Nprime, "U": qosc.U.U}
     return _oscillator_bundle(
@@ -271,7 +259,7 @@ def _build_q_oscillator(sc: Scenario, frames: FrameSource) -> FamilyBundle:
     )
 
 
-def _build_jordan_schwinger(sc: Scenario, frames: FrameSource) -> FamilyBundle:
+def _build_jordan_schwinger(sc: Scenario, frame: SpinFrame | None) -> FamilyBundle:
     mode = build_q_oscillator(sc.s, sc.phi0, sc.tol)  # modes A and B are alike
     triple = jordan_schwinger(mode, mode, sc.tol)
     ham = two_mode_hamiltonian(sc.s, sc.omega1, sc.omega2)

@@ -27,9 +27,10 @@ entries (dim >= 101) OpenBLAS splits the norm's ``ddot`` across its threads,
 so the last digit of a residual can move with ``OPENBLAS_NUM_THREADS``.
 
 A *batch* (a sweep's points on one phase frame) stores one row of data per
-point, offsets shared: sums, scalars (one per row: a (P, 1) column), adjoints
-and products index the last axis, and its norm is each row's dense norm.  It
-never goes to BLAS: rows whose facts or branches differ run apart (``Diverged``).
+point, offsets shared, and a lone operator's data is one such row: sums,
+scalars (one per row: a (P, 1) column), products and the dense build index
+the last axis alike, and a batch's norm is each row's dense norm.  It never
+goes to BLAS: rows whose facts or branches differ run apart (``Diverged``).
 """
 
 from __future__ import annotations
@@ -198,28 +199,21 @@ class Operator:
         """The dense matrix: the one held, else built afresh."""
         if self._dense is not None:
             return self._dense
-        n, data = self.dim, self._data
-        if data.ndim > 1:  # a batch: one matrix per row
-            m = np.zeros((len(data), n, n), dtype=np.complex128)
-            m[...] = data[:, -1, None, None]
-            m.reshape(len(data), n * n)[:, _positions(n, self._offsets)] = data[:, :-1]
-            return m
-        m = np.zeros((n, n), dtype=np.complex128)
-        if data[-1:].tobytes() != bytes(16):  # a fill other than +0.0 + 0.0j
-            m[...] = data[-1]
-        m.reshape(-1)[_positions(n, self._offsets)] = data[:-1]
-        return m
+        return _dense_matrix(self.dim, self._offsets, self._data)
 
     def _items(self) -> list[tuple[int, np.ndarray]]:
         """(offset, entries) of each stored diagonal."""
         s = _starts(self.dim, self._offsets)
         return [(k, self._data[s[i] : s[i + 1]]) for i, k in enumerate(self._offsets)]
 
-    def _finite_real(self) -> tuple[bool, bool]:
-        """Whether the stored entries (of every row) are finite, and whether they are real."""
+    def _finite_real(self) -> tuple:
+        """Whether the stored entries are finite, and whether they are real; for a
+        batch in which not every row's are, a row of each."""
         if self._facts is None:
             d = self._data
-            facts = np.count_nonzero(np.isfinite(d)) == d.size, not np.count_nonzero(d.imag)
+            facts = bool(np.count_nonzero(np.isfinite(d)) == d.size), not np.count_nonzero(d.imag)
+            if d.ndim > 1 and not all(facts):
+                facts = np.isfinite(d).all(-1), ~d.imag.any(-1)
             object.__setattr__(self, "_facts", facts)
         return self._facts
 
@@ -252,13 +246,14 @@ class Operator:
         return math.hypot(0.0, *(np.linalg.norm(v) for k, v in self._items() if k)) <= tol
 
     def norm(self):
-        """Frobenius norm (a batch's: each row's dense norm).  With every entry and
-        the fill zero it is 0.0 without the dense matrix, the dense norm of signed zeros."""
-        if self._offsets is not None and self._data.ndim > 1:
-            rows, norms = self._data.any(axis=1), np.zeros(len(self._data))  # NaN is nonzero
-            norms[rows] = [np.linalg.norm(m) for m in self._array()[rows]]
+        """Frobenius norm (a batch's: each row's dense norm).  A row of zero entries
+        and fill has norm 0.0 without its dense matrix, the dense norm of signed zeros."""
+        data = self._data
+        if self._offsets is not None and data.ndim > 1:
+            rows, norms = data.any(axis=-1), np.zeros(len(data))  # NaN is nonzero
+            norms[rows] = [*map(np.linalg.norm, _dense_matrix(self.dim, self._offsets, data[rows]))]
             return norms
-        if self._offsets is not None and not self._data.any():
+        if self._offsets is not None and not np.count_nonzero(data):
             return 0.0
         return float(np.linalg.norm(self._array()))
 
@@ -277,12 +272,10 @@ class Operator:
         if self._offsets == other._offsets:
             return _new(self.dim, "", self._offsets, op(self._data, other._data))
         offsets, ia, ib = _union(self.dim, self._offsets, other._offsets)
-        da, db = self._data, other._data
-        data = op(da[ia], db[ib]) if da.ndim == db.ndim == 1 else op(da[..., ia], db[..., ib])
-        return _new(self.dim, "", offsets, data)
+        return _new(self.dim, "", offsets, op(self._data.take(ia, -1), other._data.take(ib, -1)))
 
     def _scalar(self, op, *scalar) -> "Operator":
-        if any(isinstance(x, Operator) for x in scalar):
+        if scalar and isinstance(scalar[0], Operator):
             raise TypeError("use @ for operator products; * is scalar-only")
         if scalar and isinstance(scalar[0], np.ndarray):  # one per row: a (P, 1) column
             scalar = (scalar[0][:, None],)
@@ -327,6 +320,19 @@ def _positions(dim: int, offsets: tuple[int, ...]) -> np.ndarray:
     rows = [np.arange(max(0, -k), dim - max(0, k)) for k in offsets]
     flat = [r * dim + r + k for r, k in zip(rows, offsets)]
     return np.concatenate([np.zeros(0, dtype=np.intp), *flat])
+
+
+def _dense_matrix(dim: int, offsets: tuple[int, ...], data: np.ndarray) -> np.ndarray:
+    """The dense matrix of entries ``data`` on ``offsets``, the last entry the fill
+    everywhere else; a batch's data gives a matrix per row."""
+    shape = data.shape[:-1]
+    m = np.zeros(shape + (dim * dim,), dtype=np.complex128)
+    cols, flat = data.T, m.T  # the last axis first: one indexing for a lone operator and a batch
+    fill = cols[-1:]
+    if fill.tobytes() != bytes(fill.nbytes):  # a fill other than +0.0 + 0.0j
+        flat[...] = fill
+    flat[_positions(dim, offsets)] = cols[:-1]
+    return m.reshape(shape + (dim, dim))
 
 
 @lru_cache(maxsize=4096)
@@ -404,13 +410,12 @@ def _structured(a: Operator, b: Operator) -> bool:
         return False
     finite_a, real_a = a._facts or a._finite_real()
     finite_b, real_b = b._facts or b._finite_real()
-    if finite_a and finite_b and (real_a or real_b) and _plan(a.dim, a._offsets, b._offsets):
-        return True
-    if a._data.ndim == b._data.ndim == 1:
-        return False
-    finite, real = zip(*((np.isfinite(x._data).all(-1), ~x._data.imag.any(-1)) for x in (a, b)))
-    ok = finite[0] & finite[1] & (real[0] | real[1]) & bool(_plan(a.dim, a._offsets, b._offsets))
-    raise Diverged(~ok)  # a batch's rows for which it fails
+    ok = finite_a & finite_b & (real_a | real_b)
+    if ok is not False:  # a plan only for what the facts admit
+        ok = ok & bool(_plan(a.dim, a._offsets, b._offsets))
+    if ok is True or not (rows := a._data.shape[:-1] or b._data.shape[:-1]):  # () if lone
+        return ok is True
+    return not _holds(~np.broadcast_to(ok, rows))  # a batch's rows for which it fails
 
 
 def _product(a: Operator, b: Operator) -> Operator:
@@ -419,8 +424,7 @@ def _product(a: Operator, b: Operator) -> Operator:
     if not _structured(a, b):
         return _held(a.mat @ b.mat)
     offsets, ai, bi = _plan(a.dim, a._offsets, b._offsets)
-    da, db = a._data, b._data  # a batch's rows: the same entries of each
-    terms = da[ai] * db[bi] if da.ndim == db.ndim == 1 else da[..., ai] * db[..., bi]
+    terms = a._data.take(ai, -1) * b._data.take(bi, -1)  # a batch's rows: the same entries of each
     terms += 0.0
     return _new(a.dim, "", offsets, terms)
 

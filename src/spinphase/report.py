@@ -1,5 +1,6 @@
 """Named residual checks with tolerances and pass/fail verdicts; a batch's
-report holds a row of residuals per check, and ``split`` divides it by point."""
+report is read as columns: a check holds a residual per point, or one value
+that every point shares (a phase frame's check)."""
 
 from __future__ import annotations
 
@@ -64,20 +65,6 @@ class CheckReport:
         self.checks.append(result)
         return result
 
-    def split(self, points: int) -> list[CheckReport]:
-        """One report per point of a batch: a check with a row of residuals
-        gives each point its own, a shared check (a frame's) is every point's."""
-        reports = [CheckReport() for _ in range(points)]
-        for c in self.checks:
-            rows = [c] * points
-            if isinstance(c.residual, np.ndarray):  # a batch's check: a result per point
-                tols = c.tol.tolist() if isinstance(c.tol, np.ndarray) else [c.tol] * points
-                rows = [CheckResult(c.name, *f, c.detail, c.category, c.mode)
-                        for f in zip(c.residual.tolist(), tols, c.passed)]
-            for report, row in zip(reports, rows):
-                report.checks.append(row)
-        return reports
-
     def extend(self, other: Iterable[CheckResult]) -> None:
         self.checks.extend(other)
 
@@ -88,10 +75,11 @@ class CheckReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.failures()
 
     def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
+        """The checks that failed; a batch's check fails if it fails at any point."""
+        return [c for c in self.checks if not (c.passed is True or c.passed and all(c.passed))]
 
     def to_jsonable(self) -> list[dict]:
         return [c.to_jsonable() for c in self.checks]

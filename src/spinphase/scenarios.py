@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Any
 
-from .families import FAMILY_TABLE, FamilyBundle, FrameSource, spin_frame
+from .families import FAMILY_TABLE, FamilyBundle, SpinFrame, spin_frame
 from .operators import ParameterError, Tolerance
 from .su2 import parse_spin
 
@@ -162,9 +162,11 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
     )
 
 
-def build_bundle(sc: Scenario, frames: FrameSource | None = None) -> FamilyBundle:
+def build_bundle(sc: Scenario, frame: SpinFrame | None = None) -> FamilyBundle:
     """Construct the family's operators; algebraic failures propagate.
 
-    A spin family takes its phase frame from ``frames`` (default
-    ``families.spin_frame``, a new frame per call)."""
-    return FAMILY_TABLE[sc.family].build(sc, frames or spin_frame)
+    A spin family is built on ``frame``, which must be the phase frame of
+    the scenario's (j, theta0, muB, tol); without one it gets a new frame."""
+    if frame is None and sc.j is not None:
+        frame = spin_frame(sc.j, sc.theta0, sc.muB, sc.tol)
+    return FAMILY_TABLE[sc.family].build(sc, frame)

@@ -9,18 +9,19 @@ reconstruction as a failed check.
 A spin scenario's phase checks and U's equation of motion come from its
 phase frame (``families.spin_frame``), which reads only j, theta0, muB and
 tol: J+~ = U G, and only the diagonal weight G reads the deformation.
-``verify_points`` runs the scenarios sharing those values as one *batch*: a
-deformation parameter is a list over the points, an operator reading G holds
-one row per point and each check is one numpy operation (``operators``).
-Norms stay dense, one per row, so a point's report is its lone run's, bit
-for bit; rows that branch or raise apart run alone (``operators.Diverged``).
+``verify_points`` builds that frame once and runs the scenarios sharing it as
+one *batch*: a deformation parameter is a list over the points, an operator
+reading G holds one row per point and each check is one numpy operation
+(``operators``).  Norms stay dense, one per row, so a batch's report holds,
+check by check, a column of its points' lone residuals, bit for bit; rows
+that branch or raise apart run alone (``operators.Diverged``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .families import FAMILY_TABLE, FrameSource, spin_frame
+from .families import FAMILY_TABLE, SpinFrame, spin_frame
 from .operators import AlgebraError, Diverged, NegativeNormError, SplitError
 from .report import CheckReport
 from .scenarios import FamilyBundle, Scenario, build_bundle
@@ -39,10 +40,10 @@ def collect_checks(bundle: FamilyBundle) -> CheckReport:
 
 
 def run_verify(
-    sc: Scenario, frames: FrameSource | None = None
+    sc: Scenario, frame: SpinFrame | None = None
 ) -> tuple[CheckReport, FamilyBundle | None]:
-    """Build the scenario (its spin frame from ``frames``; see build_bundle)
-    and run its checks.
+    """Build the scenario (a spin one on ``frame``; see build_bundle) and run
+    its checks.
 
     Mathematical impossibilities during construction (negative norm, an
     impossible split) come back as a failed check instead of an exception,
@@ -51,7 +52,7 @@ def run_verify(
     propagates as ``ArithmeticError``.
     """
     try:
-        bundle = build_bundle(sc, frames)
+        bundle = build_bundle(sc, frame)
     except (NegativeNormError, SplitError) as exc:
         report = CheckReport()
         report.add("construction", float("inf"), sc.tol.abs_tol, detail=str(exc))
@@ -59,21 +60,19 @@ def run_verify(
     return collect_checks(bundle), bundle
 
 
-def verify_points(
-    scenarios: list[Scenario], frames: FrameSource = spin_frame
-) -> list[CheckReport | AlgebraError]:
-    """Each scenario's report, or the AlgebraError it raised; the first bare
-    ArithmeticError, in order, ends the call.  Spin scenarios of one family on
-    one frame (from ``frames``) run as a batch: diverging rows run again alone,
-    and a batch that raises, point by point."""
+def verify_points(scenarios: list[Scenario]) -> list[tuple[list[int], CheckReport | AlgebraError]]:
+    """Each batch's report (a check's column over its points), or the error its
+    one point raised, with the indices of the scenarios it covers; the first
+    bare ArithmeticError, in order, ends the call.  Spin scenarios of one family
+    on one frame run as a batch: diverging rows run again apart, and a batch
+    that raises, point by point."""
     groups: dict = {}
     for i, sc in enumerate(scenarios):
         key = (sc.family, sc.split, sc.j, sc.theta0, sc.muB, sc.tol) if sc.j is not None else i
         groups.setdefault(key, []).append(i)
-    outcomes: list = [None] * len(scenarios)
-    for key, pending in groups.items():
-        frame = frames(*key[2:]) if isinstance(key, tuple) else None
-        source, pending = frame and (lambda *_, frame=frame: frame), [pending]
+    outcomes: list = []
+    for key, group in groups.items():
+        frame, pending = (spin_frame(*key[2:]) if isinstance(key, tuple) else None), [group]
         while pending:
             rows = pending.pop()
             points = [scenarios[i] for i in rows]
@@ -82,18 +81,15 @@ def verify_points(
                 for name in _BATCHED if getattr(points[0], name) is not None
             })
             try:
-                report, _ = run_verify(batch, source)
-                results = report.split(len(rows)) if len(rows) > 1 else [report]
+                outcomes.append((rows, run_verify(batch, frame)[0]))
             except (Diverged, AlgebraError, ArithmeticError) as exc:
                 if len(rows) > 1:
                     apart = exc.args[0] if isinstance(exc, Diverged) else [True] * len(rows)
                     rest = [i for i, alone in zip(rows, apart) if not alone]
                     pending += [[i] for i, alone in zip(rows, apart) if alone] + [rest] * bool(rest)
                     continue
-                results = [exc.with_traceback(None)]  # its frames would hold it in a cycle
-            for i, result in zip(rows, results):
-                outcomes[i] = result
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, ArithmeticError):  # raised again, traceback and all
-            run_verify(scenarios[i], frames)
+                outcomes.append((rows, exc.with_traceback(None)))  # its frames would hold a cycle
+    raised = [rows[0] for rows, outcome in outcomes if isinstance(outcome, ArithmeticError)]
+    if raised:
+        run_verify(scenarios[min(raised)])  # raised again, traceback and all
     return outcomes

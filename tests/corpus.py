@@ -16,9 +16,10 @@ the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
 on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
 controls, the inputs on which a builder or a check suite raises, parameters
-at which a ladder overflows, usage errors and output paths that cannot be
-written.  Temporary
-paths print as ``$TMP``: in the argv, the outcome and the stderr line alike.
+at which a ladder or SU_q(2)'s casimir table overflows, usage errors and
+output paths that cannot be written (a missing directory, or a directory
+itself).  Temporary paths print as ``$TMP``: in the argv, the outcome and
+the stderr line alike.
 """
 
 from __future__ import annotations
@@ -107,8 +108,11 @@ def corpus(tmp: str) -> list[list[str]]:
         ["--family", "witten", "--j", "3/2", "--r", "1e-300"],
         ["--family", "suq2", "--j", "3/2", "--q", "1e300"],
         ["--family", "hermitian_f", "--j", "3/2", "--q", "1e300"],
+        # finite entries, but SU_q(2)'s casimir table overflows
+        ["--family", "suq2", "--j", "1/2", "--q", "1e300"],
     ]
     argvs += [["verify", *sc, "--report", report] for sc in verify_only]
+    argvs.append(["build", "--family", "suq2", "--j", "1/2", "--q", "1e300"])
 
     # the benchmark's slowest request, dim 961 (its build JSON would be ~100 MB)
     two_mode = ["--family", "jordan_schwinger", "--s", "30", "--phi0", "0.7"]
@@ -140,6 +144,8 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--scenario", left, "--j", "2", "--param", "q:0.5:2.5:5"],
         # a point that runs, then two whose weights overflow
         ["sweep", "--family", "witten", "--j", "50", "--param", "r:1.2:1e10:3"],
+        # three points whose casimir table overflows
+        ["sweep", "--family", "suq2", "--j", "1/2", "--param", "q:1e299:1e300:3"],
     ]
 
     argvs += [
@@ -161,6 +167,9 @@ def corpus(tmp: str) -> list[list[str]]:
         ["evolve", "--family", "su2", "--j", "1", "--t-max", "1", "--steps", "3",
          "--out", unwritable],
         ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out", unwritable],
+        # an existing directory as the output path
+        ["verify", "--family", "su2", "--j", "1", "--report", tmp],
+        ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out", tmp],
     ]
     return argvs
 

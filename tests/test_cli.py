@@ -1,7 +1,9 @@
 """CLI contract: exit codes, file outputs, and byte-identical reruns."""
 
 import argparse
+import contextlib
 import gc
+import io
 import itertools
 import json
 import os
@@ -11,12 +13,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinphase
 from spinphase import operators
-from spinphase import cli
-from spinphase.cli import _summary_cells, main
+from spinphase import cli, verify
+from spinphase.cli import _CATEGORIES, _summary_cells, main
 from spinphase.families import spin_frame
+from spinphase.report import CheckReport
 from spinphase.scenarios import resolve_scenario
 from spinphase.serialize import format_float
 from spinphase.verify import run_verify
@@ -385,12 +389,14 @@ def _flags(base: dict) -> list[str]:
     return argv
 
 
-def _sweep_rows(base: dict, grids: list[str], capsys) -> list[str]:
+def _sweep_rows(base: dict, grids: list[str]) -> list[str]:
     argv = ["sweep", *_flags(base)]
     for grid in grids:
         argv += ["--param", grid]
-    main(argv)
-    return capsys.readouterr().out.splitlines()[1:]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return out.getvalue().splitlines()[1:]
 
 
 def _verify_rows(base: dict, grids: list[str]) -> list[str]:
@@ -404,7 +410,7 @@ def _verify_rows(base: dict, grids: list[str]) -> list[str]:
     for point in itertools.product(*axes):
         try:
             report, _ = run_verify(resolve_scenario({**base, **dict(point)}))
-            cells = _summary_cells(report)
+            (cells,) = _summary_cells(report)
         except operators.AlgebraError as exc:
             cells = ["NaN"] * 5 + ["false", str(exc).replace(",", ";")]
         rows.append(",".join([format_float(float(v)) for _, v in point] + cells))
@@ -438,8 +444,8 @@ class TestSweepRowsAreVerifies:
     @pytest.mark.parametrize(
         "base, grids", _FRAME_GRIDS, ids=lambda v: "-".join(v) if isinstance(v, list) else None
     )
-    def test_row_is_the_verify_of_its_point(self, capsys, base, grids):
-        assert _sweep_rows(base, grids, capsys) == _verify_rows(base, grids)
+    def test_row_is_the_verify_of_its_point(self, base, grids):
+        assert _sweep_rows(base, grids) == _verify_rows(base, grids)
 
     @pytest.mark.parametrize(
         "base, grids",
@@ -455,10 +461,12 @@ class TestSweepRowsAreVerifies:
             # a row that runs, then two whose weights overflow: error rows
             ({"family": "witten", "j": "50"}, ["r:1.2:1e10:3"]),
             ({"family": "suq2", "j": "3/2"}, ["q:1.3:1e300:3"]),
+            # a row that runs, then two whose casimir table overflows
+            ({"family": "suq2", "j": "1/2"}, ["q:1.3:1e300:3"]),
         ],
         ids=[
             "f_deform-singular", "hermitian_f-negative-norm", "witten-r-1", "ab_map-left",
-            "witten-overflow", "suq2-overflow",
+            "witten-overflow", "suq2-overflow", "suq2-casimir-overflow",
         ],
     )
     def test_edge_grid_row_is_the_verify_of_its_point(self, capsys, tmp_path, base, grids):
@@ -481,6 +489,14 @@ class TestSweepRowsAreVerifies:
             "",
             "r=5000000000.599999 overflows Witten's map at j=50",
             "r=10000000000.0 overflows Witten's map at j=50",
+        ]
+
+    def test_overflowing_casimir_points_are_error_rows(self, capsys):
+        rc = main(["sweep", "--family", "suq2", "--j", "1/2", "--param", "q:1e299:1e300:3"])
+        errors = [row.rsplit(",", 1)[1] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert rc == 1
+        assert errors == [
+            f"q={q} overflows SU_q(2)'s casimir at j=1/2" for q in ("1e+299", "5.5e+299", "1e+300")
         ]
 
     def test_raising_point_ends_the_sweep_as_before(self, capsys):
@@ -531,24 +547,115 @@ class TestSweepRowsAreVerifies:
                 gc.enable()
         capsys.readouterr()
 
-    def test_no_frame_outlives_its_request(self, capsys, monkeypatch):
+    def test_no_frame_outlives_its_request(self, monkeypatch):
         built = []
 
         def spy(*key):
             built.append(key)
             return spin_frame(*key)
 
-        monkeypatch.setattr(cli, "spin_frame", spy)
+        monkeypatch.setattr(verify, "spin_frame", spy)  # a sweep's frames, one per batch
         grids = ["q:1.1:2:3", "muB:0.5:1:2"]
         rows = {}
         for theta0 in (0.3, 1.3):
             base = {"family": "suq2", "j": "3/2", "theta0": theta0}
-            rows[theta0] = _sweep_rows(base, grids, capsys)
+            rows[theta0] = _sweep_rows(base, grids)
             assert rows[theta0] == _verify_rows(base, grids)
         assert rows[0.3] != rows[1.3]  # theta0 reaches the residuals
         assert len(built) == 4  # two muB values per sweep, one frame each
-        _sweep_rows({"family": "suq2", "j": "3/2", "theta0": 1.3}, grids, capsys)
+        _sweep_rows({"family": "suq2", "j": "3/2", "theta0": 1.3}, grids)
         assert built[4:] == built[2:4]  # the identical sweep builds its frames again
+
+
+# per spin family: its deformation parameter (base) and grids that the
+# property below draws one or two of; some cross an error edge (witten's
+# r = 1, f_deform's vanishing weight, hermitian_f's negative norm at p = 3,
+# suq2's overflow) and the rest cross the frame's fields
+_PROPERTY_GRIDS = {
+    "su2": ({}, ["muB:-1:1:3", "theta0:0.3:1.3:2"]),
+    "suq2": ({"q": 1.3}, ["q:0.5:2:3", "q:1.3:1e300:3", "theta0:0.3:1.3:2", "muB:-1:1:2"]),
+    "witten": ({"r": 1.2}, ["r:0.5:1.5:3", "r:1.1:2:2", "muB:-1:1:2"]),
+    "ab_map": ({"q": 1.3}, ["q:0.5:2.5:3", "theta0:0.3:1.3:2"]),
+    "f_deform": ({}, ["f_coeff:-1:1:5", "f_coeff:0:0.2:2", "theta0:0.3:1.3:2"]),
+    "hermitian_f": ({"q": 1.3}, ["q_phase:3:7:3", "q:1.1:1.5:2", "muB:0.5:1.5:2"]),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    family = draw(st.sampled_from(sorted(_PROPERTY_GRIDS)))
+    base, grids = _PROPERTY_GRIDS[family]
+    first = draw(st.sampled_from(grids))
+    name = first.split(":")[0]
+    taken = {"q", "q_phase"} if name in ("q", "q_phase") else {name}  # q_phase replaces q
+    others = [g for g in grids if g.split(":")[0] not in taken]
+    drawn = [first] + ([draw(st.sampled_from(others))] if others and draw(st.booleans()) else [])
+    j = draw(st.sampled_from(["1/2", "1", "3/2", "5/2"]))
+    return {"family": family, "j": j, **base}, drawn
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sweeps())
+def test_a_sweep_row_is_its_points_lone_verify(sweep):
+    base, grids = sweep
+    assert _sweep_rows(base, grids) == _verify_rows(base, grids)
+
+
+class TestSummaryCells:
+    """A sweep row's cells are read from the report's columns: each point's
+    are Python's max and min over that point's floats, in report order."""
+
+    @staticmethod
+    def _python_cells(report: CheckReport, point: int) -> list[str]:
+        def at(value):  # a point's entry of a column, or a frame's shared value
+            return value[point] if isinstance(value, (list, np.ndarray)) else value
+
+        cells = []
+        for cat in _CATEGORIES:
+            members = [float(at(c.residual)) for c in report
+                       if c.category == cat and c.mode == "le"]
+            cells.append(format_float(max(members) if members else float("nan")))
+        controls = [float(at(c.residual)) for c in report if c.mode == "ge"]
+        cells.append(format_float(min(controls) if controls else float("nan")))
+        passed = all(at(c.passed) for c in report)
+        return cells + ["true" if passed else "false", ""]
+
+    def test_rows_fold_as_python_max_and_min(self):
+        nan, inf = float("nan"), float("inf")
+        report = CheckReport()
+        report.add("frame", 0.5, 1.0, category="phase")  # one value that every point shares
+        report.add("first", np.array([nan, 1.0, inf, -0.0, 0.25, 3.0]), 2.0)
+        report.add("middle", np.array([2.0, nan, -inf, 0.0, 0.5, 1.0]), 2.0)
+        report.add("last", np.array([1.0, 0.5, 3.0, 0.0, nan, inf]), np.full(6, 4.0))
+        report.add("phase_row", np.array([0.1, 0.7, nan, 0.2, -inf, 2.0]), 1.0, category="phase")
+        report.add("shared_control", 5.0, 1.0, mode="ge")
+        report.add("control", np.array([inf, nan, 0.5, 7.0, -inf, 6.0]), 1.0, mode="ge")
+        report.add("late_control", np.array([1.0, 2.0, nan, 9.0, 3.0, 5.5]), 1.0, mode="ge")
+        rows = _summary_cells(report, 6)
+        assert rows == [self._python_cells(report, i) for i in range(6)]
+        assert [row[-2] for row in rows] == ["false", "false", "false", "true", "false", "false"]
+        # a NaN or a -0.0 that comes first stays; a later NaN loses
+        assert rows[0][0] == "NaN" and rows[1][0] == "1" and rows[3][0] == "-0"
+        assert rows[0][3] == "NaN"  # no derivation check: NaN
+
+    def test_a_batch_report_fails_where_any_point_fails(self):
+        report = CheckReport()
+        report.add("frame", 0.5, 1.0)
+        report.add("rows", np.array([0.5, 2.0]), 1.0)
+        assert not report.all_pass and [c.name for c in report.failures()] == ["rows"]
+        assert [row[-2] for row in _summary_cells(report, 2)] == ["true", "false"]
+        report.checks.pop()
+        report.add("rows", np.array([0.5, 0.25]), 1.0)
+        assert report.all_pass and not report.failures()
+
+    def test_a_lone_report_gives_one_row(self):
+        report = CheckReport()
+        report.add("a", float("nan"), 1.0)
+        report.add("b", 0.5, 1.0)
+        report.add("c", 0.25, 1.0, category="dynamics")
+        report.add("control", 3.0, 1.0, mode="ge")
+        assert _summary_cells(report) == [self._python_cells(report, 0)]
+        assert _summary_cells(report)[0][-2] == "false"
 
 
 class TestScenarioFile:
@@ -829,20 +936,33 @@ class TestRejectedInput:
         assert captured.err == f"spinphase {argv[0]}: cannot write {path}: {reason}\n"
         assert not (tmp_path / "missing").exists()
 
-    @pytest.mark.parametrize("argv", _OUTPUT_FLAGS, ids=lambda argv: argv[0])
-    def test_missing_output_directory_is_refused_before_any_work(
-        self, tmp_path, capsys, monkeypatch, argv
-    ):
+    def _assert_refused_before_any_work(self, capsys, monkeypatch, argv, path, reason):
         def work(*args, **kwargs):
             raise AssertionError("the request did its work before checking its output path")
 
         monkeypatch.setattr(cli, "resolve_scenario", work)
         monkeypatch.setattr(cli, "verify_points", work)
-        path = str(tmp_path / "missing" / "x.json")
         rc = main([*argv, path])
         captured = capsys.readouterr()
         self._assert_usage_error(rc, captured, argv[0])
-        assert captured.err == f"spinphase {argv[0]}: cannot write {path}: No such file or directory\n"
+        assert captured.err == f"spinphase {argv[0]}: cannot write {path}: {reason}\n"
+
+    @pytest.mark.parametrize("argv", _OUTPUT_FLAGS, ids=lambda argv: argv[0])
+    def test_missing_output_directory_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        path = str(tmp_path / "missing" / "x.json")
+        self._assert_refused_before_any_work(
+            capsys, monkeypatch, argv, path, "No such file or directory"
+        )
+
+    @pytest.mark.parametrize("argv", _OUTPUT_FLAGS, ids=lambda argv: argv[0])
+    def test_existing_directory_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        self._assert_refused_before_any_work(
+            capsys, monkeypatch, argv, str(tmp_path), "Is a directory"
+        )
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -855,6 +975,8 @@ class TestRejectedInput:
              "the suq2 ladder is not finite at m=-1.5 -> m+1"),
             (["--family", "hermitian_f", "--j", "3/2", "--q", "1e300"],
              "the hermitian_f ladder is not finite at m=-1.5 -> m+1"),
+            (["--family", "suq2", "--j", "1/2", "--q", "1e300"],
+             "q=1e+300 overflows SU_q(2)'s casimir at j=1/2"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )

@@ -1,6 +1,7 @@
 """Deformation maps: q-numbers, the g-solution, and every builder's algebra."""
 
 import cmath
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,18 @@ class TestSuq2:
         # [3]_q overflows at q = 1e300: the builder rejects the infinite entries
         with pytest.raises(ParameterError, match=r"suq2 ladder is not finite at m=-1.5 -> m\+1"):
             build_suq2(build_su2("3/2"), 1e300)
+
+    @pytest.mark.parametrize("q", [1e300, 1e299])
+    def test_overflowing_casimir_table_is_a_parameter_error(self, q):
+        # at j = 1/2 the one entry is [1]_q = 1, but g(1/2) = [1/2]_q [3/2]_q is inf
+        message = f"q={q} overflows SU_q(2)'s casimir at j=1/2"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build_suq2(build_su2("1/2"), q)
+
+    def test_overflowing_casimir_point_of_a_batch_runs_apart(self):
+        with pytest.raises(Diverged) as info:
+            build_suq2(build_su2("1/2"), [1.3, 1e300, 0.8])
+        assert info.value.args[0].tolist() == [False, True, False]
 
 
 class TestHermitianDeformation:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinphase import (
-    CheckReport,
     NotPSDError,
     Operator,
     ParameterError,
@@ -28,6 +27,7 @@ from spinphase import (
     residual,
     zero,
 )
+from spinphase import operators
 from spinphase.operators import Diverged, _product, _structured
 
 TOL = Tolerance()
@@ -411,10 +411,10 @@ class TestStructuredCore:
         rep = build_su2("25/2")
         u = build_finite_oscillator(25, 4.9).U.U
 
-        def refuse(op):
+        def refuse(*args):
             raise AssertionError("the dense matrix was built")
 
-        monkeypatch.setattr(Operator, "_array", refuse)
+        monkeypatch.setattr(operators, "_dense_matrix", refuse)
         assert residual(rep.Jp, rep.Jp) == 0.0
         assert residual(u.adjoint(), u.adjoint()) == 0.0
         assert residual(commutator(rep.J0, rep.J0), zero(rep.dim)) == 0.0
@@ -535,18 +535,3 @@ class TestBatchAxis:
         with pytest.raises(Diverged) as info:
             phase @ (1j * Operator._from_diagonals(6, {-1: self._rows(6, 2)}))
         assert info.value.args[0].all()
-
-    def test_report_splits_by_point(self):
-        report = CheckReport()
-        shared = report.add("frame", 0.0, 1.0)
-        report.add("rows", np.array([0.5, 2.0, np.nan]), 1.0, detail="d", category="phase")
-        report.add("control", np.array([3.0, 0.1, 1.0]), np.array([0.5, 0.5, 1.0]), mode="ge")
-        reports = report.split(3)
-        assert all(r.checks[0] is shared for r in reports)
-        assert [[c.passed for c in r] for r in reports] == [
-            [True, True, True], [True, False, False], [True, False, True]
-        ]
-        assert [(c.residual, c.tol, c.detail, c.category) for c in reports[1]][1] == (
-            2.0, 1.0, "d", "phase"
-        )
-        assert all(type(c.residual) is float and type(c.passed) is bool for r in reports for c in r)
