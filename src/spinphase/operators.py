@@ -251,7 +251,9 @@ class Operator:
         data = self._data
         if self._offsets is not None and data.ndim > 1:
             rows, norms = data.any(axis=-1), np.zeros(len(data))  # NaN is nonzero
-            norms[rows] = [*map(np.linalg.norm, _dense_matrix(self.dim, self._offsets, data[rows]))]
+            if rows.any():
+                dense = _dense_matrix(self.dim, self._offsets, data[rows])
+                norms[rows] = [*map(np.linalg.norm, dense)]
             return norms
         if self._offsets is not None and not np.count_nonzero(data):
             return 0.0

@@ -7,13 +7,19 @@ JSON has no token for a non-finite float, so the emitter writes the ones
 Python's ``json`` module reads and writes: ``NaN``, ``Infinity`` and
 ``-Infinity``.
 
-Floats are formatted in bulk: a list of Python floats in JSON, and the time
-and re/im values of one time step in CSV, go through one ``%``-template.  That is
-exact: ``'%.17g' % x`` is byte for byte ``format(x, '.17g')``, and the two
-paths differ only on non-finite values (``nan``/``inf`` against ``NaN``,
-``Infinity``, ``-Infinity``).  A finite ``.17g`` number never contains an
-``n`` (only digits, ``-``, ``.``, ``e`` and ``+``), so text that does takes
-the per-value path instead.
+Floats are formatted in bulk by ``_float17``, an exact vectorised
+``format(x, '.17g')``: a trajectory CSV's times and re/im values, in blocks
+of at most ``_CHUNK`` values, and an operator's entries in JSON (``dumps``
+formats the array that ``operator_to_jsonable`` read its rows from) when
+there are at least ``_BULK`` of them.  The kernel formats zeros and the
+finite values with 1e-4 <= |x| < 1e17, where ``%.17g`` prints fixed
+notation.  It takes the 17-digit decimal from an exact two-double product
+|x| * 10**(16-k) (Dekker's TwoProduct) and lays the digits out with byte
+masks; its docstring gives the argument.  Every other value, non-finite or
+printed in scientific notation, goes to the writer's per-value formatter,
+so each keeps its tokens for non-finite values: ``NaN``, ``inf`` and
+``-inf`` in CSV (``format_float``), ``NaN``, ``Infinity`` and ``-Infinity``
+in JSON.  The other floats of a JSON document are formatted one at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from . import _float17
 from .operators import Operator
 
 __all__ = [
@@ -34,13 +41,27 @@ __all__ = [
 ]
 
 
+_CHUNK = 8192  # values per kernel call: bounds the buffers of a large output
+# an operator part with at least this many entries goes to the kernel in one
+# call: below it, formatting per value costs less than the call's fixed cost
+_BULK = 32
+
+
 def format_float(x: float) -> str:
     if x != x:  # NaN
         return "NaN"
     return format(float(x), ".17g")
 
 
+def _json_float(x: float) -> str:
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format_float(x)
+
+
 def _emit(obj: Any) -> str:
+    if isinstance(obj, float):  # first: the most frequent type
+        return _json_float(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -51,20 +72,50 @@ def _emit(obj: Any) -> str:
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return format_float(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        if obj and {*map(type, obj)} == {float}:
-            text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
-            if "n" not in text:
-                return "[" + text + "]"
+        if isinstance(obj, _Rows) and obj.values.size >= _BULK:
+            return _grid_text(obj.values)
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Rows(tuple):
+    """An operator part's entries: one tuple of Python floats per row, and
+    the read-only float64 array they were read from, which ``_emit`` formats
+    in one kernel call (see ``operator_to_jsonable``)."""
+
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_Rows":
+        rows = cls(tuple(row.tolist()) for row in values)
+        rows.values = values
+        return rows
+
+
+def _grid_text(grid: np.ndarray) -> str:
+    """The JSON list of lists of a 2-D float array, as ``_emit`` writes it."""
+    n_rows, n_cols = grid.shape
+    step = max(1, _CHUNK // n_cols)
+    text = ["["]
+    for start in range(0, n_rows, step):
+        block = grid[start:start + step]
+        # per row ", [" and a NUL, then per value its cell and ", " (or "]")
+        buf = np.empty((len(block), 2 + n_cols * (_float17.WIDTH + 2) // 2), np.uint16)
+        buf[:, :2] = np.frombuffer(b", [\0", np.uint16)
+        values = buf[:, 2:].reshape(len(block), n_cols, -1)
+        values[..., :-1] = _float17.cells(block, _json_float).view(np.uint16).reshape(
+            len(block), n_cols, -1)
+        values[..., -1] = np.frombuffer(b", ", np.uint16)
+        values[:, -1, -1] = np.frombuffer(b"]\0", np.uint16)
+        if start == 0:
+            buf[0, 0] = 0
+        text.append(_float17.text(buf))
+    text.append("]")
+    return "".join(text)
 
 
 def dumps(obj: Any) -> str:
@@ -73,12 +124,15 @@ def dumps(obj: Any) -> str:
 
 
 def operator_to_jsonable(op: Operator) -> dict:
-    """Shared wire form: {"dim", "label", "re", "im"} with row-major entries."""
+    """Shared wire form: {"dim", "label", "re", "im"} with row-major entries,
+    one tuple of Python floats per row.  The tuples are immutable, so the
+    array they were read from (``op.mat`` is read-only) still holds them when
+    ``dumps`` formats it."""
     return {
         "dim": op.dim,
         "label": op.label,
-        "re": op.mat.real.tolist(),
-        "im": op.mat.imag.tolist(),
+        "re": _Rows.of(op.mat.real),
+        "im": _Rows.of(op.mat.imag),
     }
 
 
@@ -89,28 +143,37 @@ def trajectory_csv_lines(
     """The CSV text: a ``t,row,col,re,im`` header, then one row per time and
     element, grouped by time then by element order, each ending in a newline.
 
-    One template, built once, takes a time step's time text and re/im
-    values (exact; see the module docstring), and the text is joined once.
+    The times go to the kernel at once, the re/im grid in blocks of time
+    steps of at most ``_CHUNK`` values.
     """
-    times = list(times)
+    times = np.array(list(times), dtype=np.float64)
     tracks = [(rc, v if isinstance(v, np.ndarray) else list(v)) for rc, v in element_tracks]
     if any(len(vals) < len(times) for _, vals in tracks):
         raise IndexError("every track needs one value per time")
-    # one row per time step: a slot for the time text, then re, im, per element
-    cells = np.zeros((len(times), len(tracks), 3))
-    for k, (_, vals) in enumerate(tracks):
-        v = np.asarray(vals[: len(times)], dtype=np.complex128)
-        cells[:, k, 1], cells[:, k, 2] = v.real, v.imag
-    cells = cells.reshape(len(times), 3 * len(tracks))
-    rows = [f",{row},{col}".replace("%", "%%") for (row, col), _ in tracks]
-    template = "".join(f"%s{rc},%.17g,%.17g\n" for rc in rows)
     text = ["t,row,col,re,im\n"]
-    for i, t in enumerate(times):
-        values = cells[i].tolist()
-        values[::3] = [format_float(t)] * len(tracks)
-        step = template % tuple(values)
-        if "n" in step:  # a non-finite value: the per-value tokens
-            tokens = (v if isinstance(v, str) else format_float(v) for v in values)
-            step = template.replace("%.17g", "%s") % tuple(tokens)
-        text.append(step)
+    if not tracks:
+        return text[0]
+    grid = np.empty((len(times), len(tracks)), np.complex128)
+    for k, (_, vals) in enumerate(tracks):
+        grid[:, k] = vals[: len(times)]
+    labels = np.array([f",{row},{col},".encode() for (row, col), _ in tracks])
+    label = labels.view(np.uint8).reshape(len(tracks), labels.itemsize)
+    # a line: the time's cell, the ",row,col," label, the re cell, ",", the im cell, "\n"
+    width = _float17.WIDTH
+    re = width + label.shape[1]
+    im = re + width + 1
+    time_cells = _float17.cells(times, format_float)
+    steps = max(1, _CHUNK // (2 * len(tracks)))
+    for start in range(0, len(times), steps):
+        block = slice(start, start + steps)
+        values = _float17.cells(grid[block].view(np.float64), format_float)
+        values = values.reshape(-1, len(tracks), 2, width)
+        buf = np.empty((len(values), len(tracks), im + width + 1), np.uint8)
+        buf[..., :width] = time_cells[block, None]
+        buf[..., width:re] = label
+        buf[..., re:re + width] = values[:, :, 0]
+        buf[..., re + width] = ord(",")
+        buf[..., im:im + width] = values[:, :, 1]
+        buf[..., -1] = ord("\n")
+        text.append(_float17.text(buf))
     return "".join(text)

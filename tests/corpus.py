@@ -12,6 +12,7 @@ diffing two runs::
 
 The argv cover ``build``, ``verify --report`` and ``evolve`` of every family
 on a size ladder, ``verify`` and ``evolve`` of jordan_schwinger at s = 30,
+outputs of many formatting chunks or with values in scientific notation,
 the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
 on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
@@ -119,6 +120,17 @@ def corpus(tmp: str) -> list[list[str]]:
     argvs += [
         ["verify", *two_mode, "--report", report],
         ["evolve", *two_mode, "--t-max", "2.5", "--steps", "20"],
+    ]
+
+    # outputs of many formatting chunks: the benchmark's evolves, a time grid
+    # printed in scientific notation, and entries up to 8.6e59
+    t_max = "6.283185307179586"
+    argvs += [
+        ["evolve", "--family", "su2", "--j", "25", "--t-max", t_max, "--steps", "2000"],
+        ["evolve", "--family", "jordan_schwinger", "--s", "12", "--phi0", "0.7",
+         "--t-max", t_max, "--steps", "200"],
+        ["evolve", "--family", "su2", "--j", "25", "--t-max", "1e-300", "--steps", "3"],
+        ["build", "--family", "witten", "--j", "50", "--r", "2"],
     ]
 
     argvs += [

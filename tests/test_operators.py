@@ -419,6 +419,8 @@ class TestStructuredCore:
         assert residual(u.adjoint(), u.adjoint()) == 0.0
         assert residual(commutator(rep.J0, rep.J0), zero(rep.dim)) == 0.0
         assert zero(rep.dim).adjoint().norm() == 0.0
+        batch = Operator._from_diagonals(rep.dim, {-1: np.zeros((3, rep.dim - 1))})
+        assert residual(batch, -batch).tolist() == [0.0, 0.0, 0.0]  # a batch of zero rows
         with pytest.raises(AssertionError):
             residual(rep.Jp, rep.Jm)  # a nonzero difference takes the dense norm
 
