@@ -42,11 +42,10 @@ from .operators import (
     commutator,
     from_diagonal,
     per_point,
-    r_commutator,
-    residual,
     _holds,
     _larger,
 )
+from .checks import BRACKET, SCALED_LADDER, SCALED_STRUCTURE, evaluate, measure
 from .report import CheckReport
 from .su2 import Su2Rep, _place_ladders, parse_spin
 
@@ -206,18 +205,19 @@ class DeformedTriple:
         return commutator(self.Jp, self.Jm)
 
 
+LADDER = ("j0_ladder_raising", "j0_ladder_lowering")
+
+
 def _ladder_checks(
     j0: Operator, jp: Operator, jm: Operator, t: float, hermitian: bool = False
 ) -> CheckReport:
     """[J0, J+-~] = +-J+-~ as checks at tolerance t, and J-~ = (J+~)^dagger
     for a hermitian pair: one built as such (``hermitian``) or one whose
     adjoint residual is within t."""
-    checks = CheckReport()
-    checks.add("j0_ladder_raising", residual(commutator(j0, jp), jp), t)
-    checks.add("j0_ladder_lowering", residual(commutator(j0, jm), -1.0 * jm), t)
-    adjoint = residual(jm, jp.adjoint())
-    if hermitian or _holds(adjoint <= t, branch=True):
-        checks.add("adjoint_pair", adjoint, t)
+    values = {"J0": j0, "Jp": jp, "Jm": jm, "t": t, "hermitian": True}
+    checks = evaluate((*LADDER, "adjoint_pair"), values)
+    if not (hermitian or _holds(checks.checks[-1].residual <= t, branch=True)):
+        checks.checks.pop()  # adjoint_pair
     return checks
 
 
@@ -290,7 +290,7 @@ def build_split_deformation(
     provenance = {"map": "ab_map", "params": {"split": split}}
     triple = build_deformation(rep, su2 * a, su2 * b, provenance=provenance, tol=tol)
     # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
-    res = residual(triple.bracket, from_diagonal(np.diff(values)))
+    res = measure("structure_relation", {"B": triple.bracket, "F": from_diagonal(np.diff(values))})
     if _holds(res > t):
         raise ArithmeticError(f"split map violates its structure relation: {res:.3e}")
     return triple
@@ -364,8 +364,8 @@ def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedT
         raise ParameterError(f"q={q} overflows SU_q(2)'s casimir at j={rep.j}")
     c_up, c_down = _casimir_orderings(triple, g)
     t = tol.for_dim(rep.dim)
-    scalar = from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))
-    if _holds(residual(c_up, c_down) > t) or _holds(residual(c_up, scalar) > t):
+    values = {"C": c_up, "Cd": c_down, "S": from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))}
+    if any(_holds(measure(name, values) > t) for name in ("casimir_orderings", "casimir_scalar")):
         raise ArithmeticError("SU_q(2) casimir identity violated")
     return triple
 
@@ -388,6 +388,9 @@ def _witten_point(rep: Su2Rep, r: float) -> tuple:
     except OverflowError as exc:
         raise ParameterError(f"r={r} overflows Witten's map at j={rep.j}") from exc
     return w0, weights, r, 1.0 / r**2, 1.0 / abs(r - 1.0 / r), r + 1.0 / r
+
+
+WITTEN = ("witten_relation_raising", "witten_relation_pair", "witten_relation_lowering")
 
 
 def build_witten(rep: Su2Rep, r, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple:
@@ -418,19 +421,12 @@ def build_witten(rep: Su2Rep, r, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple
     eps = float(np.finfo(float).eps)
     magnitude = spread * (1.0 + w0.norm()) * (1.0 + wp.norm())
     t_w = _larger(t, 64.0 * eps * rep.dim * (cancellation + magnitude))
-    checks = CheckReport()
-    residuals = [
-        checks.add(name, residual(bracket, target), t_w, detail=detail).residual
-        for name, bracket, target, detail in (
-            ("witten_relation_raising", r_commutator(w0, wp, r_rows), wp, "[W0, W+]_r = W+"),
-            ("witten_relation_pair", r_commutator(wp, wm, inv_r2), w0, "[W+, W-]_{1/r^2} = W0"),
-            ("witten_relation_lowering", r_commutator(wm, w0, r_rows), wm, "[W-, W0]_r = W-"),
-        )
-    ]
-    worst = reduce(_larger, residuals)
+    values = {"J0": w0, "Jp": wp, "Jm": wm, "r": r_rows, "inv_r2": inv_r2, "t_w": t_w, "t": t,
+              "hermitian": True}
+    checks = evaluate((*WITTEN, "adjoint_pair"), values)
+    worst = reduce(_larger, (c.residual for c in checks.checks[:3]))
     if _holds(worst > t_w):
         raise ArithmeticError(f"Witten defining relations violated: residual {worst:.3e}")
-    checks.add("adjoint_pair", residual(wm, wp.adjoint()), t)
     provenance = {"map": "witten", "params": {"r": per_point(float, r)}}
     return DeformedTriple(wp, wm, w0, provenance, True, checks)
 
@@ -468,28 +464,21 @@ def build_scaled_deformation(
     jp_t, jm_t = _place_ladders(su2 * w_at(0)[..., :-1], su2 * w_at(0)[..., 1:])
     j0_t = from_diagonal(ms * w_at(0), "J0~")
 
-    # [J0~, J+-~] = {1 - w(J0 -+ 1)/w(J0)} J0~ J+-~  +- w(J0 -+ 1) J+-~
-    res_list = []
-    for sign, ladder in ((+1, jp_t), (-1, jm_t)):
-        coeff = from_diagonal(1.0 - w_at(-sign) / w_at(0))
-        rhs = coeff @ (j0_t @ ladder) + float(sign) * (from_diagonal(w_at(-sign)) @ ladder)
-        res_list.append(residual(commutator(j0_t, ladder), rhs))
+    # [J0~, J+-~] = {1 - w(J0 -+ 1)/w(J0)} J0~ J+-~  +- w(J0 -+ 1) J+-~ and
     # [J+~, J-~] = {1 - w(J0+1)/w(J0-1)} J+~ J-~ + 2 w(J0+1) J0~
-    coeff = from_diagonal(1.0 - w_at(1) / w_at(-1))
-    rhs = coeff @ (jp_t @ jm_t) + 2.0 * (from_diagonal(w_at(1)) @ j0_t)
-    checks = CheckReport()
-    res_list.append(
-        checks.add(
-            "structure_relation",
-            residual(commutator(jp_t, jm_t), rhs),
-            t,
-            detail="[J+~, J-~] matches the scaled-deformation closed form",
-        ).residual
-    )
+    values = {
+        "Jp": jp_t, "Jm": jm_t, "J0t": j0_t, "t": t, "D2": from_diagonal(w_at(1)),
+        "D1+": from_diagonal(1.0 - w_at(-1) / w_at(0)), "D2+": from_diagonal(w_at(-1)),
+        "D1-": from_diagonal(1.0 - w_at(1) / w_at(0)),
+        "D1": from_diagonal(1.0 - w_at(1) / w_at(-1)),
+    }
+    res_list = [measure(SCALED_LADDER, values)]
+    detail = {"structure_relation": "[J+~, J-~] matches the scaled-deformation closed form"}
+    derived = {"B": BRACKET, "F": SCALED_STRUCTURE}
+    checks = evaluate(("structure_relation",), values, derived=derived, details=detail)
     # keeping J0 undeformed collapses the first identity to the plain ladder rule
     checks.extend(_ladder_checks(rep.J0, jp_t, jm_t, t))
-    res_list += [c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering")]
-    worst = reduce(_larger, res_list)
+    worst = reduce(_larger, [*res_list, *(c.residual for c in checks.checks[:3])])
     if _holds(worst > t):
         raise ArithmeticError(f"scaled-deformation identities violated: {worst:.3e}")
 

@@ -10,22 +10,23 @@ for bit the entry of evolve() at its time (one private helper holds the
 phase formula, and numpy's elementwise complex multiply rounds the same way
 whatever the array layout).
 
-The central verification implemented here: the linear ladder dynamics
-dJ+~/dt = -i muB J+~ follows for *every* deformation from one equation of
-motion for the unitary phase operator, because the deformed ladder factors as
-J+~ = U G with a diagonal weight G that commutes with H and annihilates the
-top state (killing the phase equation's boundary term).
+The central verification (its checks are declared in ``checks.CHECKS``):
+the ladder dynamics dJ+~/dt = -i muB J+~ follows for *every* deformation
+from one equation of motion for the unitary phase operator, because J+~ =
+U G with a diagonal weight G that commutes with H and annihilates the top
+state, killing the phase equation's boundary term.  ``spin_motion`` holds
+the operands no ladder enters, which a phase frame shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checks import MODULI, MOTION, UD, UNSHIFTED, Jm, Jp, Scope, U, evaluate
 from .operators import (
     DEFAULT_TOL,
     NotDiagonalError,
@@ -38,11 +39,10 @@ from .operators import (
     residual,
     _held,
     _kron,
-    _larger,
 )
 from .deform import DeformedTriple
 from .phase import PhaseOperator
-from .report import CheckReport, CheckResult
+from .report import CheckReport
 from .su2 import Su2Rep
 
 __all__ = [
@@ -58,9 +58,6 @@ __all__ = [
     "trajectory",
 ]
 
-NEGATIVE_CONTROL_FLOOR = 0.5
-
-
 @dataclass(frozen=True)
 class Hamiltonian:
     """A hermitian operator, diagonal in the working basis, plus parameters."""
@@ -73,6 +70,9 @@ class Hamiltonian:
         if not self.op.is_diagonal(t):
             raise NotDiagonalError("hamiltonian must be diagonal in the working basis")
         if not self.op.is_hermitian(t):
+            if not np.isfinite(self.op.diagonal()).all():  # the energies overflow
+                flags = ", ".join(f"--{name}={value!r}" for name, value in self.params.items())
+                raise ParameterError(f"the hamiltonian's energies are not finite at {flags}")
             raise ParameterError("hamiltonian must be hermitian")
 
     @property
@@ -83,16 +83,19 @@ class Hamiltonian:
         return self.op.diagonal().real
 
 
+@np.errstate(over="ignore", invalid="ignore")  # Hamiltonian reports an overflow
 def dipole_hamiltonian(j0: Operator, muB: float) -> Hamiltonian:
     """H = -muB * J0 for the dipole precessing in a z-axis field."""
     return Hamiltonian((-float(muB)) * j0, {"muB": float(muB)})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def number_hamiltonian(n_op: Operator, omega: float) -> Hamiltonian:
     """H = omega * N for one oscillator mode."""
     return Hamiltonian(float(omega) * n_op, {"omega": float(omega)})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_mode_hamiltonian(s: int, omega1: float, omega2: float) -> Hamiltonian:
     """H = omega1 N1 + omega2 N2 on the (s+1)^2 product space."""
     n, eye = from_diagonal(range(s + 1)), identity(s + 1)
@@ -198,146 +201,26 @@ def trajectory(
     return Trajectory(tuple(times), tuple(zip(elements, samples.T)), o.label)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseMotion:
-    """A phase unitary's equation of motion dU/dt = (1/i)[U, H] = -i*rate*(U - corner):
-    the part of the phase derivation that no ladder enters.
-
-    Each part is computed on first use and then kept: ``du`` is (1/i)[U, H],
-    ``du_dag`` is (1/i)[U^dag, H], and ``with_boundary``,
-    ``conjugate_with_boundary`` (both need the corner) and
-    ``without_boundary`` are the checks of the phase equation with the
-    corner, its conjugate and the negative control.  So the first
-    derivation from a motion computes each part just before it reports it,
-    and the large temporaries of its dense residuals are freed and allocated
-    in one fixed order.  ``t`` and ``details`` are what the ladder's checks
-    are reported with.
-    """
-
-    u: Operator
-    corner: Operator | None
-    h: Hamiltonian
-    rate: float
-    t: float
-    details: dict[str, str]
-
-    @cached_property
-    def du(self) -> Operator:
-        return heisenberg_derivative(self.u, self.h)
-
-    @cached_property
-    def du_dag(self) -> Operator:
-        return heisenberg_derivative(self.u.adjoint(), self.h)
-
-    def _check(self, name: str, res: float) -> CheckResult:
-        detail = self.details[name]
-        return CheckReport().add(name, res, self.t, detail=detail, category="derivation")
-
-    @cached_property
-    def with_boundary(self) -> CheckResult:
-        analytic = (-1j * self.rate) * (self.u - self.corner)
-        return self._check("phase_equation_with_boundary", residual(self.du, analytic))
-
-    @cached_property
-    def conjugate_with_boundary(self) -> CheckResult:
-        analytic = (1j * self.rate) * (self.u.adjoint() - self.corner.adjoint())
-        res = residual(self.du_dag, analytic)
-        return self._check("conjugate_phase_equation_with_boundary", res)
-
-    @cached_property
-    def without_boundary(self) -> CheckResult:
-        return CheckReport().add(
-            "phase_equation_without_boundary",
-            residual(self.du, (-1j * self.rate) * self.u),
-            NEGATIVE_CONTROL_FLOOR * max(abs(self.rate), 1e-300),
-            detail=self.details["phase_equation_without_boundary"],
-            category="control",
-            mode="ge",
-        )
+SPIN_DERIVATION = (
+    "weight_commutes_with_h", "phase_equation_with_boundary", "boundary_term_annihilated",
+    "raising_dynamics_from_phase", "conjugate_phase_equation_with_boundary",
+    "lowering_dynamics_from_phase", "phase_equation_without_boundary",
+)
+# the weights a spin ladder reads: J+~ = U G and J-~ = K U^dag
+SPIN_WEIGHTS = {"G": UD @ Jp, "K": Jm @ U}
 
 
-def ladder_from_phase(
-    motion: PhaseMotion,
-    moduli: tuple[Operator | None, Operator],
-    ladder: Operator,
-    lowering: tuple[Operator, Operator] | None = None,
-) -> CheckReport:
-    """Recover a ladder operator's dynamics from its phase unitary's equation.
-
-    The ladder is L U R with diagonal moduli (L, R) = ``moduli`` (L None for
-    the identity), and U = ``motion.u`` obeys dU/dt = (1/i)[U, H] =
-    -i*rate*(U - corner), the corner being the boundary term closing U's
-    cyclic shift.  Checks, in order: the phase equation and corner R = 0
-    (with a corner only); L dU/dt R = -i*rate*ladder; with ``lowering`` =
-    (K, J-~), J-~ = K U^dag (needs the corner), the adjoint equation and
-    K dU^dag/dt = +i*rate*J-~; and the negative control, (1/i)[U, H] missing
-    -i*rate*U by at least NEGATIVE_CONTROL_FLOOR*max(|rate|, 1e-300), one
-    rule for every family.  The floor keeps the control able to fail: at
-    rate 0 nothing is missed, and the control fails instead of passing with
-    residual 0 >= tol 0.  The motion's ``details`` map each check's name to
-    its report text; all but the control are held to ``motion.t``.  The
-    checks U's equation alone decides are taken from ``motion``, computed
-    there once, and only those the ladder enters are computed here.
-    """
-    left, right = moduli
-    rate = motion.rate
-    report = CheckReport()
-
-    def add(name: str, res: float) -> None:
-        report.add(name, res, motion.t, detail=motion.details[name], category="derivation")
-
-    if motion.corner is not None:
-        report.checks.append(motion.with_boundary)
-        add("boundary_term_annihilated", (motion.corner @ right).norm())
-    moved = motion.du @ right if left is None else left @ motion.du @ right
-    name = "ladder_dynamics_from_phase" if lowering is None else "raising_dynamics_from_phase"
-    add(name, residual(moved, (-1j * rate) * ladder))
-    if lowering is not None:
-        k, jm = lowering
-        report.checks.append(motion.conjugate_with_boundary)
-        add("lowering_dynamics_from_phase", residual(k @ motion.du_dag, (1j * rate) * jm))
-    report.checks.append(motion.without_boundary)
-    return report
-
-
-_SPIN_DETAILS = {
-    "phase_equation_with_boundary": "(1/i)[U,H] = -i*muB*(U - (2j+1)e^{i(2j+1)theta0}|-j><j|)",
-    "boundary_term_annihilated": "the boundary projector times G vanishes (top state is killed)",
-    "raising_dynamics_from_phase": "dU/dt * G reproduces dJ+~/dt = -i*muB*J+~",
-    "conjugate_phase_equation_with_boundary": (
-        "(1/i)[U^dag,H] matches its closed form with boundary term"
-    ),
-    "lowering_dynamics_from_phase": "K * dU^dag/dt reproduces dJ-~/dt = +i*muB*J-~",
-    "phase_equation_without_boundary": (
-        "negative control: dropping the boundary projector breaks the "
-        "phase equation by muB*(2j+1); ladder dynamics alone cannot "
-        "reconstruct the phase dynamics"
-    ),
-}
-
-
-def spin_phase_motion(phase: PhaseOperator, h: Hamiltonian, t: float) -> PhaseMotion:
-    """The spin phase unitary's equation of motion under the dipole H, with
-    the corner (2j+1) e^{i(2j+1)theta0} |-j><j|."""
-    return PhaseMotion(phase.U, phase.boundary, h, float(h.params["muB"]), t, _SPIN_DETAILS)
-
-
-def spin_ladder_from_phase(motion: PhaseMotion, jp: Operator, jm: Operator) -> CheckReport:
-    """The checks of derive_ladder_dynamics_from_phase for the ladder (jp,
-    jm), taking the ladder-free ones from the spin ``motion``."""
-    u, h = motion.u, motion.h.op
-    g = u.adjoint() @ jp
-    k = jm @ u
-    report = CheckReport()
-    report.add(
-        "weight_commutes_with_h",
-        _larger(residual(g @ h, h @ g), residual(k @ h, h @ k)),
-        motion.t,
-        detail="diagonal weights G = U^dag J+~ and K = J-~ U commute with H",
-        category="derivation",
-    )
-    report.extend(ladder_from_phase(motion, (None, g), jp, lowering=(k, jm)))
-    return report
+def spin_motion(rep: Su2Rep, phase: PhaseOperator, h: Hamiltonian, tol: Tolerance) -> Scope:
+    """The operands of a spin scenario's checks that no ladder enters: the su2
+    ladder (J+, J-, Jz), U and the moduli of its polar decomposition, and U's
+    equation of motion under the dipole H with the corner
+    (2j+1) e^{i(2j+1)theta0} |-j><j|, derived operands computed on first use."""
+    rate = float(h.params["muB"])
+    values = {
+        "U": phase.U, "corner": phase.boundary, "H": h.op, "rate": rate, "I": identity(rep.dim),
+        "J+": rep.Jp, "J-": rep.Jm, "Jz": rep.J0, "tol": tol, "t": tol.for_dim(rep.dim),
+    }
+    return Scope(values, {**MOTION, "R": UNSHIFTED, **MODULI})
 
 
 def derive_ladder_dynamics_from_phase(
@@ -360,10 +243,9 @@ def derive_ladder_dynamics_from_phase(
 
     plus the negative control: with the boundary projector removed the phase
     equation itself fails by a residual of muB*(2j+1), so the phase dynamics
-    is *not* recoverable from the eigen-operator relation alone.  (ii), (iii)
-    and the control are ladder_from_phase with the corner
-    (2j+1) e^{i(2j+1)theta0} |-j><j|.  Only G and K depend on the ladder:
-    U's part (spin_phase_motion) is the same for every deformation.
+    is *not* recoverable from the eigen-operator relation alone.  The checks
+    are ``SPIN_DERIVATION`` of ``checks.CHECKS``.  Only G and K depend on the
+    ladder: U's part (``spin_motion``) is the same for every deformation.
     """
     if "muB" not in h.params:
         raise ParameterError("phase derivation needs a dipole hamiltonian (muB)")
@@ -373,4 +255,5 @@ def derive_ladder_dynamics_from_phase(
     jp_t, jm_t = (rep.Jp, rep.Jm) if triple is None else (triple.Jp, triple.Jm)
     if jp_t.dim != dim or phase.dim != dim:
         raise ShapeError("triple or phase dimension does not match the representation")
-    return spin_ladder_from_phase(spin_phase_motion(phase, h, tol.for_dim(dim)), jp_t, jm_t)
+    motion = spin_motion(rep, phase, h, tol)
+    return evaluate(SPIN_DERIVATION, {"Jp": jp_t, "Jm": jm_t}, derived=SPIN_WEIGHTS, parent=motion)

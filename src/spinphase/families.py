@@ -1,21 +1,17 @@
 """The operator families: what each reads, how it is built, how it is checked.
 
 ``FAMILY_TABLE`` holds one entry per family: the Scenario fields it reads
-(in report order), its build function and its check function; a spin
-family's check runs shared suites in a fixed order.  A relation the builder
-already verified is reported from the builder's checks, not computed again.
+(in report order), its build function and its check function, which
+evaluates the family's list of declared checks (``checks.CHECKS``) on the
+operands it binds; a check the builder made is reported as made.
 
 Every deformed ladder factors as J+~ = U G with only the diagonal weight G
 depending on the deformation, so a spin scenario is built on a *phase
-frame* (``spin_frame``) that reads only (j, theta0, muB, tol): the SU(2)
-representation, the phase operator U, the dipole H, the phase suite's
-checks and U's equation of motion with its ladder-free residuals.  The suites
-add only the checks that G and K = J-~ U enter.  A spin family's build is
-given its frame (``scenarios.build_bundle`` makes one when none is passed).
-[J+~, J-~] is built once per scenario (``DeformedTriple.bracket``).  A sweep's
-points on one frame run as a batch: q, q_phase, r or f_coeff is a list, the
-weights and every operator reading them hold a row per point, and each
-residual is a row of dense norms.
+frame* (``spin_frame``) that reads only (j, theta0, muB, tol), whose
+operands (``dynamics.spin_motion``) carry every check no ladder enters,
+evaluated once per frame.  A sweep's points on one frame run as a batch: q,
+q_phase, r or f_coeff is a list, the weights and every operator reading
+them hold a row per point, and each residual is a row of dense norms.
 """
 
 from __future__ import annotations
@@ -29,6 +25,8 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 import numpy as np
 
 from .deform import (
+    LADDER,
+    WITTEN,
     DeformedTriple,
     GridFunction,
     build_hermitian_deformation,
@@ -41,39 +39,23 @@ from .deform import (
     _casimir_orderings,
     _suq2_entries,
 )
+from .checks import (
+    BRACKET, CASIMIR, MOTION, J0, ONE, Scope, call, evaluate, operands
+)
 from .dynamics import (
+    SPIN_DERIVATION,
+    SPIN_WEIGHTS,
     Hamiltonian,
-    PhaseMotion,
     dipole_hamiltonian,
-    eigenoperator_residual,
-    ladder_from_phase,
     number_hamiltonian,
-    spin_ladder_from_phase,
-    spin_phase_motion,
+    spin_motion,
     two_mode_hamiltonian,
 )
-from .operators import (
-    Operator,
-    SplitError,
-    Tolerance,
-    commutator,
-    from_diagonal,
-    identity,
-    per_point,
-    psd_sqrt,
-    residual,
-    _kron,
-    _larger,
-)
+from .operators import Operator, Tolerance, from_diagonal, identity, per_point, psd_sqrt, _kron
 from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
-from .phase import (
-    PhaseOperator,
-    build_phase_operator,
-    phase_number_commutator_residual,
-    polar_decompose,
-)
+from .phase import POLAR, PhaseOperator, build_phase_operator
 from .report import CheckReport
-from .su2 import Su2Rep, _place_ladders, build_su2, casimir
+from .su2 import Su2Rep, _place_ladders, build_su2
 
 if TYPE_CHECKING:
     from .scenarios import Scenario
@@ -110,11 +92,10 @@ class FamilyBundle:
 
 @dataclass(frozen=True, eq=False)
 class SpinFrame:
-    """What a spin scenario's checks share with every deformation at the
-    same (j, theta0, muB, tol): the representation, the phase operator, the
-    dipole Hamiltonian and, computed on first use, the phase suite's checks
-    and U's equation of motion.  Its operators are immutable, so one frame
-    serves any number of scenarios."""
+    """What a spin scenario shares with every deformation at the same (j,
+    theta0, muB, tol): the representation, the phase operator, the dipole
+    Hamiltonian and, made on first use, the checks' operands no ladder enters.
+    Its operators are immutable, so one frame serves any number of scenarios."""
 
     rep: Su2Rep
     phase: PhaseOperator
@@ -122,25 +103,9 @@ class SpinFrame:
     tol: Tolerance
 
     @cached_property
-    def phase_checks(self) -> CheckReport:
-        """Unitarity, the four polar reconstructions, and the phase commutator."""
-        rep, phase, t = self.rep, self.phase, self.tol.for_dim(self.rep.dim)
-        report = CheckReport()
-        _unitarity(report, phase.U, t)
-        polar_decompose(rep, phase, self.tol, report)
-        report.add(
-            "phase_number_commutator",
-            phase_number_commutator_residual(rep, phase),
-            t,
-            detail="[exp(+-i*phi), J0] matches its closed form incl. the corner term",
-            category="phase",
-        )
-        return report
-
-    @cached_property
-    def motion(self) -> PhaseMotion:
-        """dU/dt, dU^dag/dt, the corner and the residuals no ladder enters."""
-        return spin_phase_motion(self.phase, self.hamiltonian, self.tol.for_dim(self.rep.dim))
+    def motion(self) -> Scope:
+        """The operands and checks no ladder enters (``dynamics.spin_motion``)."""
+        return spin_motion(self.rep, self.phase, self.hamiltonian, self.tol)
 
 
 def spin_frame(j: Fraction, theta0: float, muB: float, tol: Tolerance) -> SpinFrame:
@@ -277,223 +242,86 @@ def _build_jordan_schwinger(sc: Scenario, frame: SpinFrame | None) -> FamilyBund
 
 # --- check suites ---------------------------------------------------------
 
+_ANNIHILATION = ("top_state_annihilated", "bottom_state_annihilated")
+_QBRACKET = (*LADDER, *_ANNIHILATION, "structure_relation", "casimir_orderings", "casimir_central")
+_EIGEN = ("raising_eigenoperator", "lowering_eigenoperator", "weight_conserved")
 
-def _in_order(*suites: Suite) -> Suite:
-    """A check function running suites one after another."""
+
+def _spin_checks(names: tuple[str, ...], operands=None, details: dict | None = None) -> Suite:
+    """A spin family's check function: the phase frame's checks, ``names`` and the
+    dynamics, on the ladder, its frame and the family's ``operands(bundle)``; a
+    check the builder made is reported as made."""
+    names = ("phase_unitarity", *POLAR, "phase_number_commutator", *names, *SPIN_DERIVATION,
+             *_EIGEN)
 
     def check(report: CheckReport, bundle: FamilyBundle) -> None:
-        for suite in suites:
-            suite(report, bundle)
+        frame, triple = bundle.parts.frame, bundle.parts.triple
+        values = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "lam": bundle.eigenvalue,
+                  "hermitian": triple.hermitian_pair, "rep": frame.rep}
+        if operands:
+            values.update(operands(bundle))
+        evaluate(names, values, report, derived=_SPIN_DERIVED, parent=frame.motion,
+                 details=details, given=triple.checks)
 
     return check
 
 
-def _from_builder(*names: str) -> Suite:
-    """A suite reporting the named checks the spin family's builder verified."""
-    return lambda report, bundle: report.extend(bundle.parts.triple.checks.named(*names))
-
-
-def _spin(bundle: FamilyBundle) -> tuple[Scenario, Su2Rep, DeformedTriple, float]:
-    """A spin bundle's scenario, representation, triple and tolerance."""
-    rep = bundle.parts.frame.rep
-    return bundle.scenario, rep, bundle.parts.triple, bundle.scenario.tol.for_dim(rep.dim)
-
-
-def _unitarity(report: CheckReport, u: Operator, t: float) -> None:
-    eye = identity(u.dim)
-    udag = u.adjoint()
-    report.add(
-        "phase_unitarity", max(residual(u @ udag, eye), residual(udag @ u, eye)), t,
-        category="phase",
-    )
-
-
-def _phase_suite(report: CheckReport, bundle: FamilyBundle) -> None:
-    report.extend(bundle.parts.frame.phase_checks)
-
-
-def _image_norm(op: Operator, index: int) -> float:
-    """|| op |index> || for the basis state at index; per row for a batch."""
-    state = np.zeros(op.dim, dtype=complex)
-    state[index] = 1.0
-    image, norm = op.apply(state), np.linalg.norm  # a batch's image: a row per point
-    return float(norm(image)) if image.ndim == 1 else np.array([*map(norm, image)])
-
-
-def _annihilation(report: CheckReport, bundle: FamilyBundle) -> None:
-    _, _, triple, t = _spin(bundle)
-    report.add("top_state_annihilated", _image_norm(triple.Jp, -1), t, detail="J+~ |j, j> = 0")
-    report.add(
-        "bottom_state_annihilated", _image_norm(triple.Jm, 0), t, detail="J-~ |j, -j> = 0"
-    )
-
-
-def _casimir_central(
-    report: CheckReport, c: Operator, jp: Operator, jm: Operator, t: float
-) -> None:
-    report.add(
-        "casimir_central",
-        _larger(residual(commutator(c, jp), 0.0 * jp), residual(commutator(c, jm), 0.0 * jm)),
-        t,
-    )
-
-
-def _su2_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
-    """The undeformed ladder and structure relations, annihilation, casimir."""
-    sc, rep, _, t = _spin(bundle)
-    report.add("j0_ladder_raising", residual(commutator(rep.J0, rep.Jp), rep.Jp), t)
-    report.add("j0_ladder_lowering", residual(commutator(rep.J0, rep.Jm), -1.0 * rep.Jm), t)
-    report.add(
-        "structure_relation", residual(commutator(rep.Jp, rep.Jm), 2.0 * rep.J0), t,
-        detail="[J+, J-] = 2 J0",
-    )
-    _annihilation(report, bundle)
-    _casimir_central(report, casimir(rep, sc.tol, report), rep.Jp, rep.Jm, t)
-
-
-def _qbracket_algebra(report: CheckReport, bundle: FamilyBundle) -> None:
-    """[J+~, J-~] = [2 J0]_q and the casimir built from its antiderivative g."""
-    sc, rep, triple, t = _spin(bundle)
+def _qbracket_operands(bundle: FamilyBundle) -> dict:
+    """[J+~, J-~] = f(J0) with f = [2x]_q and the casimir from its antiderivative g."""
+    sc, rep, triple = bundle.scenario, bundle.parts.frame.rep, bundle.parts.triple
     f, ms = structure_function_for(sc), rep.m_values()
     f_diag = from_diagonal(per_point(lambda fn: [fn(float(m)) for m in ms], f))
-    report.add(
-        "structure_relation", residual(triple.bracket, f_diag), t,
-        detail="[J+~, J-~] = f(J0) with f = [2x]_q",
-    )
     # ab_map's build solved g
     g = bundle.parts.g or per_point(lambda fn: discrete_antiderivative(fn, sc.j), f)
     c_up, c_down = _casimir_orderings(triple, per_point(lambda gf: gf.values, g))
-    report.add("casimir_orderings", residual(c_up, c_down), t)
-    _casimir_central(report, c_up, triple.Jp, triple.Jm, t)
-
-
-def _matches_suq2(report: CheckReport, bundle: FamilyBundle) -> None:
-    sc, rep, triple, t = _spin(bundle)
-    if sc.q is not None:  # a phase-valued q has no SU_q(2) counterpart here
-        ref_p, ref_m = _place_ladders(per_point(lambda q: _suq2_entries(rep, q), sc.q))
-        report.add(
-            "matches_suq2_representation",
-            _larger(residual(triple.Jp, ref_p), residual(triple.Jm, ref_m)),
-            t,
-            detail="hermitian map at f = [2x]_q equals the SU_q(2) elements",
-        )
-
-
-def _alternate_split(report: CheckReport, bundle: FamilyBundle) -> None:
-    sc, rep, triple, t = _spin(bundle)
     other = "left" if sc.split == "symmetric" else "symmetric"
-    try:
-        alt = build_split_deformation(rep, bundle.parts.g, other, tol=sc.tol)
-    except (SplitError, ArithmeticError) as exc:
-        report.add("alternate_split_structure", float("inf"), t, detail=str(exc))
-        return
-    report.add(
-        "alternate_split_structure",
-        residual(alt.bracket, triple.bracket),
-        t,
-        detail=f"{other} split realizes the same commutator",
-    )
+    return {"B": triple.bracket, "F": f_diag, "C": c_up, "Cd": c_down, "g": g, "q": sc.q,
+            "real_q": sc.q is not None, "tol": sc.tol, "other": other}
 
 
-def _dynamics_suite(
-    report: CheckReport, bundle: FamilyBundle, jp: Operator, jm: Operator, conserved: Operator
-) -> None:
-    t = bundle.scenario.tol.for_dim(jp.dim)
-    lam = bundle.eigenvalue
-    report.add(
-        "raising_eigenoperator",
-        eigenoperator_residual(jp, bundle.hamiltonian, lam),
-        t,
-        detail=f"(1/i)[J+~, H] = ({lam.real:g}{lam.imag:+g}i) J+~",
-        category="dynamics",
-    )
-    report.add(
-        "lowering_eigenoperator",
-        eigenoperator_residual(jm, bundle.hamiltonian, np.conj(lam)),
-        t,
-        category="dynamics",
-    )
-    report.add(
-        "weight_conserved",
-        eigenoperator_residual(conserved, bundle.hamiltonian, 0.0),
-        t,
-        detail=f"{conserved.label or 'J0~'} is a constant of the motion",
-        category="dynamics",
-    )
-
-
-def _spin_dynamics(report: CheckReport, bundle: FamilyBundle) -> None:
-    """The phase derivation of the ladder dynamics, then the dynamics itself."""
-    triple = bundle.parts.triple
-    report.extend(spin_ladder_from_phase(bundle.parts.frame.motion, triple.Jp, triple.Jm))
-    _dynamics_suite(report, bundle, triple.Jp, triple.Jm, triple.J0)
+# what a spin family's checks may derive, each made only where a check reads it
+# (a family's values take precedence): the weights G and K, su2's structure and
+# casimir, ab_map's other split, and hermitian_f's SU_q(2) ladder at a real q
+_SPIN_DERIVED = {
+    **SPIN_WEIGHTS, "B": BRACKET, "F": 2.0 * J0, **CASIMIR,
+    "S": call(lambda rep: from_diagonal([rep.casimir_value] * rep.dim), *operands("rep")),
+    "Balt": call(lambda rep, g, other, tol: build_split_deformation(rep, g, other, tol).bracket,
+                 *operands("rep g other tol")),
+    "RefP": call(lambda rep, q: _place_ladders(per_point(lambda v: _suq2_entries(rep, v), q))[0],
+                 *operands("rep q")),
+}
 
 
 _OSCILLATOR_DETAILS = {
     "phase_equation_with_boundary": "(1/i)[U,H] = -i*omega*(U - (s+1)e^{i(s+1)phi0}|s><0|)",
     "boundary_term_annihilated": "|s><0| sqrt(level weights) = 0",
-    "ladder_dynamics_from_phase": "dU/dt * modulus reproduces the annihilation dynamics",
     "phase_equation_without_boundary": (
         "negative control: the bare eigen-relation fails for U itself"
     ),
 }
 
 
-def _oscillator_checks(algebra: Callable[[CheckReport, FamilyBundle, float], Operator]) -> Suite:
-    """The check function of the plain and the q oscillator, a = U * modulus.
-
-    ``algebra`` adds the variant's own polar and ladder checks and returns
-    the modulus; the phase U closes its shift with the corner
-    (s+1) e^{i(s+1)phi0} |s><0|.
-    """
+def _oscillator_checks(algebra: tuple[str, ...], modulus, details: dict) -> Suite:
+    """The check function of the plain and the q oscillator, a = U G with G the
+    ``modulus``: unitarity, the variant's own ``algebra`` checks, the phase
+    derivation with the corner (s+1) e^{i(s+1)phi0} |s><0| and the dynamics."""
+    names = ("phase_unitarity", *algebra, "phase_equation_with_boundary",
+             "boundary_term_annihilated", "ladder_dynamics_from_phase",
+             "phase_equation_without_boundary", *_EIGEN)
+    derived, details = {**MOTION, "G": modulus}, {**_OSCILLATOR_DETAILS, **details}
 
     def check(report: CheckReport, bundle: FamilyBundle) -> None:
         sc = bundle.scenario
         osc, a, adag = bundle.parts
-        t = sc.tol.for_dim(osc.s + 1)
-        phase = osc.U
-        _unitarity(report, phase.U, t)
-        modulus = algebra(report, bundle, t)
-        motion = PhaseMotion(
-            phase.U, phase.boundary, bundle.hamiltonian, sc.omega, t, _OSCILLATOR_DETAILS
-        )
-        report.extend(ladder_from_phase(motion, (None, modulus), a))
-        _dynamics_suite(report, bundle, a, adag, osc.N)
+        values = {
+            "U": osc.U.U, "I": identity(osc.s + 1), "corner": osc.U.boundary, "Jp": a, "Jm": adag,
+            "J0": osc.N, "L": ONE, "tol": sc.tol, "radicands": getattr(osc, "radicands", None),
+            "H": bundle.hamiltonian.op, "lam": bundle.eigenvalue, "rate": sc.omega,
+            "hermitian": True, "t": sc.tol.for_dim(osc.s + 1),
+        }
+        evaluate(names, values, report, derived=derived, details=details)
 
     return check
-
-
-def _number_algebra(report: CheckReport, bundle: FamilyBundle, t: float) -> Operator:
-    osc, a, adag = bundle.parts
-    sqrt_n = psd_sqrt(osc.N, bundle.scenario.tol)
-    report.add(
-        "polar_product", residual(a, osc.U.U @ sqrt_n), t,
-        detail="a = U sqrt(N) exactly", category="phase",
-    )
-    report.add(
-        "number_ladder_commutator",
-        residual(commutator(a, osc.N), a),
-        t,
-        detail="[a, N] = a with no boundary term in finite dimension",
-    )
-    report.add("adjoint_pair", residual(adag, a.adjoint()), t)
-    return sqrt_n
-
-
-def _q_algebra(report: CheckReport, bundle: FamilyBundle, t: float) -> Operator:
-    qosc, a_q, a_qdag = bundle.parts
-    report.add(
-        "radicand_positivity", max(0.0, -min(qosc.radicands)), t,
-        detail=f"level radicands {tuple(round(v, 12) for v in qosc.radicands)} all >= 0",
-    )
-    modulus = from_diagonal(np.sqrt(qosc.radicands))
-    report.add(
-        "polar_product", residual(a_q, qosc.U.U @ modulus), t,
-        detail="a_q = U sqrt([N-n0]_q + [n0]_q)", category="phase",
-    )
-    report.add("adjoint_pair", residual(a_qdag, a_q.adjoint()), t)
-    report.add("number_ladder_commutator", residual(commutator(a_q, qosc.N), a_q), t)
-    return modulus
 
 
 _TWO_MODE_DETAILS = {
@@ -504,83 +332,65 @@ _TWO_MODE_DETAILS = {
         "negative control: V itself is no eigen-operator; wrap terms remain"
     ),
 }
+_TWO_MODE = (
+    *LADDER, "adjoint_pair", "vacuum_annihilated", "frequency_condition", *_EIGEN,
+    "two_mode_polar_product", "ladder_dynamics_from_phase", "phase_equation_without_boundary",
+)
+# J+~ = L V G with V = U_A^dag (x) U_B and diagonal moduli L = sqrt(D_A) (x) I,
+# G = I (x) sqrt(D_B); V's wrap terms have no single corner, so no boundary
+# checks, and the control must fail even at omega1 = omega2.  Derived operands
+# call this module's functions when evaluated, as a tree's operations do.
+_UA, _EYE, _ROOT = operands("UA eye root")
+_TWO_MODE_FACTORS = {
+    "U": call(lambda a, b: _kron(a, b, "V"), _UA.adjoint(), _UA),
+    "L": call(lambda a, b: _kron(a, b), _ROOT, _EYE),
+    "G": call(lambda a, b: _kron(a, b), _EYE, _ROOT), **MOTION,
+}
 
 
 def _check_jordan_schwinger(report: CheckReport, bundle: FamilyBundle) -> None:
     sc = bundle.scenario
     triple, mode = bundle.parts
-    dim = triple.dim
-    t = sc.tol.for_dim(dim)
     delta = sc.omega2 - sc.omega1
+    values = {
+        "Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "H": bundle.hamiltonian.op,
+        "lam": bundle.eigenvalue, "delta": delta, "muB": sc.muB, "rate": delta,
+        "UA": mode.U.U, "eye": identity(mode.s + 1), "root": from_diagonal(np.sqrt(mode.radicands)),
+        "t": sc.tol.for_dim(triple.dim),
+    }
+    evaluate(_TWO_MODE, values, report, derived=_TWO_MODE_FACTORS, details=_TWO_MODE_DETAILS,
+             given=triple.checks)  # the builder's ladder relations and adjoint pair
 
-    report.extend(triple.checks)  # the ladder relations and the adjoint pair
-    report.add(
-        "vacuum_annihilated", _image_norm(triple.Jp, 0), t,
-        detail="J+~ kills |0> (x) |0> because b_q does",
-    )
-    report.add(
-        "frequency_condition",
-        abs(delta - sc.muB),
-        t,
-        detail="omega2 - omega1 = muB matches the spin precession rate",
-        category="dynamics",
-    )
-    _dynamics_suite(report, bundle, triple.Jp, triple.Jm, triple.J0)
-
-    # Two-mode phase derivation: J+~ = L V R with V = U_A^dag (x) U_B and
-    # diagonal moduli L = sqrt(D_A) (x) I, R = I (x) sqrt(D_B); V's wrap
-    # terms have no single corner, so no boundary checks, and the control
-    # must fail even at omega1 = omega2.
-    eye = identity(mode.s + 1)
-    root = from_diagonal(np.sqrt(mode.radicands))
-    v = _kron(mode.U.U.adjoint(), mode.U.U, "V")
-    left, right = _kron(root, eye), _kron(eye, root)
-    report.add(
-        "two_mode_polar_product",
-        residual(left @ v @ right, triple.Jp),
-        t,
-        detail="J+~ factors through the relative phase unitary U_A^dag (x) U_B",
-        category="derivation",
-    )
-    motion = PhaseMotion(v, None, bundle.hamiltonian, delta, t, _TWO_MODE_DETAILS)
-    report.extend(ladder_from_phase(motion, (left, right), triple.Jp))
-
-
-_LADDER = _from_builder("j0_ladder_raising", "j0_ladder_lowering")
-# a builder records the adjoint check only for a hermitian pair
-_ADJOINT = _from_builder("adjoint_pair")
-_WITTEN = _from_builder(
-    "witten_relation_raising", "witten_relation_pair", "witten_relation_lowering"
-)
 
 FAMILY_TABLE = {
-    "su2": Family(
-        ("j", "theta0", "muB"), _build_su2, _in_order(_phase_suite, _su2_algebra, _spin_dynamics)
-    ),
-    "suq2": Family(("j", "q", "theta0", "muB"), _build_suq2, _in_order(
-        _phase_suite, _LADDER, _annihilation, _qbracket_algebra, _ADJOINT, _spin_dynamics
+    "su2": Family(("j", "theta0", "muB"), _build_su2, _spin_checks(
+        (*LADDER, "structure_relation", *_ANNIHILATION, "casimir_orderings", "casimir_scalar",
+         "casimir_central"), details={"structure_relation": "[J+, J-] = 2 J0"},
     )),
-    "witten": Family(("j", "r", "theta0", "muB"), _build_witten, _in_order(
-        _phase_suite, _WITTEN, _ADJOINT, _annihilation, _spin_dynamics
+    "suq2": Family(("j", "q", "theta0", "muB"), _build_suq2, _spin_checks(
+        (*_QBRACKET, "adjoint_pair"), _qbracket_operands
     )),
-    "ab_map": Family(("j", "q", "theta0", "muB", "split"), _build_ab_map, _in_order(
-        _phase_suite, _LADDER, _annihilation, _qbracket_algebra, _ADJOINT, _alternate_split,
-        _spin_dynamics,
+    "witten": Family(("j", "r", "theta0", "muB"), _build_witten, _spin_checks(
+        (*WITTEN, "adjoint_pair", *_ANNIHILATION)
     )),
-    "f_deform": Family(("j", "theta0", "muB", "f_coeff"), _build_f_deform, _in_order(
-        _phase_suite, _LADDER, _annihilation, _from_builder("structure_relation"), _ADJOINT,
-        _spin_dynamics,
+    "ab_map": Family(("j", "q", "theta0", "muB", "split"), _build_ab_map, _spin_checks(
+        (*_QBRACKET, "adjoint_pair", "alternate_split_structure"), _qbracket_operands
     )),
-    "hermitian_f": Family(("j", "q", "q_phase", "theta0", "muB"), _build_hermitian_f, _in_order(
-        _phase_suite, _LADDER, _annihilation, _qbracket_algebra, _matches_suq2, _ADJOINT,
-        _spin_dynamics,
+    "f_deform": Family(("j", "theta0", "muB", "f_coeff"), _build_f_deform, _spin_checks(
+        (*LADDER, *_ANNIHILATION, "structure_relation", "adjoint_pair")
     )),
-    "oscillator": Family(
-        ("s", "phi0", "omega"), _build_oscillator, _oscillator_checks(_number_algebra)
-    ),
-    "q_oscillator": Family(
-        ("s", "phi0", "omega"), _build_q_oscillator, _oscillator_checks(_q_algebra)
-    ),
+    "hermitian_f": Family(("j", "q", "q_phase", "theta0", "muB"), _build_hermitian_f, _spin_checks(
+        (*_QBRACKET, "matches_suq2_representation", "adjoint_pair"), _qbracket_operands
+    )),
+    "oscillator": Family(("s", "phi0", "omega"), _build_oscillator, _oscillator_checks(
+        ("polar_product", "number_ladder_commutator", "adjoint_pair"),
+        call(lambda n, tol: psd_sqrt(n, tol), *operands("J0 tol")), {},
+    )),
+    "q_oscillator": Family(("s", "phi0", "omega"), _build_q_oscillator, _oscillator_checks(
+        ("radicand_positivity", "polar_product", "adjoint_pair", "number_ladder_commutator"),
+        call(lambda radicands: from_diagonal(np.sqrt(radicands)), *operands("radicands")),
+        {"polar_product": "a_q = U sqrt([N-n0]_q + [n0]_q)", "number_ladder_commutator": ""},
+    )),
     "jordan_schwinger": Family(
         ("s", "phi0", "omega1", "omega2", "muB"), _build_jordan_schwinger, _check_jordan_schwinger
     ),

@@ -9,21 +9,15 @@ oscillator's runs the same cycle the other way; ``_cyclic_phase`` builds both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_TOL,
-    Operator,
-    Tolerance,
-    commutator,
-    matrix_unit,
-    psd_sqrt,
-    residual,
-)
+from .checks import MODULI, UD, UNSHIFTED, evaluate, measure
+from .operators import DEFAULT_TOL, Operator, ParameterError, Tolerance, matrix_unit
 from .report import CheckReport
 from .su2 import Su2Rep, parse_spin
 
@@ -65,7 +59,11 @@ class PhaseOperator:
 def _cyclic_phase(dim: int, theta0: float, lowering: bool, label: str) -> PhaseOperator:
     """The cyclic shift raising the index by one (lowering it, with
     ``lowering``), closed by exp(i*dim*theta0) at its wrap-around entry."""
-    shift = 1 if lowering else -1
+    shift, name = (1, "phi0") if lowering else (-1, "theta0")
+    if not math.isfinite(dim * theta0):  # exp(i*dim*theta0) is finite where this is
+        raise ParameterError(
+            f"--{name}={theta0!r} makes the corner phase exp(i*{dim}*{name}) not finite"
+        )
     diagonals = {shift: np.ones(dim - 1), -shift * (dim - 1): [np.exp(1j * dim * theta0)]}
     u = Operator._from_diagonals(dim, diagonals, label)
     return PhaseOperator(dim, float(theta0), u, lowering)
@@ -74,6 +72,9 @@ def _cyclic_phase(dim: int, theta0: float, lowering: bool, label: str) -> PhaseO
 def build_phase_operator(j: float | int | str | Fraction, theta0: float = 0.0) -> PhaseOperator:
     """Cyclic-shift unitary with corner phase exp(i*(2j+1)*theta0)."""
     return _cyclic_phase(int(parse_spin(j) * 2) + 1, theta0, False, "exp(i*phi)")
+
+
+POLAR = ("polar_raising_left", "polar_raising_right", "polar_lowering_left", "polar_lowering_right")
 
 
 def polar_decompose(
@@ -91,23 +92,12 @@ def polar_decompose(
     tolerance raises ArithmeticError); the corner element of U always
     multiplies a zero modulus entry, so the result does not depend on theta0.
     """
-    mod_p = psd_sqrt(rep.Jp @ rep.Jm, tol).relabel("sqrt(J+J-)")
-    mod_m = psd_sqrt(rep.Jm @ rep.Jp, tol).relabel("sqrt(J-J+)")
-    u = phase.U
-    udag = phase.adjoint()
     t = tol.for_dim(rep.dim)
-    checks = CheckReport() if report is None else report
-    residuals = [
-        checks.add(name, residual(product, target), t, category="phase").residual
-        for name, product, target in (
-            ("polar_raising_left", mod_p @ u, rep.Jp),
-            ("polar_raising_right", u @ mod_m, rep.Jp),
-            ("polar_lowering_left", mod_m @ udag, rep.Jm),
-            ("polar_lowering_right", udag @ mod_p, rep.Jm),
-        )
-    ]
-    worst = max(residuals)
-    if report is None and worst > t:
+    values = {"U": phase.U, "J+": rep.Jp, "J-": rep.Jm, "tol": tol, "t": t}
+    mod_p = values["Mp"] = MODULI["Mp"].fn(values.__getitem__)
+    mod_m = values["Mm"] = MODULI["Mm"].fn(values.__getitem__)
+    checks = evaluate(POLAR, values, report, derived={"Ud": UD})
+    if report is None and (worst := max(c.residual for c in checks)) > t:
         raise ArithmeticError(f"polar reconstruction failed: residual {worst:.3e}")
     return mod_p, mod_m
 
@@ -118,7 +108,5 @@ def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float
     [U, J0] = -U + (2j+1) exp(i(2j+1)theta0) |-j><j| (hbar = 1), and
     [U^dag, J0] is minus its adjoint.
     """
-    rhs = phase.boundary - phase.U
-    res_plus = residual(commutator(phase.U, rep.J0), rhs)
-    res_minus = residual(commutator(phase.adjoint(), rep.J0), -1.0 * rhs.adjoint())
-    return max(res_plus, res_minus)
+    values = {"U": phase.U, "Jz": rep.J0, "corner": phase.boundary}
+    return measure("phase_number_commutator", values, {"Ud": UD, "R": UNSHIFTED})

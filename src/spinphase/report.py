@@ -1,6 +1,6 @@
-"""Named residual checks with tolerances and pass/fail verdicts; a batch's
-report is read as columns: a check holds a residual per point, or one value
-that every point shares (a phase frame's check)."""
+"""Named residual checks with tolerances and pass/fail verdicts, made by
+``checks.evaluate``; a batch's report is read as columns: a check holds a
+residual per point, or one value every point shares (a phase frame's)."""
 
 from __future__ import annotations
 

@@ -144,6 +144,10 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
 
     tol_val = _as_float(merged, "tol")
     tol = Tolerance(tol_val if tol_val is not None else default_tol)
+    dim = 2 * j.numerator // j.denominator + 1 if j is not None else s + 1
+    dim = dim**2 if family == "jordan_schwinger" else dim
+    if not math.isfinite(tol.for_dim(dim)):
+        raise ParameterError(f"--tol {tol.abs_tol!r} times the dimension {dim} is not finite")
 
     # a family keeps only the deformation parameters it reads; a phase-valued
     # q (hermitian_f --q-phase) replaces the real one

@@ -24,8 +24,8 @@ from .operators import (
     Operator,
     Tolerance,
     from_diagonal,
-    residual,
 )
+from .checks import CASIMIR, evaluate
 from .report import CheckReport
 
 __all__ = ["Su2Rep", "parse_spin", "build_su2", "casimir"]
@@ -121,13 +121,11 @@ def casimir(
     casimir_orderings and casimir_scalar; without a report a residual above
     tolerance raises ArithmeticError.
     """
-    c_up = rep.Jm @ rep.Jp + rep.J0 @ rep.J0 + rep.J0
-    c_down = rep.Jp @ rep.Jm + rep.J0 @ rep.J0 - rep.J0
     t = tol.for_dim(rep.dim)
-    scalar = from_diagonal([rep.casimir_value] * rep.dim)
-    checks = CheckReport() if report is None else report
-    orderings = checks.add("casimir_orderings", residual(c_up, c_down), t)
-    on_scalar = checks.add("casimir_scalar", residual(c_up, scalar), t)
-    if report is None and (orderings.residual > t or on_scalar.residual > t):
+    values = {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0, "t": t}
+    c_up = values["C"] = CASIMIR["C"].fn(values.__getitem__)
+    values["S"] = from_diagonal([rep.casimir_value] * rep.dim)
+    checks = evaluate(("casimir_orderings", "casimir_scalar"), values, report, derived=CASIMIR)
+    if report is None and any(c.residual > t for c in checks):
         raise ArithmeticError("casimir orderings disagree; representation is corrupt")
     return c_up.relabel("C")

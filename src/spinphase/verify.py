@@ -1,26 +1,28 @@
-"""Build a scenario and run its family's check suite (the verify/sweep commands).
+"""Build a scenario and run its family's checks (the verify/sweep commands).
 
-The suites live with the families (``families.FAMILY_TABLE``); a relation a
-builder already verified is reported from its residual, not recomputed.  A
-violated relation in the scenario's own builder raises ``ArithmeticError``,
-not a typed error.  The casimir and polar suites record a failed
-reconstruction as a failed check.
+Each family's check function (``families.FAMILY_TABLE``) evaluates its list
+of declared checks (``checks.CHECKS``); a relation a builder already
+verified is reported as the builder made it.  A violated relation in the
+scenario's own builder raises ``ArithmeticError``, not a typed error; the
+casimir and polar checks record a failed reconstruction as a failed check.
 
-A spin scenario's phase checks and U's equation of motion come from its
-phase frame (``families.spin_frame``), which reads only j, theta0, muB and
-tol: J+~ = U G, and only the diagonal weight G reads the deformation.
-``verify_points`` builds that frame once and runs the scenarios sharing it as
-one *batch*: a deformation parameter is a list over the points, an operator
-reading G holds one row per point and each check is one numpy operation
-(``operators``).  Norms stay dense, one per row, so a batch's report holds,
-check by check, a column of its points' lone residuals, bit for bit; rows
-that branch or raise apart run alone (``operators.Diverged``).
+A spin scenario's checks that no ladder enters are evaluated on its phase
+frame (``families.spin_frame``), which reads only j, theta0, muB and tol:
+J+~ = U G, and only the diagonal weight G reads the deformation.
+``verify_points`` builds that frame once (its points get its error if it
+cannot be) and runs the scenarios sharing it as one *batch*: a deformation
+parameter is a list over the points, an operator reading G holds a row per
+point and each check is one numpy operation (``operators``).  Norms stay
+dense, one per row, so a batch's report holds, check by check, a column of
+its points' lone residuals, bit for bit; rows that branch or raise apart
+run alone (``operators.Diverged``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from .checks import evaluate
 from .families import FAMILY_TABLE, SpinFrame, spin_frame
 from .operators import AlgebraError, Diverged, NegativeNormError, SplitError
 from .report import CheckReport
@@ -54,9 +56,7 @@ def run_verify(
     try:
         bundle = build_bundle(sc, frame)
     except (NegativeNormError, SplitError) as exc:
-        report = CheckReport()
-        report.add("construction", float("inf"), sc.tol.abs_tol, detail=str(exc))
-        return report, None
+        return evaluate(("construction",), {"error": exc, "abs_tol": sc.tol.abs_tol}), None
     return collect_checks(bundle), bundle
 
 
@@ -72,7 +72,11 @@ def verify_points(scenarios: list[Scenario]) -> list[tuple[list[int], CheckRepor
         groups.setdefault(key, []).append(i)
     outcomes: list = []
     for key, group in groups.items():
-        frame, pending = (spin_frame(*key[2:]) if isinstance(key, tuple) else None), [group]
+        try:
+            frame, pending = (spin_frame(*key[2:]) if isinstance(key, tuple) else None), [group]
+        except AlgebraError as exc:  # each of the frame's points gets the error row
+            outcomes += [([i], exc.with_traceback(None)) for i in group]
+            continue
         while pending:
             rows = pending.pop()
             points = [scenarios[i] for i in rows]

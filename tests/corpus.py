@@ -17,9 +17,10 @@ the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
 on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
 controls, the inputs on which a builder or a check suite raises, parameters
-at which a ladder or SU_q(2)'s casimir table overflows, usage errors and
+at which a ladder or SU_q(2)'s casimir table overflows, usage errors,
 output paths that cannot be written (a missing directory, or a directory
-itself).  Temporary paths print as ``$TMP``: in the argv, the outcome and
+itself), and parameters at which the hamiltonian, the corner phase or the
+scaled tolerance overflows.  Temporary paths print as ``$TMP``: in the argv, the outcome and
 the stderr line alike.
 """
 
@@ -182,6 +183,21 @@ def corpus(tmp: str) -> list[list[str]]:
         # an existing directory as the output path
         ["verify", "--family", "su2", "--j", "1", "--report", tmp],
         ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out", tmp],
+    ]
+
+    argvs += [
+        # hamiltonians whose energies overflow, finite angles whose corner phase
+        # does not, a sweep frame that cannot be built, and a tolerance that
+        # overflows once scaled by the dimension
+        ["verify", "--family", "su2", "--j", "50", "--muB", "1e307", "--report", report],
+        ["verify", "--family", "oscillator", "--s", "2", "--omega", "1e308"],
+        ["verify", "--family", "jordan_schwinger", "--s", "2", "--omega1=1e308", "--omega2=-1e308"],
+        ["verify", "--family", "su2", "--j", "1/2", "--theta0", "1e308", "--report", report],
+        ["build", "--family", "su2", "--j", "1/2", "--theta0", "1e308"],
+        ["evolve", "--family", "oscillator", "--s", "2", "--phi0=-1e308", "--t-max", "1",
+         "--steps", "3"],
+        ["sweep", "--family", "su2", "--j", "50", "--param", "muB:1:1e307:2"],
+        ["verify", "--family", "su2", "--j", "1/2", "--tol", "1e308", "--report", report],
     ]
     return argvs
 

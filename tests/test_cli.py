@@ -437,6 +437,20 @@ _FRAME_GRIDS = [
 ]
 
 
+def test_sweep_frame_that_cannot_be_built_gives_error_rows(capsys):
+    # the muB = 1e307 frame's hamiltonian overflows: its point gets an error row,
+    # the other point keeps its row, and the sweep exits 1 instead of 2
+    rc = main(["sweep", "--family", "su2", "--j", "50", "--param", "muB:1:1e307:2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    header, first, second = captured.out.splitlines()
+    assert header.startswith("muB,") and first.startswith("1,") and first.endswith(",")
+    assert second.split(",", 7)[1:] == [
+        "NaN", "NaN", "NaN", "NaN", "NaN", "false",
+        "the hamiltonian's energies are not finite at --muB=1e+307",
+    ]
+
+
 class TestSweepRowsAreVerifies:
     """A sweep shares one phase frame among the points with the same (j,
     theta0, muB, tol); every row still equals the verify of its own point."""
@@ -994,6 +1008,58 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         self._assert_usage_error(rc, captured, "verify")
         assert captured.err == "spinphase verify: SPINPHASE_TOL must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "su2", "--j", "50", "--muB", "1e307"], "--muB=1e+307"),
+            (["--family", "oscillator", "--s", "2", "--omega", "1e308"], "--omega=1e+308"),
+            (["--family", "jordan_schwinger", "--s", "2", "--omega1=1e308", "--omega2=-1e308"],
+             "--omega1=1e+308, --omega2=-1e+308"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    @pytest.mark.parametrize("command", ["verify", "build"])
+    def test_overflowing_hamiltonian_names_its_flag(self, capsys, flags, message, command):
+        # no numpy warning (an error under pytest) and not "must be hermitian"
+        rc = main([command, *flags])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err == (
+            f"spinphase {command}: the hamiltonian's energies are not finite at {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "su2", "--j", "1/2", "--theta0", "1e308"],
+             "--theta0=1e+308 makes the corner phase exp(i*2*theta0) not finite"),
+            (["--family", "oscillator", "--s", "2", "--phi0=-1e308"],
+             "--phi0=-1e+308 makes the corner phase exp(i*3*phi0) not finite"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    @pytest.mark.parametrize("command", ["build", "verify", "evolve"])
+    def test_overflowing_corner_phase(self, capsys, flags, message, command):
+        # a finite angle whose corner phase exp(i*dim*angle) is not finite
+        extra = ["--t-max", "1", "--steps", "3"] if command == "evolve" else []
+        rc = main([command, *flags, *extra])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err == f"spinphase {command}: {message}\n"
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_tolerance_overflowing_with_the_dimension(self, capsys, monkeypatch, env):
+        # a finite --tol whose tol * dim is inf would pass every check
+        argv = ["verify", "--family", "su2", "--j", "1/2"]
+        if env:
+            monkeypatch.setenv("SPINPHASE_TOL", "1e308")
+        rc = main(argv if env else [*argv, "--tol", "1e308"])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, "verify")
+        assert captured.err == (
+            "spinphase verify: --tol 1e+308 times the dimension 2 is not finite\n"
+        )
 
 
 class TestNoCheckSuiteRaises:

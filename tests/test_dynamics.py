@@ -35,7 +35,7 @@ from spinphase import (
     trajectory,
     two_mode_hamiltonian,
 )
-from spinphase import dynamics
+from spinphase import checks
 from spinphase.deform import DeformedTriple
 from spinphase.scenarios import build_bundle, resolve_scenario
 
@@ -327,7 +327,7 @@ class TestPhaseDerivation:
             computed.append(residual(a, b))
             return computed[-1]
 
-        monkeypatch.setattr(dynamics, "residual", spy)
+        monkeypatch.setattr(checks, "residual", spy)  # the one evaluator's
         rep = build_su2("5/2")
         h = dipole_hamiltonian(rep.J0, 1.0)
         report = derive_ladder_dynamics_from_phase(rep, build_phase_operator(rep.j, 0.3), None, h)

@@ -25,7 +25,7 @@ from spinphase import (
     polar_decompose,
     qbracket_structure,
 )
-from spinphase import deform
+from spinphase import checks
 from spinphase.families import SpinParts, spin_frame
 from spinphase.operators import Tolerance
 from spinphase.scenarios import build_bundle, resolve_scenario
@@ -144,8 +144,8 @@ def test_general_deformation_raises_on_a_broken_ladder_relation(monkeypatch):
     entries = rep.ladder_entries() * 1.1
     triple = build_deformation(rep, entries, provenance={"map": "general", "params": {}})
     assert triple.checks.all_pass and triple.hermitian_pair
-    original = deform.commutator
-    monkeypatch.setattr(deform, "commutator", lambda a, b: original(a, b) + identity(a.dim))
+    original = checks.commutator  # the declared identities call it
+    monkeypatch.setattr(checks, "commutator", lambda a, b: original(a, b) + identity(a.dim))
     with pytest.raises(ArithmeticError, match=r"\[J0~, J\+-~\] = \+-J\+-~ violated: residual "):
         build_deformation(rep, entries, provenance={"map": "general", "params": {}})
 
@@ -163,9 +163,9 @@ def test_scaled_identities_violation_still_raises():
 
 
 def test_witten_relation_violation_still_raises(monkeypatch):
-    original = deform.r_commutator
+    original = checks.r_commutator
     monkeypatch.setattr(
-        deform, "r_commutator", lambda a, b, r: original(a, b, r) + identity(a.dim)
+        checks, "r_commutator", lambda a, b, r: original(a, b, r) + identity(a.dim)
     )
     with pytest.raises(ArithmeticError, match="Witten defining relations violated"):
         build_witten(build_su2("3/2"), 1.2)
