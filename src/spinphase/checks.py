@@ -13,15 +13,15 @@ order of the checks (which sets the peak memory of a dim-961 verify).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .operators import SplitError, commutator, psd_sqrt, r_commutator, residual, _larger
+from .operators import SplitError, commutator, psd_sqrt, r_commutator, residual, _holds, _larger
 from .report import CheckReport, CheckResult
 
-__all__ = ["CHECKS", "Check", "Expr", "Scope", "evaluate", "measure"]
+__all__ = ["CHECKS", "Check", "Expr", "Scope", "evaluate", "measure", "require"]
 
 
 def _binary(op: str, swapped: bool = False) -> Callable:
@@ -321,3 +321,13 @@ def measure(declared: str | Check, values: dict, derived: dict = {}):
     """The residual of the check called ``declared`` (or a Check), not reported."""
     declared = _BY_NAME[declared] if isinstance(declared, str) else declared
     return declared.measure((Scope(values, derived) if derived else values).__getitem__)
+
+
+def require(residuals: Iterable, tol, message: str) -> None:
+    """A builder's gate: where any residual exceeds ``tol``, an ArithmeticError
+    of ``message`` formatted with the largest residual.  A NaN residual is
+    never the largest, so it neither raises nor hides another's violation; a
+    batch's rows that exceed ``tol`` run apart (``operators._holds``)."""
+    worst = reduce(_larger, residuals, float("-inf"))
+    if _holds(worst > tol):
+        raise ArithmeticError(message.format(worst))

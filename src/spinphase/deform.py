@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -45,7 +45,7 @@ from .operators import (
     _holds,
     _larger,
 )
-from .checks import BRACKET, SCALED_LADDER, SCALED_STRUCTURE, evaluate, measure
+from .checks import BRACKET, SCALED_LADDER, SCALED_STRUCTURE, evaluate, measure, require
 from .report import CheckReport
 from .su2 import Su2Rep, _place_ladders, parse_spin
 
@@ -248,9 +248,8 @@ def build_deformation(
     t = tol.for_dim(rep.dim)
     jp, jm = _place_ladders(raising, lowering)
     checks = _ladder_checks(rep.J0, jp, jm, t, lowering is None)
-    worst = _larger(*(c.residual for c in checks.named("j0_ladder_raising", "j0_ladder_lowering")))
-    if _holds(worst > t):
-        raise ArithmeticError(f"[J0~, J+-~] = +-J+-~ violated: residual {worst:.3e}")
+    residuals = [c.residual for c in checks.named(*LADDER)]
+    require(residuals, t, "[J0~, J+-~] = +-J+-~ violated: residual {:.3e}")
     return DeformedTriple(jp, jm, rep.J0, provenance, bool(checks.named("adjoint_pair")), checks)
 
 
@@ -291,8 +290,7 @@ def build_split_deformation(
     triple = build_deformation(rep, su2 * a, su2 * b, provenance=provenance, tol=tol)
     # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
     res = measure("structure_relation", {"B": triple.bracket, "F": from_diagonal(np.diff(values))})
-    if _holds(res > t):
-        raise ArithmeticError(f"split map violates its structure relation: {res:.3e}")
+    require([res], t, "split map violates its structure relation: {:.3e}")
     return triple
 
 
@@ -338,16 +336,6 @@ def _suq2_entries(rep: Su2Rep, q: float) -> list[float]:
     return [np.sqrt(q_number(jv - m, q) * q_number(jv + m + 1.0, q)) for m in ms]
 
 
-def _casimir_orderings(triple: DeformedTriple, g) -> tuple[Operator, Operator]:
-    """C~ in both orderings, J-~ J+~ + g(J0) and J+~ J-~ + g(J0 - 1), for
-    J0 = diag(-j, ..., j) and g given by its values on {-j-1, ..., j}."""
-    g = np.asarray(g)
-    return (
-        triple.Jm @ triple.Jp + from_diagonal(g[..., 1:]),
-        triple.Jp @ triple.Jm + from_diagonal(g[..., :-1]),
-    )
-
-
 def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple:
     """The SU_q(2) representation with elements sqrt([j-m]_q [j+m+1]_q).
 
@@ -362,11 +350,12 @@ def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedT
     g = np.asarray(per_point(lambda v: [q_number(x, v) * q_number(x + 1.0, v) for x in xs], q))
     if _holds(~np.isfinite(g).all(-1)):
         raise ParameterError(f"q={q} overflows SU_q(2)'s casimir at j={rep.j}")
-    c_up, c_down = _casimir_orderings(triple, g)
-    t = tol.for_dim(rep.dim)
-    values = {"C": c_up, "Cd": c_down, "S": from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))}
-    if any(_holds(measure(name, values) > t) for name in ("casimir_orderings", "casimir_scalar")):
-        raise ArithmeticError("SU_q(2) casimir identity violated")
+    # C~ in both orderings, J-~ J+~ + g(J0) and J+~ J-~ + g(J0 - 1), and j(j+1)_q
+    values = {"C": triple.Jm @ triple.Jp + from_diagonal(g[..., 1:]),
+              "Cd": triple.Jp @ triple.Jm + from_diagonal(g[..., :-1]),
+              "S": from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))}
+    residuals = [measure(name, values) for name in ("casimir_orderings", "casimir_scalar")]
+    require(residuals, tol.for_dim(rep.dim), "SU_q(2) casimir identity violated")
     return triple
 
 
@@ -424,9 +413,8 @@ def build_witten(rep: Su2Rep, r, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple
     values = {"J0": w0, "Jp": wp, "Jm": wm, "r": r_rows, "inv_r2": inv_r2, "t_w": t_w, "t": t,
               "hermitian": True}
     checks = evaluate((*WITTEN, "adjoint_pair"), values)
-    worst = reduce(_larger, (c.residual for c in checks.checks[:3]))
-    if _holds(worst > t_w):
-        raise ArithmeticError(f"Witten defining relations violated: residual {worst:.3e}")
+    residuals = [c.residual for c in checks.checks[:3]]
+    require(residuals, t_w, "Witten defining relations violated: residual {:.3e}")
     provenance = {"map": "witten", "params": {"r": per_point(float, r)}}
     return DeformedTriple(wp, wm, w0, provenance, True, checks)
 
@@ -478,9 +466,8 @@ def build_scaled_deformation(
     checks = evaluate(("structure_relation",), values, derived=derived, details=detail)
     # keeping J0 undeformed collapses the first identity to the plain ladder rule
     checks.extend(_ladder_checks(rep.J0, jp_t, jm_t, t))
-    worst = reduce(_larger, [*res_list, *(c.residual for c in checks.checks[:3])])
-    if _holds(worst > t):
-        raise ArithmeticError(f"scaled-deformation identities violated: {worst:.3e}")
+    residuals = [*res_list, *(c.residual for c in checks.checks[:3])]
+    require(residuals, t, "scaled-deformation identities violated: {:.3e}")
 
     hermitian = bool(checks.named("adjoint_pair"))
     return DeformedTriple(jp_t, jm_t, j0_t, {"map": "f_deform", "params": {}}, hermitian, checks)

@@ -1,9 +1,13 @@
-"""The operator families: what each reads, how it is built, how it is checked.
+"""The operator families: what each reads, how it is built, which checks it reports.
 
-``FAMILY_TABLE`` holds one entry per family: the Scenario fields it reads
-(in report order), its build function and its check function, which
-evaluates the family's list of declared checks (``checks.CHECKS``) on the
-operands it binds; a check the builder made is reported as made.
+``FAMILY_TABLE`` holds one entry per family, data but for its build
+function: the Scenario fields it reads (in report order), the build, the
+names of the declared checks it reports (``checks.CHECKS``), the operands
+those checks may derive, each made only where a check reads it, and the
+details the family words its own way.  A build binds the checks' operands on
+its bundle with the relations its builder verified (``given``, reported as
+made); ``build`` and ``evolve`` form none of the derived ones, and
+``verify.collect_checks`` evaluates every family in one call.
 
 Every deformed ladder factors as J+~ = U G with only the diagonal weight G
 depending on the deformation, so a spin scenario is built on a *phase
@@ -20,7 +24,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from .deform import (
     LADDER,
     WITTEN,
     DeformedTriple,
-    GridFunction,
     build_hermitian_deformation,
     build_scaled_deformation,
     build_split_deformation,
@@ -36,12 +39,9 @@ from .deform import (
     build_witten,
     discrete_antiderivative,
     qbracket_structure,
-    _casimir_orderings,
     _suq2_entries,
 )
-from .checks import (
-    BRACKET, CASIMIR, MOTION, J0, ONE, Scope, call, evaluate, operands
-)
+from .checks import BRACKET, CASIMIR, MOTION, I, J0, Jm, Jp, ONE, Scope, call, operands
 from .dynamics import (
     SPIN_DERIVATION,
     SPIN_WEIGHTS,
@@ -65,29 +65,9 @@ __all__ = [
     "Family",
     "FamilyBundle",
     "SpinFrame",
-    "SpinParts",
     "spin_frame",
     "structure_function_for",
 ]
-
-
-@dataclass(frozen=True)
-class FamilyBundle:
-    """Everything the CLI commands need about a constructed scenario.
-
-    ``parts`` holds the family's own objects for its checks: SpinParts for a
-    spin family, (oscillator, a, a^dag) for the two oscillators and
-    (triple, q-oscillator mode) for jordan_schwinger.
-    """
-
-    scenario: Scenario
-    operators: dict
-    provenance: dict | None
-    metadata: dict
-    hamiltonian: Hamiltonian
-    evolve_target: Operator
-    eigenvalue: complex
-    parts: Any
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,26 +96,34 @@ def spin_frame(j: Fraction, theta0: float, muB: float, tol: Tolerance) -> SpinFr
     )
 
 
-class SpinParts(NamedTuple):
-    """A spin family's phase frame, its generators as a triple (su2's own,
-    Witten's W+, W-, W0) and, for ab_map, the solved g."""
+@dataclass(frozen=True)
+class FamilyBundle:
+    """Everything the CLI commands need about a constructed scenario, and what
+    its checks read: their ``operands`` by name, a spin family's phase
+    ``frame`` and the checks its builder made (``given``)."""
 
-    frame: SpinFrame
-    triple: DeformedTriple
-    g: GridFunction | None = None
-
-
-Suite = Callable[[CheckReport, FamilyBundle], None]
+    scenario: Scenario
+    operators: dict
+    provenance: dict | None
+    metadata: dict
+    hamiltonian: Hamiltonian
+    evolve_target: Operator
+    operands: dict
+    frame: SpinFrame | None = None
+    given: CheckReport | tuple = ()
 
 
 class Family(NamedTuple):
-    """One operator family: the Scenario fields it reads (in report order),
-    its build function (given the scenario and, for a spin family, its phase
-    frame) and its check function."""
+    """One operator family: the Scenario fields it reads (in report order), its
+    build function (given the scenario and, for a spin family, its phase
+    frame), the names of the checks it reports, the operands they may derive
+    and the details that replace a declared check's."""
 
     params: tuple[str, ...]
     build: Callable[[Scenario, SpinFrame | None], FamilyBundle]
-    check: Suite
+    names: tuple[str, ...]
+    derived: dict
+    details: dict | None = None
 
 
 def structure_function_for(sc: Scenario):
@@ -151,21 +139,22 @@ def structure_function_for(sc: Scenario):
 
 def _spin_bundle(
     sc: Scenario, frame: SpinFrame, triple: DeformedTriple, ops: dict, provenance: dict | None,
-    g: GridFunction | None = None,
+    **extra,
 ) -> FamilyBundle:
     meta = {"basis": "ascending_m", "j": str(sc.j), "theta0": sc.theta0}
-    parts = SpinParts(frame, triple, g)
-    return FamilyBundle(
-        sc, ops, provenance, meta, frame.hamiltonian, triple.Jp, -1j * sc.muB, parts
-    )
+    values = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "lam": -1j * sc.muB,
+              "hermitian": triple.hermitian_pair, "rep": frame.rep, "triple": triple,
+              "q": sc.q, **extra}
+    return FamilyBundle(sc, ops, provenance, meta, frame.hamiltonian, triple.Jp, values, frame,
+                        triple.checks)
 
 
 def _deformed_bundle(
-    sc: Scenario, frame: SpinFrame, triple: DeformedTriple, g: GridFunction | None = None
+    sc: Scenario, frame: SpinFrame, triple: DeformedTriple, **extra
 ) -> FamilyBundle:
     ops = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}
     prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
-    return _spin_bundle(sc, frame, triple, ops, prov, g)
+    return _spin_bundle(sc, frame, triple, ops, prov, **extra)
 
 
 def _build_su2(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
@@ -175,7 +164,8 @@ def _build_su2(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
 
 
 def _build_suq2(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
-    return _deformed_bundle(sc, frame, build_suq2(frame.rep, sc.q, sc.tol))
+    triple = build_suq2(frame.rep, sc.q, sc.tol)
+    return _deformed_bundle(sc, frame, triple, f=structure_function_for(sc))
 
 
 def _build_witten(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
@@ -185,9 +175,10 @@ def _build_witten(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
 
 
 def _build_ab_map(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
-    g = per_point(lambda f: discrete_antiderivative(f, sc.j), structure_function_for(sc))
+    f = structure_function_for(sc)
+    g = per_point(lambda fn: discrete_antiderivative(fn, sc.j), f)
     triple = build_split_deformation(frame.rep, g, sc.split, tol=sc.tol)
-    return _deformed_bundle(sc, frame, triple, g)
+    return _deformed_bundle(sc, frame, triple, f=f, g=g, split=sc.split)
 
 
 def _build_f_deform(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
@@ -197,16 +188,21 @@ def _build_f_deform(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
 
 
 def _build_hermitian_f(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
-    triple = build_hermitian_deformation(frame.rep, structure_function_for(sc), sc.tol)
-    return _deformed_bundle(sc, frame, triple)
+    f = structure_function_for(sc)
+    return _deformed_bundle(sc, frame, build_hermitian_deformation(frame.rep, f, sc.tol), f=f)
 
 
-def _oscillator_bundle(
-    sc: Scenario, osc, a: Operator, adag: Operator, ops: dict, **meta
-) -> FamilyBundle:
+def _oscillator_bundle(sc: Scenario, osc, a: Operator, adag: Operator, ops: dict,
+                       **meta) -> FamilyBundle:
     meta = {"basis": "fock_ascending", "s": sc.s, "phi0": sc.phi0, **meta}
     ham = number_hamiltonian(osc.N, sc.omega)
-    return FamilyBundle(sc, ops, None, meta, ham, a, -1j * sc.omega, (osc, a, adag))
+    values = {
+        "U": osc.U.U, "I": identity(osc.s + 1), "corner": osc.U.boundary, "Jp": a, "Jm": adag,
+        "J0": osc.N, "L": ONE, "tol": sc.tol, "radicands": getattr(osc, "radicands", None),
+        "H": ham.op, "lam": -1j * sc.omega, "rate": sc.omega, "hermitian": True,
+        "t": sc.tol.for_dim(osc.s + 1),
+    }
+    return FamilyBundle(sc, ops, None, meta, ham, a, values)
 
 
 def _build_oscillator(sc: Scenario, frame: SpinFrame | None) -> FamilyBundle:
@@ -236,62 +232,68 @@ def _build_jordan_schwinger(sc: Scenario, frame: SpinFrame | None) -> FamilyBund
         "tensor_order": "mode A (x) mode B, row-major index n1*(s+1)+n2",
     }
     prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
-    lam = -1j * (sc.omega2 - sc.omega1)
-    return FamilyBundle(sc, ops, prov, meta, ham, triple.Jp, lam, (triple, mode))
+    delta = sc.omega2 - sc.omega1
+    values = {
+        "Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "H": ham.op, "lam": -1j * delta,
+        "delta": delta, "muB": sc.muB, "rate": delta, "UA": mode.U.U, "I": identity(mode.s + 1),
+        "radicands": mode.radicands, "t": sc.tol.for_dim(triple.dim),
+    }
+    # the builder's ladder relations and adjoint pair are reported as made
+    return FamilyBundle(sc, ops, prov, meta, ham, triple.Jp, values, None, triple.checks)
 
 
-# --- check suites ---------------------------------------------------------
+# --- the checks each family reports ---------------------------------------
 
 _ANNIHILATION = ("top_state_annihilated", "bottom_state_annihilated")
 _QBRACKET = (*LADDER, *_ANNIHILATION, "structure_relation", "casimir_orderings", "casimir_central")
 _EIGEN = ("raising_eigenoperator", "lowering_eigenoperator", "weight_conserved")
 
 
-def _spin_checks(names: tuple[str, ...], operands=None, details: dict | None = None) -> Suite:
-    """A spin family's check function: the phase frame's checks, ``names`` and the
-    dynamics, on the ladder, its frame and the family's ``operands(bundle)``; a
-    check the builder made is reported as made."""
-    names = ("phase_unitarity", *POLAR, "phase_number_commutator", *names, *SPIN_DERIVATION,
-             *_EIGEN)
-
-    def check(report: CheckReport, bundle: FamilyBundle) -> None:
-        frame, triple = bundle.parts.frame, bundle.parts.triple
-        values = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "lam": bundle.eigenvalue,
-                  "hermitian": triple.hermitian_pair, "rep": frame.rep}
-        if operands:
-            values.update(operands(bundle))
-        evaluate(names, values, report, derived=_SPIN_DERIVED, parent=frame.motion,
-                 details=details, given=triple.checks)
-
-    return check
+def _spin(*names: str) -> tuple[str, ...]:
+    """A spin family's checks: its phase frame's, ``names`` and the dynamics."""
+    return ("phase_unitarity", *POLAR, "phase_number_commutator", *names, *SPIN_DERIVATION,
+            *_EIGEN)
 
 
-def _qbracket_operands(bundle: FamilyBundle) -> dict:
-    """[J+~, J-~] = f(J0) with f = [2x]_q and the casimir from its antiderivative g."""
-    sc, rep, triple = bundle.scenario, bundle.parts.frame.rep, bundle.parts.triple
-    f, ms = structure_function_for(sc), rep.m_values()
-    f_diag = from_diagonal(per_point(lambda fn: [fn(float(m)) for m in ms], f))
-    # ab_map's build solved g
-    g = bundle.parts.g or per_point(lambda fn: discrete_antiderivative(fn, sc.j), f)
-    c_up, c_down = _casimir_orderings(triple, per_point(lambda gf: gf.values, g))
-    other = "left" if sc.split == "symmetric" else "symmetric"
-    return {"B": triple.bracket, "F": f_diag, "C": c_up, "Cd": c_down, "g": g, "q": sc.q,
-            "real_q": sc.q is not None, "tol": sc.tol, "other": other}
-
-
-# what a spin family's checks may derive, each made only where a check reads it
-# (a family's values take precedence): the weights G and K, su2's structure and
-# casimir, ab_map's other split, and hermitian_f's SU_q(2) ladder at a real q
+_rep, _f, _g, _gv, _q, _tol = operands("rep f g gv q tol")
+# what a spin family's checks may derive (its bound operands take precedence),
+# no name a frame check reads: the weights G and K, su2's structure and
+# casimir, and for the q-bracket families, with f = [2x]_q bound by the build,
+# g its antiderivative, [J+~, J-~] = f(J0), the casimir J-~ J+~ + g(J0) =
+# J+~ J-~ + g(J0 - 1), ab_map's other split and hermitian_f's SU_q(2) ladder
 _SPIN_DERIVED = {
     **SPIN_WEIGHTS, "B": BRACKET, "F": 2.0 * J0, **CASIMIR,
-    "S": call(lambda rep: from_diagonal([rep.casimir_value] * rep.dim), *operands("rep")),
+    "S": call(lambda rep: from_diagonal([rep.casimir_value] * rep.dim), _rep),
+}
+_QBRACKET_DERIVED = {
+    **_SPIN_DERIVED,
+    "B": call(lambda triple: triple.bracket, *operands("triple")),
+    "F": call(lambda f, rep: from_diagonal(
+        per_point(lambda fn: [fn(float(m)) for m in rep.m_values()], f)), _f, _rep),
+    "g": call(lambda f, rep: per_point(lambda fn: discrete_antiderivative(fn, rep.j), f), _f, _rep),
+    "gv": call(lambda g: np.asarray(per_point(lambda gf: gf.values, g)), _g),  # on {-j-1, ..., j}
+    "C": Jm @ Jp + call(lambda gv: from_diagonal(gv[..., 1:]), _gv),
+    "Cd": Jp @ Jm + call(lambda gv: from_diagonal(gv[..., :-1]), _gv),
+    "other": call(lambda split: "left" if split == "symmetric" else "symmetric",
+                  *operands("split")),
     "Balt": call(lambda rep, g, other, tol: build_split_deformation(rep, g, other, tol).bracket,
                  *operands("rep g other tol")),
+    "real_q": call(lambda q: q is not None, _q),
     "RefP": call(lambda rep, q: _place_ladders(per_point(lambda v: _suq2_entries(rep, v), q))[0],
-                 *operands("rep q")),
+                 _rep, _q),
 }
 
 
+def _oscillator(*algebra: str) -> tuple[str, ...]:
+    """The checks of the plain and the q oscillator, a = U G with G the modulus:
+    unitarity, the variant's own ``algebra`` checks, the phase derivation with
+    the corner (s+1) e^{i(s+1)phi0} |s><0| and the dynamics."""
+    return ("phase_unitarity", *algebra, "phase_equation_with_boundary",
+            "boundary_term_annihilated", "ladder_dynamics_from_phase",
+            "phase_equation_without_boundary", *_EIGEN)
+
+
+_ROOT = call(lambda radicands: from_diagonal(np.sqrt(radicands)), *operands("radicands"))
 _OSCILLATOR_DETAILS = {
     "phase_equation_with_boundary": "(1/i)[U,H] = -i*omega*(U - (s+1)e^{i(s+1)phi0}|s><0|)",
     "boundary_term_annihilated": "|s><0| sqrt(level weights) = 0",
@@ -299,31 +301,6 @@ _OSCILLATOR_DETAILS = {
         "negative control: the bare eigen-relation fails for U itself"
     ),
 }
-
-
-def _oscillator_checks(algebra: tuple[str, ...], modulus, details: dict) -> Suite:
-    """The check function of the plain and the q oscillator, a = U G with G the
-    ``modulus``: unitarity, the variant's own ``algebra`` checks, the phase
-    derivation with the corner (s+1) e^{i(s+1)phi0} |s><0| and the dynamics."""
-    names = ("phase_unitarity", *algebra, "phase_equation_with_boundary",
-             "boundary_term_annihilated", "ladder_dynamics_from_phase",
-             "phase_equation_without_boundary", *_EIGEN)
-    derived, details = {**MOTION, "G": modulus}, {**_OSCILLATOR_DETAILS, **details}
-
-    def check(report: CheckReport, bundle: FamilyBundle) -> None:
-        sc = bundle.scenario
-        osc, a, adag = bundle.parts
-        values = {
-            "U": osc.U.U, "I": identity(osc.s + 1), "corner": osc.U.boundary, "Jp": a, "Jm": adag,
-            "J0": osc.N, "L": ONE, "tol": sc.tol, "radicands": getattr(osc, "radicands", None),
-            "H": bundle.hamiltonian.op, "lam": bundle.eigenvalue, "rate": sc.omega,
-            "hermitian": True, "t": sc.tol.for_dim(osc.s + 1),
-        }
-        evaluate(names, values, report, derived=derived, details=details)
-
-    return check
-
-
 _TWO_MODE_DETAILS = {
     "ladder_dynamics_from_phase": (
         "the two-mode phase equation reproduces dJ+~/dt = -i(omega2-omega1)J+~"
@@ -340,58 +317,43 @@ _TWO_MODE = (
 # G = I (x) sqrt(D_B); V's wrap terms have no single corner, so no boundary
 # checks, and the control must fail even at omega1 = omega2.  Derived operands
 # call this module's functions when evaluated, as a tree's operations do.
-_UA, _EYE, _ROOT = operands("UA eye root")
+_UA, _R = operands("UA root")
 _TWO_MODE_FACTORS = {
+    "root": _ROOT,
     "U": call(lambda a, b: _kron(a, b, "V"), _UA.adjoint(), _UA),
-    "L": call(lambda a, b: _kron(a, b), _ROOT, _EYE),
-    "G": call(lambda a, b: _kron(a, b), _EYE, _ROOT), **MOTION,
+    "L": call(lambda a, b: _kron(a, b), _R, I),
+    "G": call(lambda a, b: _kron(a, b), I, _R), **MOTION,
 }
 
 
-def _check_jordan_schwinger(report: CheckReport, bundle: FamilyBundle) -> None:
-    sc = bundle.scenario
-    triple, mode = bundle.parts
-    delta = sc.omega2 - sc.omega1
-    values = {
-        "Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "H": bundle.hamiltonian.op,
-        "lam": bundle.eigenvalue, "delta": delta, "muB": sc.muB, "rate": delta,
-        "UA": mode.U.U, "eye": identity(mode.s + 1), "root": from_diagonal(np.sqrt(mode.radicands)),
-        "t": sc.tol.for_dim(triple.dim),
-    }
-    evaluate(_TWO_MODE, values, report, derived=_TWO_MODE_FACTORS, details=_TWO_MODE_DETAILS,
-             given=triple.checks)  # the builder's ladder relations and adjoint pair
-
-
 FAMILY_TABLE = {
-    "su2": Family(("j", "theta0", "muB"), _build_su2, _spin_checks(
-        (*LADDER, "structure_relation", *_ANNIHILATION, "casimir_orderings", "casimir_scalar",
-         "casimir_central"), details={"structure_relation": "[J+, J-] = 2 J0"},
-    )),
-    "suq2": Family(("j", "q", "theta0", "muB"), _build_suq2, _spin_checks(
-        (*_QBRACKET, "adjoint_pair"), _qbracket_operands
-    )),
-    "witten": Family(("j", "r", "theta0", "muB"), _build_witten, _spin_checks(
-        (*WITTEN, "adjoint_pair", *_ANNIHILATION)
-    )),
-    "ab_map": Family(("j", "q", "theta0", "muB", "split"), _build_ab_map, _spin_checks(
-        (*_QBRACKET, "adjoint_pair", "alternate_split_structure"), _qbracket_operands
-    )),
-    "f_deform": Family(("j", "theta0", "muB", "f_coeff"), _build_f_deform, _spin_checks(
-        (*LADDER, *_ANNIHILATION, "structure_relation", "adjoint_pair")
-    )),
-    "hermitian_f": Family(("j", "q", "q_phase", "theta0", "muB"), _build_hermitian_f, _spin_checks(
-        (*_QBRACKET, "matches_suq2_representation", "adjoint_pair"), _qbracket_operands
-    )),
-    "oscillator": Family(("s", "phi0", "omega"), _build_oscillator, _oscillator_checks(
-        ("polar_product", "number_ladder_commutator", "adjoint_pair"),
-        call(lambda n, tol: psd_sqrt(n, tol), *operands("J0 tol")), {},
-    )),
-    "q_oscillator": Family(("s", "phi0", "omega"), _build_q_oscillator, _oscillator_checks(
-        ("radicand_positivity", "polar_product", "adjoint_pair", "number_ladder_commutator"),
-        call(lambda radicands: from_diagonal(np.sqrt(radicands)), *operands("radicands")),
-        {"polar_product": "a_q = U sqrt([N-n0]_q + [n0]_q)", "number_ladder_commutator": ""},
-    )),
-    "jordan_schwinger": Family(
-        ("s", "phi0", "omega1", "omega2", "muB"), _build_jordan_schwinger, _check_jordan_schwinger
+    "su2": Family(("j", "theta0", "muB"), _build_su2, _spin(
+        *LADDER, "structure_relation", *_ANNIHILATION, "casimir_orderings", "casimir_scalar",
+        "casimir_central"), _SPIN_DERIVED, {"structure_relation": "[J+, J-] = 2 J0"},
     ),
+    "suq2": Family(("j", "q", "theta0", "muB"), _build_suq2, _spin(*_QBRACKET, "adjoint_pair"),
+                   _QBRACKET_DERIVED),
+    "witten": Family(("j", "r", "theta0", "muB"), _build_witten,
+                     _spin(*WITTEN, "adjoint_pair", *_ANNIHILATION), _SPIN_DERIVED),
+    "ab_map": Family(("j", "q", "theta0", "muB", "split"), _build_ab_map,
+                     _spin(*_QBRACKET, "adjoint_pair", "alternate_split_structure"),
+                     _QBRACKET_DERIVED),
+    "f_deform": Family(("j", "theta0", "muB", "f_coeff"), _build_f_deform,
+                       _spin(*LADDER, *_ANNIHILATION, "structure_relation", "adjoint_pair"),
+                       _SPIN_DERIVED),
+    "hermitian_f": Family(("j", "q", "q_phase", "theta0", "muB"), _build_hermitian_f,
+                          _spin(*_QBRACKET, "matches_suq2_representation", "adjoint_pair"),
+                          _QBRACKET_DERIVED),
+    "oscillator": Family(("s", "phi0", "omega"), _build_oscillator, _oscillator(
+        "polar_product", "number_ladder_commutator", "adjoint_pair"),
+        {**MOTION, "G": call(lambda n, tol: psd_sqrt(n, tol), J0, _tol)}, _OSCILLATOR_DETAILS,
+    ),
+    "q_oscillator": Family(("s", "phi0", "omega"), _build_q_oscillator, _oscillator(
+        "radicand_positivity", "polar_product", "adjoint_pair", "number_ladder_commutator"),
+        {**MOTION, "G": _ROOT}, {**_OSCILLATOR_DETAILS, "number_ladder_commutator": "",
+                                 "polar_product": "a_q = U sqrt([N-n0]_q + [n0]_q)"},
+    ),
+    "jordan_schwinger": Family(("s", "phi0", "omega1", "omega2", "muB"),
+                               _build_jordan_schwinger, _TWO_MODE, _TWO_MODE_FACTORS,
+                               _TWO_MODE_DETAILS),
 }

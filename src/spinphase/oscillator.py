@@ -29,6 +29,7 @@ from .operators import (
     psd_sqrt,
     _kron,
 )
+from .checks import require
 from .deform import DeformedTriple, _ladder_checks, q_number
 from .phase import PhaseOperator, _cyclic_phase
 
@@ -132,9 +133,7 @@ def jordan_schwinger(
     j0 = ((_kron(osc_a.N, eye) - _kron(eye, osc_b.N)) / 2.0).relabel("J0")
     t = tol.for_dim(dim * dim)
     checks = _ladder_checks(j0, jp, jm, t, hermitian=True)
-    res = max(c.residual for c in checks)
-    if res > t:
-        raise ArithmeticError(f"Jordan-Schwinger ladder relations violated: {res:.3e}")
+    require([c.residual for c in checks], t, "Jordan-Schwinger ladder relations violated: {:.3e}")
     return DeformedTriple(
         jp, jm, j0, {"map": "jordan_schwinger", "params": {"s": osc_a.s}}, True, checks
     )

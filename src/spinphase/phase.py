@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import MODULI, UD, UNSHIFTED, evaluate, measure
+from .checks import MODULI, UD, UNSHIFTED, evaluate, measure, require
 from .operators import DEFAULT_TOL, Operator, ParameterError, Tolerance, matrix_unit
 from .report import CheckReport
 from .su2 import Su2Rep, parse_spin
@@ -97,8 +97,8 @@ def polar_decompose(
     mod_p = values["Mp"] = MODULI["Mp"].fn(values.__getitem__)
     mod_m = values["Mm"] = MODULI["Mm"].fn(values.__getitem__)
     checks = evaluate(POLAR, values, report, derived={"Ud": UD})
-    if report is None and (worst := max(c.residual for c in checks)) > t:
-        raise ArithmeticError(f"polar reconstruction failed: residual {worst:.3e}")
+    if report is None:
+        require([c.residual for c in checks], t, "polar reconstruction failed: residual {:.3e}")
     return mod_p, mod_m
 
 

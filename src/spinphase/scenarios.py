@@ -18,6 +18,7 @@ mathematically impossible constructions surface later as check failures
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Any
@@ -146,6 +147,9 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
     tol = Tolerance(tol_val if tol_val is not None else default_tol)
     dim = 2 * j.numerator // j.denominator + 1 if j is not None else s + 1
     dim = dim**2 if family == "jordan_schwinger" else dim
+    if dim > sys.float_info.max:
+        raise ParameterError(f"--{'j' if j is not None else 's'} is too large: its dimension is not"
+                             " a finite float")
     if not math.isfinite(tol.for_dim(dim)):
         raise ParameterError(f"--tol {tol.abs_tol!r} times the dimension {dim} is not finite")
 

@@ -25,7 +25,7 @@ from .operators import (
     Tolerance,
     from_diagonal,
 )
-from .checks import CASIMIR, evaluate
+from .checks import CASIMIR, evaluate, require
 from .report import CheckReport
 
 __all__ = ["Su2Rep", "parse_spin", "build_su2", "casimir"]
@@ -126,6 +126,7 @@ def casimir(
     c_up = values["C"] = CASIMIR["C"].fn(values.__getitem__)
     values["S"] = from_diagonal([rep.casimir_value] * rep.dim)
     checks = evaluate(("casimir_orderings", "casimir_scalar"), values, report, derived=CASIMIR)
-    if report is None and any(c.residual > t for c in checks):
-        raise ArithmeticError("casimir orderings disagree; representation is corrupt")
+    if report is None:
+        message = "casimir orderings disagree; representation is corrupt"
+        require([c.residual for c in checks], t, message)
     return c_up.relabel("C")

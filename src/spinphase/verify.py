@@ -1,10 +1,13 @@
 """Build a scenario and run its family's checks (the verify/sweep commands).
 
-Each family's check function (``families.FAMILY_TABLE``) evaluates its list
-of declared checks (``checks.CHECKS``); a relation a builder already
-verified is reported as the builder made it.  A violated relation in the
-scenario's own builder raises ``ArithmeticError``, not a typed error; the
-casimir and polar checks record a failed reconstruction as a failed check.
+Each family's entry (``families.FAMILY_TABLE``) holds, as data, the names
+of the declared checks it reports (``checks.CHECKS``), the operands they
+derive and their details; ``collect_checks`` evaluates them on the operands
+the build bound in one ``checks.evaluate`` call, and a relation a builder
+already verified is reported as the builder made it.  A violated relation
+in the scenario's own builder raises ``ArithmeticError`` (``checks.require``),
+not a typed error; the casimir and polar checks record a failed
+reconstruction as a failed check.
 
 A spin scenario's checks that no ladder enters are evaluated on its phase
 frame (``families.spin_frame``), which reads only j, theta0, muB and tol:
@@ -35,10 +38,11 @@ _BATCHED = ("q", "q_phase", "r", "f_coeff")
 
 
 def collect_checks(bundle: FamilyBundle) -> CheckReport:
-    """Run the full invariant suite for an already-built bundle."""
-    report = CheckReport()
-    FAMILY_TABLE[bundle.scenario.family].check(report, bundle)
-    return report
+    """Run the family's checks on an already-built bundle, its phase frame's
+    once per frame."""
+    family, frame = FAMILY_TABLE[bundle.scenario.family], bundle.frame
+    return evaluate(family.names, bundle.operands, derived=family.derived,
+                    parent=frame and frame.motion, details=family.details, given=bundle.given)
 
 
 def run_verify(

@@ -19,9 +19,10 @@ rows, a failed construction, a branch only some points take), zero-rate
 controls, the inputs on which a builder or a check suite raises, parameters
 at which a ladder or SU_q(2)'s casimir table overflows, usage errors,
 output paths that cannot be written (a missing directory, or a directory
-itself), and parameters at which the hamiltonian, the corner phase or the
-scaled tolerance overflows.  Temporary paths print as ``$TMP``: in the argv, the outcome and
-the stderr line alike.
+itself), parameters at which the hamiltonian, the corner phase or the
+scaled tolerance overflows, and spins or s whose dimension no float holds.
+Temporary paths print as ``$TMP``: in the argv, the outcome and the stderr
+line alike.
 """
 
 from __future__ import annotations
@@ -198,6 +199,18 @@ def corpus(tmp: str) -> list[list[str]]:
          "--steps", "3"],
         ["sweep", "--family", "su2", "--j", "50", "--param", "muB:1:1e307:2"],
         ["verify", "--family", "su2", "--j", "1/2", "--tol", "1e308", "--report", report],
+    ]
+
+    # exact spins and integral s whose dimension no float holds
+    huge_s = os.path.join(tmp, "huge_s.json")
+    with open(huge_s, "w", encoding="utf-8") as fh:
+        fh.write('{"family": "oscillator", "s": 1' + "0" * 400 + "}")
+    argvs += [
+        ["verify", "--family", "su2", "--j", "1e400"],
+        ["build", "--family", "su2", "--j", "1e400"],
+        ["sweep", "--family", "su2", "--j", "1e400", "--param", "muB:0:1:2"],
+        ["verify", "--scenario", huge_s],
+        ["sweep", "--family", "su2", "--j", "1/2", "--param", "j:0.5:1e308:2"],
     ]
     return argvs
 

@@ -1,6 +1,7 @@
 """The check table: every check is declared once and reached by a golden
-scenario, only the evaluator adds checks to a report, and the evaluator
-drops a derived operand after the last check that reads it."""
+scenario, only the evaluator adds checks to a report, the evaluator drops a
+derived operand after the last check that reads it, and one gate raises a
+builder's violated relation."""
 
 import collections
 import json
@@ -8,9 +9,10 @@ import pathlib
 import re
 import weakref
 
+import numpy as np
 import pytest
 
-from spinphase import build_su2, checks
+from spinphase import build_su2, checks, operators
 from spinphase.scenarios import resolve_scenario
 from spinphase.verify import run_verify
 
@@ -40,6 +42,24 @@ def test_every_declared_check_is_reached_by_a_golden_scenario():
 def test_only_the_evaluator_adds_checks(module):
     source = (SRC / f"{module}.py").read_text()
     assert re.findall(r"\.add\(|CheckResult\(", source) == []
+
+
+def test_only_the_gate_raises_arithmetic_error():
+    # every builder gate is a checks.require call
+    found = {path.name: len(re.findall(r"raise ArithmeticError\b", path.read_text()))
+             for path in SRC.glob("*.py")}
+    assert {name: n for name, n in found.items() if n} == {"checks.py": 1}
+
+
+def test_a_nan_residual_neither_raises_nor_hides_a_violation():
+    checks.require([float("nan"), 1e-13], 1e-12, "unused")
+    # a first residual of NaN is never the largest: the next one's violation raises
+    with pytest.raises(ArithmeticError, match=r"^violated: 2\.000e-11$"):
+        checks.require([float("nan"), 2e-11, 1e-11], 1e-12, "violated: {:.3e}")
+    # a batch's rows that exceed the tolerance run apart
+    with pytest.raises(operators.Diverged) as info:
+        checks.require([np.array([np.nan, 0.0]), np.array([1.0, 0.0])], 0.5, "{:.3e}")
+    assert info.value.args[0].tolist() == [True, False]
 
 
 def test_a_derived_operand_is_dropped_after_its_last_check():

@@ -451,6 +451,19 @@ def test_sweep_frame_that_cannot_be_built_gives_error_rows(capsys):
     ]
 
 
+def test_sweep_spin_beyond_every_float_gives_an_error_row(capsys):
+    # j = 1e308 parses as an exact half-integer, but 2j + 1 is no finite float
+    rc = main(["sweep", "--family", "su2", "--j", "1/2", "--param", "j:0.5:1e308:2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    header, first, second = captured.out.splitlines()
+    assert first.startswith("0.5,") and first.endswith(",true,")
+    assert second.split(",", 7)[1:] == [
+        "NaN", "NaN", "NaN", "NaN", "NaN", "false",
+        "--j is too large: its dimension is not a finite float",
+    ]
+
+
 class TestSweepRowsAreVerifies:
     """A sweep shares one phase frame among the points with the same (j,
     theta0, muB, tol); every row still equals the verify of its own point."""
@@ -825,6 +838,9 @@ _REJECTED_FILES = [
     ("verify", '{"family": "su2", "j": Infinity}'),
     ("verify", '{"family": "oscillator", "s": 1e400}'),
     ("verify", '{"family": "su2", "j": "1", "tol": Infinity}'),
+    # an integral s, 1 and 400 zeros, whose dimension no float holds
+    *(pytest.param(command, '{"family": "oscillator", "s": 1' + "0" * 400 + "}",
+                   id=f"{command}-integral-s-of-401-digits") for command in ("verify", "build")),
     ("sweep", '{"family": ["su2"]}'),
 ]
 
@@ -836,6 +852,10 @@ _REJECTED_FLAGS = [
     ["verify", "--family", "hermitian_f", "--j", "1", "--q-phase", "inf"],
     ["sweep", "--family", "su2", "--j", "1", "--param", "theta0:0:nan:3"],
     ["sweep", "--family", "oscillator", "--param", "s:1:inf:3"],
+    # an exact spin whose dimension no float holds
+    ["verify", "--family", "su2", "--j", "1e400"],
+    ["build", "--family", "su2", "--j", "1e400"],
+    ["sweep", "--family", "su2", "--j", "1e400", "--param", "muB:0:1:2"],
 ]
 
 

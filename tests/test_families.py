@@ -14,6 +14,7 @@ from spinphase import (
     Su2Rep,
     build_deformation,
     build_phase_operator,
+    build_q_oscillator,
     build_scaled_deformation,
     build_split_deformation,
     build_su2,
@@ -22,11 +23,12 @@ from spinphase import (
     casimir,
     discrete_antiderivative,
     identity,
+    jordan_schwinger,
     polar_decompose,
     qbracket_structure,
 )
 from spinphase import checks
-from spinphase.families import SpinParts, spin_frame
+from spinphase.families import spin_frame
 from spinphase.operators import Tolerance
 from spinphase.scenarios import build_bundle, resolve_scenario
 from spinphase.verify import collect_checks, run_verify
@@ -55,11 +57,10 @@ _LADDER = ["j0_ladder_raising", "j0_ladder_lowering"]
 )
 def test_builder_checks_are_reported_not_recomputed(values, names):
     bundle = build_bundle(resolve_scenario(values))
-    triple = bundle.parts.triple if isinstance(bundle.parts, SpinParts) else bundle.parts[0]
     report = collect_checks(bundle)
     for name in names:
         # the very result the builder computed, not an equal recomputation
-        assert report.named(name)[0] is triple.checks.named(name)[0]
+        assert report.named(name)[0] is bundle.given.named(name)[0]
 
 
 @pytest.mark.parametrize(
@@ -71,7 +72,7 @@ def test_builder_checks_are_reported_not_recomputed(values, names):
 )
 def test_non_hermitian_pair_has_no_adjoint_check(values):
     report, bundle = run_verify(resolve_scenario(values))
-    triple = bundle.parts.triple
+    triple = bundle.operands["triple"]
     assert not triple.hermitian_pair
     assert "adjoint_pair" not in [c.name for c in [*triple.checks, *report]]
     assert triple.checks.all_pass
@@ -150,6 +151,15 @@ def test_general_deformation_raises_on_a_broken_ladder_relation(monkeypatch):
         build_deformation(rep, entries, provenance={"map": "general", "params": {}})
 
 
+def test_jordan_schwinger_raises_on_a_broken_ladder_relation(monkeypatch):
+    mode = build_q_oscillator(3)
+    assert jordan_schwinger(mode, mode).checks.all_pass
+    original = checks.commutator  # the declared identities call it
+    monkeypatch.setattr(checks, "commutator", lambda a, b: original(a, b) + identity(a.dim))
+    with pytest.raises(ArithmeticError, match="Jordan-Schwinger ladder relations violated: "):
+        jordan_schwinger(mode, mode)
+
+
 def test_split_structure_violation_still_raises():
     rep = build_su2("35/2")
     g = discrete_antiderivative(qbracket_structure(1.3), "35/2")
@@ -217,7 +227,10 @@ _FRAME_CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("family, field", [("suq2", "q"), ("witten", "r"), ("f_deform", "f_coeff")])
+@pytest.mark.parametrize(
+    "family, field",
+    [("suq2", "q"), ("witten", "r"), ("f_deform", "f_coeff"), ("ab_map", "q"), ("hermitian_f", "q")],
+)
 def test_deformations_on_one_frame_share_its_checks(family, field):
     # J+~ = U G: U's checks are the frame's, only the G- and K-checks differ
     frame = spin_frame(Fraction(3, 2), 0.0, 1.0, Tolerance())
