@@ -9,6 +9,7 @@ order, so a residual has the bits of that expression written by hand.  A
 derived operand is made when first read and dropped after the last check
 reading it, so the dense temporaries of nonzero residuals come and go in the
 order of the checks (which sets the peak memory of a dim-961 verify).
+``require``, every builder's gate, raises where one exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .operators import SplitError, commutator, psd_sqrt, r_commutator, residual, _holds, _larger
 from .report import CheckReport, CheckResult
 
-__all__ = ["CHECKS", "Check", "Expr", "Scope", "evaluate", "measure", "require"]
+__all__ = ["CHECKS", "Check", "Expr", "Scope", "evaluate", "require"]
 
 
 def _binary(op: str, swapped: bool = False) -> Callable:
@@ -38,7 +39,7 @@ class Expr:
 
     __slots__ = ("op", "args", "names", "_fn")
     __matmul__, __add__, __sub__, __mul__, __truediv__ = map(_binary, "@+-*/")
-    __rmul__ = _binary("*", swapped=True)
+    __radd__, __rmul__ = _binary("+", swapped=True), _binary("*", swapped=True)
 
     def __init__(self, op: str, *args) -> None:
         self.op, self.args, self._fn = op, args, None
@@ -103,8 +104,9 @@ def _source(e: Expr, consts: list) -> str:
 ONE = type("One", (), {"__matmul__": lambda self, x: x})()  # the identity factor: ONE @ X is X
 Jp, Jm, J0, B, C, Cd, S, F, U, Ud, H, G, K, L, I = operands("Jp Jm J0 B C Cd S F U Ud H G K L I")
 corner, dU, dUd, R, rate, lam, tol = operands("corner dU dUd R rate lam tol")
-Sp, Sm, Sz, Mp, Mm, J0t, D1, D2 = operands("J+ J- Jz Mp Mm J0t D1 D2")  # J0t: the scaled J0~
+Sp, Sm, Sz, Mp, Mm, J0t, D1, D2 = operands("J+ J- Jz Mp Mm J0t D1 D2")  # J0t: a deformed J0~
 r, inv_r2, Balt, RefP, radicands, delta, muB = operands("r inv_r2 Balt RefP radicands delta muB")
+t, dim, cancellation, spread = operands("t dim cancellation spread")
 
 
 def dot(x) -> Expr:
@@ -117,14 +119,12 @@ def _modulus(a, b, tol, label: str):
 
 
 # derived operands: U^dag, [J+~, J-~], R = [U, J0] = corner - U (formed once for
-# both of its checks), the su2 casimir's two orderings and polar moduli, and the
-# scaled map X~ = X w(C, J0)'s structure, D1 = 1 - w(J0+1)/w(J0-1), D2 = w(J0+1)
+# both of its checks), and the su2 casimir's two orderings and polar moduli
 UD, BRACKET, UNSHIFTED = U.adjoint(), comm(Jp, Jm), corner - U
 CASIMIR = {"C": Jm @ Jp + J0 @ J0 + J0, "Cd": Jp @ Jm + J0 @ J0 - J0}
 MODULI = {
     "Mp": call(_modulus, Sp, Sm, tol, "sqrt(J+J-)"), "Mm": call(_modulus, Sm, Sp, tol, "sqrt(J-J+)")
 }
-SCALED_STRUCTURE = D1 @ (Jp @ Jm) + 2.0 * (D2 @ J0t)
 # U's equation of motion: U^dag, dU/dt, dU^dag/dt and the negative control's
 # floor 0.5 * max(|rate|, 1e-300), one rule for every family (at rate 0 the
 # control fails instead of passing with residual 0 >= tol 0)
@@ -144,15 +144,14 @@ def _image_norm(op, index: int):
 
 class Check(NamedTuple):
     """A declared check: the ``tree`` of its residual (the larger of its sides'),
-    compiled (``measure``), the operands ``names`` it reads, and ``detail``,
-    text or a function of a scope's lookup.  A raise of ``fails_on`` fails it
+    compiled (``measure``), and ``detail``, text or a function of a scope's
+    lookup; the operand ``tol`` names its tolerance.  A raise of ``fails_on`` fails it
     with residual inf; one with a ``when`` is made only where that operand is true."""
 
     name: str
     category: str
     tree: Expr
     measure: Callable
-    names: frozenset
     mode: str
     detail: str | Callable
     tol: str
@@ -162,8 +161,7 @@ class Check(NamedTuple):
 
 def check(name, category, *sides, mode="le", detail="", tol="t", fails_on=(), when="") -> Check:
     tree = sides[0] if len(sides) == 1 else Expr("_larger", *sides)
-    names = tree.names | {tol, when} - {""}
-    return Check(name, category, tree, tree.fn, names, mode, detail, tol, fails_on, when)
+    return Check(name, category, tree, tree.fn, mode, detail, tol, fails_on, when)
 
 
 CHECKS = (
@@ -189,11 +187,11 @@ CHECKS = (
     check("casimir_orderings", "algebra", C == Cd),
     check("casimir_scalar", "algebra", C == S),
     check("casimir_central", "algebra", comm(C, Jp) == 0.0 * Jp, comm(C, Jm) == 0.0 * Jm),
-    check("witten_relation_raising", "algebra", rcomm(J0, Jp, r) == Jp, tol="t_w",
+    check("witten_relation_raising", "algebra", rcomm(J0t, Jp, r) == Jp, tol="t_w",
           detail="[W0, W+]_r = W+"),
-    check("witten_relation_pair", "algebra", rcomm(Jp, Jm, inv_r2) == J0, tol="t_w",
+    check("witten_relation_pair", "algebra", rcomm(Jp, Jm, inv_r2) == J0t, tol="t_w",
           detail="[W+, W-]_{1/r^2} = W0"),
-    check("witten_relation_lowering", "algebra", rcomm(Jm, J0, r) == Jm, tol="t_w",
+    check("witten_relation_lowering", "algebra", rcomm(Jm, J0t, r) == Jm, tol="t_w",
           detail="[W-, W0]_r = W-"),
     check("matches_suq2_representation", "algebra", Jp == RefP, Jm == RefP.adjoint(), when="real_q",
           detail="hermitian map at f = [2x]_q equals the SU_q(2) elements"),
@@ -241,26 +239,37 @@ CHECKS = (
     check("construction", "algebra", _expr(float("inf")), tol="abs_tol",
           detail=lambda get: str(get("error"))),
 )
-_BY_NAME = {c.name: c for c in CHECKS}
-# held by the scaled builder, not reported: [J0~, J+-~] = D1+- J0~ J+-~ +- D2+- J+-~
-# with D1+- = 1 - w(J0 -+ 1)/w(J0), D2+ = w(J0 - 1) and D2- = w(J0 + 1), the D2 above
+# the scaled map's identities (``deform.build_scaled_deformation``), gated by these
+# names; scaled_ladder is not reported, scaled_structure is as structure_relation
 D1p, D2p, D1m = operands("D1+ D2+ D1-")
-SCALED_LADDER = check(
-    "scaled_ladder", "algebra", comm(J0t, Jp) == D1p @ (J0t @ Jp) + 1.0 * (D2p @ Jp),
-    comm(J0t, Jm) == D1m @ (J0t @ Jm) + -1.0 * (D2 @ Jm),
-)
+_BY_NAME = {c.name: c for c in CHECKS} | {
+    "scaled_ladder": check("scaled_ladder", "algebra",
+                           comm(J0t, Jp) == D1p @ (J0t @ Jp) + 1.0 * (D2p @ Jp),
+                           comm(J0t, Jm) == D1m @ (J0t @ Jm) + -1.0 * (D2 @ Jm)),
+    "scaled_structure": check("structure_relation", "algebra",
+                              comm(Jp, Jm) == D1 @ (Jp @ Jm) + 2.0 * (D2 @ J0t),
+                              detail="[J+~, J-~] matches the scaled-deformation closed form"),
+}
+# Witten's t_w: its 1/(r - 1/r) prefactor (``cancellation``) amplifies rounding
+# near r = 1, and for large j*|log r| its generators grow (``spread`` = r + 1/r)
+T_W = call(_larger, t, 64.0 * float(np.finfo(float).eps) * dim * (
+    cancellation + spread * (1.0 + Expr("norm", J0t)) * (1.0 + Expr("norm", Jp))))
 
 
 class Scope(dict):
     """Operands by name: ``values``, each ``derived`` tree computed on first read,
     then the ``parent``'s; a parent keeps in ``results`` the checks made on it."""
 
-    __slots__ = ("derived", "parent", "results")
+    __slots__ = ("derived", "parent", "results", "_known")
 
     def __init__(self, values: dict, derived: dict = {}, parent: Scope | None = None) -> None:
         super().__init__(parent or ())  # what the parent has read and computed so far
         self.update(values)
-        self.derived, self.parent, self.results = derived, parent, {}
+        self.derived, self.parent, self.results, self._known = derived, parent, {}, None
+
+    def known(self) -> frozenset:  # the names it binds or derives
+        self._known = self._known or frozenset(self).union(self.derived)
+        return self._known
 
     def __missing__(self, name: str):
         if name in self.derived:
@@ -273,61 +282,58 @@ class Scope(dict):
 
 
 @lru_cache(maxsize=None)
-def _schedule(names: tuple[str, ...], derived: tuple[str, ...], local: tuple[str, ...] | None):
-    """Each check, whether it reads none of the ``local`` operands (None: no
-    parent), and the derived operands that no later check reads."""
+def _schedule(names: tuple[str, ...], derived: tuple[str, ...], known: frozenset | None):
+    """Each check, whether it reads only the parent's operands ``known`` (None:
+    no parent), and the derived operands that no later check reads."""
     checks = [_BY_NAME[name] for name in names]
-    last = {n: i for i, c in enumerate(checks) for n in c.names if n in derived}
-    return [(c, local is not None and c.names.isdisjoint(local),
-             tuple(n for n, at in last.items() if at == i)) for i, c in enumerate(checks)]
+    reads = [c.tree.names | {c.tol, c.when} - {""} for c in checks]
+    last = {n: i for i, read in enumerate(reads) for n in read if n in derived}
+    return [(c, known is not None and read <= known, tuple(n for n, at in last.items() if at == i))
+            for i, (c, read) in enumerate(zip(checks, reads))]
 
 
-def _add(report: CheckReport, check: Check, get: Callable, details: dict | None) -> CheckResult:
-    detail = details.get(check.name, check.detail) if details else check.detail
-    try:
-        res = check.measure(get)
-    except check.fails_on as exc:
-        res, detail = float("inf"), str(exc)
-    detail = detail if isinstance(detail, str) else detail(get)
-    return report.add(check.name, res, get(check.tol), detail, check.category, check.mode)
-
-
-def evaluate(names: tuple[str, ...], values: dict, report: CheckReport | None = None, *,
-             derived: dict = {}, parent: Scope | None = None, details: dict | None = None,
+def evaluate(names: tuple[str, ...], values: dict, *, derived: dict = {},
+             parent: Scope | None = None, details: dict | None = None,
              given: Iterable[CheckResult] = ()) -> CheckReport:
-    """Add the checks called ``names`` to ``report`` (new when None) in order: as
-    ``given`` holds one (a builder's), else evaluated on ``values``, ``derived``
-    and ``parent``'s operands with the detail ``details`` may map its name to.
-    One reading neither values nor derived is made once per parent."""
-    report = CheckReport() if report is None else report
-    scope = Scope(values, derived, parent) if derived or parent else values  # never written
+    """A report of the checks called ``names``, in order: as ``given`` holds one
+    (a builder's), else evaluated on ``values``, ``derived`` and ``parent``'s
+    operands with the detail ``details`` may map its name to.  One reading
+    only the parent's operands is made once per parent, which values and
+    derived may not rebind (ValueError)."""
+    report = CheckReport()
+    scope = Scope(values, derived, parent) if derived or parent else values  # never popped
     get, made = scope.__getitem__, {c.name: c for c in given} if given else {}
-    local = None if parent is None else (*values, *derived)
-    for check, on_parent, done in _schedule(names, tuple(derived), local):
-        if check.name in made:
-            report.checks.append(made[check.name])
-        elif on_parent:
-            if check.name not in parent.results:
-                parent.results[check.name] = _add(CheckReport(), check, parent.__getitem__, details)
-            report.checks.append(parent.results[check.name])
-        elif not check.when or get(check.when):
-            _add(report, check, get, details)
-        for name in done:
-            scope.pop(name, None)
+    known = None if parent is None else parent.known()
+    if known and not (known.isdisjoint(values) and known.isdisjoint(derived)):  # else shadowed
+        raise ValueError(f"{sorted(known & {*values, *derived})} rebind the parent's operands")
+    for check, on_parent, done in _schedule(names, tuple(derived), known):
+        name, lookup = check.name, parent.__getitem__ if on_parent else get
+        kept = made.get(name) or on_parent and parent.results.get(name)
+        if kept:
+            report.checks.append(kept)
+        elif not check.when or lookup(check.when):
+            detail = details.get(name, check.detail) if details else check.detail
+            try:
+                res = check.measure(lookup)
+            except check.fails_on as exc:
+                res, detail = float("inf"), str(exc)
+            detail = detail if isinstance(detail, str) else detail(lookup)
+            kept = report.add(name, res, lookup(check.tol), detail, check.category, check.mode)
+            if on_parent:
+                parent.results[name] = kept
+        for n in done:
+            scope.pop(n, None)
     return report
 
 
-def measure(declared: str | Check, values: dict, derived: dict = {}):
-    """The residual of the check called ``declared`` (or a Check), not reported."""
-    declared = _BY_NAME[declared] if isinstance(declared, str) else declared
-    return declared.measure((Scope(values, derived) if derived else values).__getitem__)
-
-
-def require(residuals: Iterable, tol, message: str) -> None:
-    """A builder's gate: where any residual exceeds ``tol``, an ArithmeticError
-    of ``message`` formatted with the largest residual.  A NaN residual is
-    never the largest, so it neither raises nor hides another's violation; a
-    batch's rows that exceed ``tol`` run apart (``operators._holds``)."""
-    worst = reduce(_larger, residuals, float("-inf"))
-    if _holds(worst > tol):
+def require(names: tuple[str, ...], scope: dict, message: str) -> CheckReport:
+    """A builder's gate: the checks called ``names`` evaluated on ``scope``
+    (see ``evaluate``), or an ArithmeticError of ``message`` formatted with
+    the largest residual where any exceeds the tolerance its check reports.
+    A NaN residual exceeds none, so it neither raises nor hides another's
+    violation; a batch's rows that exceed one run apart (``operators._holds``)."""
+    report = evaluate(names, scope)
+    if _holds(reduce(np.logical_or, [c.residual > c.tol for c in report])):
+        worst = reduce(_larger, [c.residual for c in report], -np.inf)
         raise ArithmeticError(message.format(worst))
+    return report

@@ -4,17 +4,21 @@ A deformation replaces [J+, J-] = 2*J0 by [J+~, J-~] = f(J0~) for a structure
 function f that returns to 2x in some parameter limit.  Every deformed ladder
 is the su2 ladder times diagonal weights, J+~ = J+ A(J0) and J-~ = B(J0) J-
 (the deforming maps of Curtright & Zachos), so a ladder is its entries on
-the steps m -> m+1.  ``build_deformation`` takes those entries, places them
-(``su2._place_ladders``, the one placement of every ladder), records the
-relations [J0, J+-~] = +-J+-~ and, for a hermitian pair, J-~ = (J+~)^dagger,
-and raises when the ladder relations fail.  The split, hermitian and SU_q(2)
-builders are each an entry formula over it, plus the split's structure
-relation and SU_q(2)'s casimir.  Witten's map and the scaled map (which also
-deforms J0) place their entries with the same helper and verify their own
-relations.  A builder's residuals ride along on the result as named checks
-(``checks``), so a verifier reports them instead of computing them again.
-Every builder also takes a batch, its parameter a list over the points:
-each point's entries, from its own float expressions, are one row (``per_point``).
+the steps m -> m+1.  One builder (``_build``) places those entries
+(``su2._place_ladders``, the one placement of every ladder) and, for
+Witten's map and the scaled map, a deformed J0~ diagonal, then holds the
+relations it is given by name: declared checks (``checks.CHECKS``) that one
+gate, ``checks.require``, evaluates and holds to the tolerance each check
+reports.  ``build_deformation`` holds [J0, J+-~] = +-J+-~; the split,
+hermitian and SU_q(2) builders are entry formulas over it, and the split's
+structure relation and SU_q(2)'s casimir one more gate each, held only
+(a verifier reports those checks on its own operands); Witten's relations
+and the scaled map's identities are their builders' gates.  The checks of
+``_build``'s gate and, for a hermitian pair, J-~ = (J+~)^dagger ride along
+on the result (``checks``), so a verifier reports them instead of computing
+them again.  Every builder also takes a batch, its parameter a list over the
+points: each point's entries, from its own float expressions, are one row
+(``per_point``).
 
 Weights with apparent 0/0 at the edge of the spectrum (the hermitian map,
 Witten's map) are evaluated on the ladder steps only, where the denominators
@@ -43,9 +47,8 @@ from .operators import (
     from_diagonal,
     per_point,
     _holds,
-    _larger,
 )
-from .checks import BRACKET, SCALED_LADDER, SCALED_STRUCTURE, evaluate, measure, require
+from .checks import T_W, Jm, Jp, Scope, call, evaluate, operands, require
 from .report import CheckReport
 from .su2 import Su2Rep, _place_ladders, parse_spin
 
@@ -72,9 +75,9 @@ def q_number(x: float, q: complex) -> float:
     Real q > 0 is evaluated as sinh(x*ln q)/sinh(ln q), which is the same
     function without the cancellation the rational form suffers near q = 1
     ([x]_1 = x is the continuous limit).  A unit-modulus phase q = exp(i*a)
-    uses the equivalent sine form sin(a*x)/sin(a), which stays real.
-    q = -1 is singular, and real q < 0 or |q| != 1 off the real axis are
-    outside the domain.
+    uses the equivalent sine form sin(a*x)/sin(a), which stays real and,
+    like the real form, tends to x as a -> 0.  q = -1 is singular, and real
+    q < 0 or |q| != 1 off the real axis are outside the domain.
     """
     qc = complex(q)
     if qc.imag == 0.0:
@@ -94,7 +97,7 @@ def q_number(x: float, q: complex) -> float:
         raise ParameterError(f"complex q must lie on the unit circle, got |q|={abs(qc)}")
     a = cmath.phase(qc)
     s = np.sin(a)
-    if abs(s) <= 1e-12:  # arg(q) at or numerically at pi: the q = -1 singularity
+    if abs(s) <= 1e-12 and np.cos(a) < 0:  # arg(q) at or numerically at pi: q = -1
         raise ParameterError("singular q-bracket at q = -1")
     return float(np.sin(a * x) / s)
 
@@ -206,19 +209,34 @@ class DeformedTriple:
 
 
 LADDER = ("j0_ladder_raising", "j0_ladder_lowering")
+# a q-casimir with g on the grid {-j-1, ..., j} (``gv``): J-~ J+~ + g(J0) = J+~ J-~ + g(J0 - 1)
+QCASIMIR = {
+    "C": Jm @ Jp + call(lambda gv: from_diagonal(gv[..., 1:]), *operands("gv")),
+    "Cd": Jp @ Jm + call(lambda gv: from_diagonal(gv[..., :-1]), *operands("gv")),
+}
 
 
-def _ladder_checks(
-    j0: Operator, jp: Operator, jm: Operator, t: float, hermitian: bool = False
-) -> CheckReport:
-    """[J0, J+-~] = +-J+-~ as checks at tolerance t, and J-~ = (J+~)^dagger
-    for a hermitian pair: one built as such (``hermitian``) or one whose
-    adjoint residual is within t."""
-    values = {"J0": j0, "Jp": jp, "Jm": jm, "t": t, "hermitian": True}
-    checks = evaluate((*LADDER, "adjoint_pair"), values)
-    if not (hermitian or _holds(checks.checks[-1].residual <= t, branch=True)):
-        checks.checks.pop()  # adjoint_pair
-    return checks
+def _build(
+    rep: Su2Rep, raising, lowering=None, j0: Operator | None = None, *, provenance: dict,
+    tol: Tolerance, names: tuple = LADDER, labels: tuple = ("J+~", "J-~"), operands: dict = {},
+    message: str = "[J0~, J+-~] = +-J+-~ violated: residual {:.3e}",
+) -> DeformedTriple:
+    """The one spin builder: J+~ and J-~ placed from their step entries (see
+    ``build_deformation``) and J0~ = ``j0`` (J0 when None), returned once the
+    checks called ``names`` hold, else an ArithmeticError of ``message``
+    (``checks.require``).  They read J+~ (``Jp``), J-~ (``Jm``), J0, J0~
+    (``J0t``), the tolerance ``t`` or Witten's ``t_w``, the dimension ``dim``
+    and ``operands``.  The triple records them and adjoint_pair,
+    J-~ = (J+~)^dagger, where it holds within tolerance: always, with residual
+    0, for a pair built hermitian (``lowering`` None)."""
+    t, j0 = tol.for_dim(rep.dim), rep.J0 if j0 is None else j0
+    jp, jm = _place_ladders(raising, lowering, labels)
+    scope = Scope({"Jp": jp, "Jm": jm, "J0": rep.J0, "J0t": j0, "t": t, "dim": rep.dim,
+                   "hermitian": True, **operands}, {"t_w": T_W})
+    checks, adjoint = require(names, scope, message), evaluate(("adjoint_pair",), scope)
+    if hermitian := _holds(adjoint.checks[0].residual <= t, branch=True):
+        checks.extend(adjoint)
+    return DeformedTriple(jp, jm, j0, provenance, hermitian, checks)
 
 
 def build_deformation(
@@ -245,12 +263,7 @@ def build_deformation(
     if _holds(bad.any(axis=-1)):
         m = rep.m_values()[np.flatnonzero(bad)[0]]
         raise ParameterError(f"the {provenance['map']} ladder is not finite at m={m:g} -> m+1")
-    t = tol.for_dim(rep.dim)
-    jp, jm = _place_ladders(raising, lowering)
-    checks = _ladder_checks(rep.J0, jp, jm, t, lowering is None)
-    residuals = [c.residual for c in checks.named(*LADDER)]
-    require(residuals, t, "[J0~, J+-~] = +-J+-~ violated: residual {:.3e}")
-    return DeformedTriple(jp, jm, rep.J0, provenance, bool(checks.named("adjoint_pair")), checks)
+    return _build(rep, raising, lowering, provenance=provenance, tol=tol)
 
 
 def build_split_deformation(
@@ -288,9 +301,9 @@ def build_split_deformation(
     su2 = rep.ladder_entries()
     provenance = {"map": "ab_map", "params": {"split": split}}
     triple = build_deformation(rep, su2 * a, su2 * b, provenance=provenance, tol=tol)
-    # Structure relation [J+~, J-~] = f(J0) with f recovered from g's shifts.
-    res = measure("structure_relation", {"B": triple.bracket, "F": from_diagonal(np.diff(values))})
-    require([res], t, "split map violates its structure relation: {:.3e}")
+    # [J+~, J-~] = f(J0) with f recovered from g's shifts
+    values = {"B": triple.bracket, "F": from_diagonal(np.diff(values)), "t": t}
+    require(("structure_relation",), values, "split map violates its structure relation: {:.3e}")
     return triple
 
 
@@ -350,12 +363,11 @@ def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedT
     g = np.asarray(per_point(lambda v: [q_number(x, v) * q_number(x + 1.0, v) for x in xs], q))
     if _holds(~np.isfinite(g).all(-1)):
         raise ParameterError(f"q={q} overflows SU_q(2)'s casimir at j={rep.j}")
-    # C~ in both orderings, J-~ J+~ + g(J0) and J+~ J-~ + g(J0 - 1), and j(j+1)_q
-    values = {"C": triple.Jm @ triple.Jp + from_diagonal(g[..., 1:]),
-              "Cd": triple.Jp @ triple.Jm + from_diagonal(g[..., :-1]),
+    # the casimir in both orderings with g(x) = [x]_q [x+1]_q, and j(j+1)_q
+    values = {"Jp": triple.Jp, "Jm": triple.Jm, "gv": g, "t": tol.for_dim(rep.dim),
               "S": from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))}
-    residuals = [measure(name, values) for name in ("casimir_orderings", "casimir_scalar")]
-    require(residuals, tol.for_dim(rep.dim), "SU_q(2) casimir identity violated")
+    require(("casimir_orderings", "casimir_scalar"), Scope(values, QCASIMIR),
+            "SU_q(2) casimir identity violated")
     return triple
 
 
@@ -400,23 +412,14 @@ def build_witten(rep: Su2Rep, r, tol: Tolerance = DEFAULT_TOL) -> DeformedTriple
     """
     point = per_point(lambda v: _witten_point(rep, v), r)
     fields = map(np.array, zip(*point)) if isinstance(r, list) else point  # a batch's: rows
-    w0_entries, weights, r_rows, inv_r2, cancellation, spread = fields
-    if _holds(~(np.isfinite(w0_entries).all(-1) & np.isfinite(weights).all(-1))):
+    w0, weights, r_rows, inv_r2, cancellation, spread = fields
+    if _holds(~(np.isfinite(w0).all(-1) & np.isfinite(weights).all(-1))):
         raise ParameterError(f"r={r} overflows Witten's map at j={rep.j}")
-    w0 = from_diagonal(w0_entries, "W0")
-    wp, wm = _place_ladders(rep.ladder_entries() * weights, labels=("W+", "W-"))
-
-    t = tol.for_dim(rep.dim)
-    eps = float(np.finfo(float).eps)
-    magnitude = spread * (1.0 + w0.norm()) * (1.0 + wp.norm())
-    t_w = _larger(t, 64.0 * eps * rep.dim * (cancellation + magnitude))
-    values = {"J0": w0, "Jp": wp, "Jm": wm, "r": r_rows, "inv_r2": inv_r2, "t_w": t_w, "t": t,
-              "hermitian": True}
-    checks = evaluate((*WITTEN, "adjoint_pair"), values)
-    residuals = [c.residual for c in checks.checks[:3]]
-    require(residuals, t_w, "Witten defining relations violated: residual {:.3e}")
-    provenance = {"map": "witten", "params": {"r": per_point(float, r)}}
-    return DeformedTriple(wp, wm, w0, provenance, True, checks)
+    operands = {"r": r_rows, "inv_r2": inv_r2, "cancellation": cancellation, "spread": spread}
+    return _build(rep, rep.ladder_entries() * weights, None, from_diagonal(w0, "W0"),
+                  provenance={"map": "witten", "params": {"r": per_point(float, r)}}, tol=tol,
+                  names=WITTEN, labels=("W+", "W-"), operands=operands,
+                  message="Witten defining relations violated: residual {:.3e}")
 
 
 def build_scaled_deformation(
@@ -431,15 +434,10 @@ def build_scaled_deformation(
     shifts.  Both commutation identities of the scaled algebra are asserted,
     as is the reduction [J0, J+-~] = +-J+-~ against the *undeformed* J0.
     """
-    ms = rep.m_values()
-    dim = rep.dim
-    t = tol.for_dim(dim)
-    c_val = rep.casimir_value
-    jv = float(rep.j)
-
-    ks = range(-1, dim + 1)
-    w = np.array(per_point(lambda fn: [float(fn(c_val, -jv + k)) for k in ks], weight))
-    vanishing = np.abs(w) <= t
+    dim, jv, c_val = rep.dim, float(rep.j), rep.casimir_value
+    w = np.array(per_point(lambda fn: [float(fn(c_val, -jv + k)) for k in range(-1, dim + 1)],
+                           weight))
+    vanishing = np.abs(w) <= tol.for_dim(dim)
     if _holds(vanishing.any(axis=-1)):
         m = -jv + np.flatnonzero(vanishing)[0] - 1.0
         raise ParameterError(f"singular F: weight vanishes at m={m}")
@@ -448,26 +446,17 @@ def build_scaled_deformation(
         """w(J0 + shift) on the diagonal of J0; w[k] is w(C, m) at m = -j-1+k."""
         return w[..., 1 + shift : 1 + shift + dim]
 
-    su2 = rep.ladder_entries()
-    jp_t, jm_t = _place_ladders(su2 * w_at(0)[..., :-1], su2 * w_at(0)[..., 1:])
-    j0_t = from_diagonal(ms * w_at(0), "J0~")
-
     # [J0~, J+-~] = {1 - w(J0 -+ 1)/w(J0)} J0~ J+-~  +- w(J0 -+ 1) J+-~ and
-    # [J+~, J-~] = {1 - w(J0+1)/w(J0-1)} J+~ J-~ + 2 w(J0+1) J0~
-    values = {
-        "Jp": jp_t, "Jm": jm_t, "J0t": j0_t, "t": t, "D2": from_diagonal(w_at(1)),
-        "D1+": from_diagonal(1.0 - w_at(-1) / w_at(0)), "D2+": from_diagonal(w_at(-1)),
-        "D1-": from_diagonal(1.0 - w_at(1) / w_at(0)),
+    # [J+~, J-~] = {1 - w(J0+1)/w(J0-1)} J+~ J-~ + 2 w(J0+1) J0~; keeping J0
+    # undeformed collapses the first to the plain ladder rule
+    operands = {
+        "D2": from_diagonal(w_at(1)), "D1+": from_diagonal(1.0 - w_at(-1) / w_at(0)),
+        "D2+": from_diagonal(w_at(-1)), "D1-": from_diagonal(1.0 - w_at(1) / w_at(0)),
         "D1": from_diagonal(1.0 - w_at(1) / w_at(-1)),
     }
-    res_list = [measure(SCALED_LADDER, values)]
-    detail = {"structure_relation": "[J+~, J-~] matches the scaled-deformation closed form"}
-    derived = {"B": BRACKET, "F": SCALED_STRUCTURE}
-    checks = evaluate(("structure_relation",), values, derived=derived, details=detail)
-    # keeping J0 undeformed collapses the first identity to the plain ladder rule
-    checks.extend(_ladder_checks(rep.J0, jp_t, jm_t, t))
-    residuals = [*res_list, *(c.residual for c in checks.checks[:3])]
-    require(residuals, t, "scaled-deformation identities violated: {:.3e}")
-
-    hermitian = bool(checks.named("adjoint_pair"))
-    return DeformedTriple(jp_t, jm_t, j0_t, {"map": "f_deform", "params": {}}, hermitian, checks)
+    su2 = rep.ladder_entries()
+    return _build(rep, su2 * w_at(0)[..., :-1], su2 * w_at(0)[..., 1:],
+                  from_diagonal(rep.m_values() * w_at(0), "J0~"), operands=operands,
+                  provenance={"map": "f_deform", "params": {}}, tol=tol,
+                  names=("scaled_ladder", "scaled_structure", *LADDER),
+                  message="scaled-deformation identities violated: {:.3e}")

@@ -30,6 +30,7 @@ import numpy as np
 
 from .deform import (
     LADDER,
+    QCASIMIR,
     WITTEN,
     DeformedTriple,
     build_hermitian_deformation,
@@ -41,7 +42,7 @@ from .deform import (
     qbracket_structure,
     _suq2_entries,
 )
-from .checks import BRACKET, CASIMIR, MOTION, I, J0, Jm, Jp, ONE, Scope, call, operands
+from .checks import BRACKET, CASIMIR, MOTION, I, J0, ONE, Scope, call, operands
 from .dynamics import (
     SPIN_DERIVATION,
     SPIN_WEIGHTS,
@@ -255,7 +256,7 @@ def _spin(*names: str) -> tuple[str, ...]:
             *_EIGEN)
 
 
-_rep, _f, _g, _gv, _q, _tol = operands("rep f g gv q tol")
+_rep, _f, _g, _q, _tol = operands("rep f g q tol")
 # what a spin family's checks may derive (its bound operands take precedence),
 # no name a frame check reads: the weights G and K, su2's structure and
 # casimir, and for the q-bracket families, with f = [2x]_q bound by the build,
@@ -272,8 +273,7 @@ _QBRACKET_DERIVED = {
         per_point(lambda fn: [fn(float(m)) for m in rep.m_values()], f)), _f, _rep),
     "g": call(lambda f, rep: per_point(lambda fn: discrete_antiderivative(fn, rep.j), f), _f, _rep),
     "gv": call(lambda g: np.asarray(per_point(lambda gf: gf.values, g)), _g),  # on {-j-1, ..., j}
-    "C": Jm @ Jp + call(lambda gv: from_diagonal(gv[..., 1:]), _gv),
-    "Cd": Jp @ Jm + call(lambda gv: from_diagonal(gv[..., :-1]), _gv),
+    **QCASIMIR,
     "other": call(lambda split: "left" if split == "symmetric" else "symmetric",
                   *operands("split")),
     "Balt": call(lambda rep, g, other, tol: build_split_deformation(rep, g, other, tol).bracket,

@@ -30,7 +30,7 @@ from .operators import (
     _kron,
 )
 from .checks import require
-from .deform import DeformedTriple, _ladder_checks, q_number
+from .deform import LADDER, DeformedTriple, q_number
 from .phase import PhaseOperator, _cyclic_phase
 
 __all__ = [
@@ -131,9 +131,9 @@ def jordan_schwinger(
     jp = _kron(osc_a.a_qdag, osc_b.a_q, "J+~")
     jm = _kron(osc_a.a_q, osc_b.a_qdag, "J-~")
     j0 = ((_kron(osc_a.N, eye) - _kron(eye, osc_b.N)) / 2.0).relabel("J0")
-    t = tol.for_dim(dim * dim)
-    checks = _ladder_checks(j0, jp, jm, t, hermitian=True)
-    require([c.residual for c in checks], t, "Jordan-Schwinger ladder relations violated: {:.3e}")
+    values = {"J0": j0, "Jp": jp, "Jm": jm, "t": tol.for_dim(dim * dim), "hermitian": True}
+    checks = require((*LADDER, "adjoint_pair"), values,
+                     "Jordan-Schwinger ladder relations violated: {:.3e}")
     return DeformedTriple(
         jp, jm, j0, {"map": "jordan_schwinger", "params": {"s": osc_a.s}}, True, checks
     )

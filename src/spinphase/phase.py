@@ -16,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import MODULI, UD, UNSHIFTED, evaluate, measure, require
+from .checks import MODULI, UD, UNSHIFTED, Scope, evaluate, require
 from .operators import DEFAULT_TOL, Operator, ParameterError, Tolerance, matrix_unit
-from .report import CheckReport
 from .su2 import Su2Rep, parse_spin
 
 __all__ = [
@@ -78,28 +77,20 @@ POLAR = ("polar_raising_left", "polar_raising_right", "polar_lowering_left", "po
 
 
 def polar_decompose(
-    rep: Su2Rep,
-    phase: PhaseOperator,
-    tol: Tolerance = DEFAULT_TOL,
-    report: CheckReport | None = None,
+    rep: Su2Rep, phase: PhaseOperator, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Operator, Operator]:
     """Factor the ladder pair as J+ = sqrt(J+J-) U = U sqrt(J-J+).
 
     Returns (sqrt(J+J-), sqrt(J-J+)) for the phase operator U = ``phase``.
-    All four reconstructions of J+ and J- are verified, and added to
-    ``report``, when given, as the checks polar_raising_left/right and
-    polar_lowering_left/right (without a report a reconstruction above
-    tolerance raises ArithmeticError); the corner element of U always
-    multiplies a zero modulus entry, so the result does not depend on theta0.
+    All four reconstructions of J+ and J- (the checks polar_raising_left/right
+    and polar_lowering_left/right) must hold, or ArithmeticError is raised;
+    the corner element of U always multiplies a zero modulus entry, so the
+    result does not depend on theta0.
     """
-    t = tol.for_dim(rep.dim)
-    values = {"U": phase.U, "J+": rep.Jp, "J-": rep.Jm, "tol": tol, "t": t}
-    mod_p = values["Mp"] = MODULI["Mp"].fn(values.__getitem__)
-    mod_m = values["Mm"] = MODULI["Mm"].fn(values.__getitem__)
-    checks = evaluate(POLAR, values, report, derived={"Ud": UD})
-    if report is None:
-        require([c.residual for c in checks], t, "polar reconstruction failed: residual {:.3e}")
-    return mod_p, mod_m
+    values = {"U": phase.U, "J+": rep.Jp, "J-": rep.Jm, "tol": tol, "t": tol.for_dim(rep.dim)}
+    scope = Scope(values, {"Ud": UD, **MODULI})
+    require(POLAR, scope, "polar reconstruction failed: residual {:.3e}")
+    return scope["Mp"], scope["Mm"]
 
 
 def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float:
@@ -108,5 +99,6 @@ def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float
     [U, J0] = -U + (2j+1) exp(i(2j+1)theta0) |-j><j| (hbar = 1), and
     [U^dag, J0] is minus its adjoint.
     """
-    values = {"U": phase.U, "Jz": rep.J0, "corner": phase.boundary}
-    return measure("phase_number_commutator", values, {"Ud": UD, "R": UNSHIFTED})
+    values = {"U": phase.U, "Jz": rep.J0, "corner": phase.boundary, "t": 0.0}  # no verdict
+    return evaluate(("phase_number_commutator",), values, derived={"Ud": UD, "R": UNSHIFTED}
+                    ).checks[0].residual

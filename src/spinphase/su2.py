@@ -25,8 +25,7 @@ from .operators import (
     Tolerance,
     from_diagonal,
 )
-from .checks import CASIMIR, evaluate, require
-from .report import CheckReport
+from .checks import CASIMIR, Scope, require
 
 __all__ = ["Su2Rep", "parse_spin", "build_su2", "casimir"]
 
@@ -112,21 +111,12 @@ def build_su2(j: float | int | str | Fraction) -> Su2Rep:
     return Su2Rep(twoj, jp, jm, from_diagonal(ms, "J0"))
 
 
-def casimir(
-    rep: Su2Rep, tol: Tolerance = DEFAULT_TOL, report: CheckReport | None = None
-) -> Operator:
-    """J-J+ + J0(J0+1); verified against the other ordering and j(j+1)*I.
-
-    The two residuals are added to ``report``, when given, as the checks
-    casimir_orderings and casimir_scalar; without a report a residual above
-    tolerance raises ArithmeticError.
-    """
-    t = tol.for_dim(rep.dim)
-    values = {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0, "t": t}
-    c_up = values["C"] = CASIMIR["C"].fn(values.__getitem__)
-    values["S"] = from_diagonal([rep.casimir_value] * rep.dim)
-    checks = evaluate(("casimir_orderings", "casimir_scalar"), values, report, derived=CASIMIR)
-    if report is None:
-        message = "casimir orderings disagree; representation is corrupt"
-        require([c.residual for c in checks], t, message)
-    return c_up.relabel("C")
+def casimir(rep: Su2Rep, tol: Tolerance = DEFAULT_TOL) -> Operator:
+    """J-J+ + J0(J0+1), held to the other ordering and j(j+1)*I (the checks
+    casimir_orderings and casimir_scalar) or an ArithmeticError."""
+    values = {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0, "t": tol.for_dim(rep.dim),
+              "S": from_diagonal([rep.casimir_value] * rep.dim)}
+    scope = Scope(values, CASIMIR)
+    require(("casimir_orderings", "casimir_scalar"), scope,
+            "casimir orderings disagree; representation is corrupt")
+    return scope["C"].relabel("C")

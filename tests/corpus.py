@@ -16,7 +16,8 @@ outputs of many formatting chunks or with values in scientific notation,
 the benchmark's sweeps, sweeps of the phase frame's fields (j, theta0, muB)
 on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
-controls, the inputs on which a builder or a check suite raises, parameters
+controls, the inputs on which a builder or a check suite raises (every
+builder gate the CLI can reach), a phase-valued q near 1, parameters
 at which a ladder or SU_q(2)'s casimir table overflows, usage errors,
 output paths that cannot be written (a missing directory, or a directory
 itself), parameters at which the hamiltonian, the corner phase or the
@@ -67,6 +68,9 @@ def corpus(tmp: str) -> list[list[str]]:
         json.dump({"f_coeff": 0.01}, fh)
     with open(left, "w", encoding="utf-8") as fh:
         json.dump({"family": "ab_map", "split": "left"}, fh)
+    f_huge = os.path.join(tmp, "f_huge.json")
+    with open(f_huge, "w", encoding="utf-8") as fh:
+        json.dump({"f_coeff": 1e150}, fh)
     misspelt, boolean = os.path.join(tmp, "misspelt.json"), os.path.join(tmp, "boolean.json")
     with open(misspelt, "w", encoding="utf-8") as fh:
         json.dump({"family": "su2", "j": "1/2", "thta0": 1}, fh)
@@ -95,6 +99,12 @@ def corpus(tmp: str) -> list[list[str]]:
         ["--family", "hermitian_f", "--j", "5", "--q", "3"],
         ["--family", "hermitian_f", "--j", "15/2", "--q", "2"],
         ["--scenario", left, "--j", "15/2", "--q", "2"],
+        # the scaled map's gate, at weights whose identities overflow
+        ["--family", "f_deform", "--j", "5/2", "--scenario", f_huge],
+        # a phase-valued q near 1, where the q-bracket tends to x
+        ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e12"],
+        ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e13"],
+        ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e300"],
         # the casimir suite at zero tolerance
         ["--family", "su2", "--j", "1", "--tol", "0"],
         # zero rates: the negative control has nothing to miss
@@ -154,6 +164,7 @@ def corpus(tmp: str) -> list[list[str]]:
         # that only q = 1 passes
         ["sweep", "--family", "f_deform", "--j", "1", "--param", "f_coeff:-1:1:5"],
         ["sweep", "--family", "hermitian_f", "--j", "1", "--param", "q_phase:3:7:5"],
+        ["sweep", "--family", "hermitian_f", "--j", "5/2", "--param", "q_phase:1e12:1e14:3"],
         ["sweep", "--family", "witten", "--j", "3/2", "--param", "r:0.5:1.5:3"],
         ["sweep", "--scenario", left, "--j", "2", "--param", "q:0.5:2.5:5"],
         # a point that runs, then two whose weights overflow

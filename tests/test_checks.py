@@ -1,7 +1,7 @@
 """The check table: every check is declared once and reached by a golden
-scenario, only the evaluator adds checks to a report, the evaluator drops a
-derived operand after the last check that reads it, and one gate raises a
-builder's violated relation."""
+scenario, only the evaluator adds checks to a report or runs a tree, the
+evaluator drops a derived operand after the last check that reads it, and one
+gate, given the names of declared checks, raises a builder's violated relation."""
 
 import collections
 import json
@@ -14,6 +14,7 @@ import pytest
 
 from spinphase import build_su2, checks, operators
 from spinphase.scenarios import resolve_scenario
+from spinphase.su2 import _place_ladders
 from spinphase.verify import run_verify
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "structure_golden.json").read_text())
@@ -51,14 +52,43 @@ def test_only_the_gate_raises_arithmetic_error():
     assert {name: n for name, n in found.items() if n} == {"checks.py": 1}
 
 
+def test_only_the_table_runs_a_tree_and_every_gate_names_its_checks():
+    # a compiled tree (``.fn``) runs only in checks.py, and every builder gate is
+    # given the names of declared checks, never residuals computed beside them
+    found = {path.name: re.findall(r"\.fn\(|require\(\s*(?:\[|\w*res)", path.read_text())
+             for path in SRC.glob("*.py") if path.name != "checks.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+@pytest.mark.parametrize("values, derived", [({"delta": 2.0}, {}),
+                                             ({}, {"delta": checks.call(float, 2.0)})])
+def test_a_child_scope_may_not_rebind_its_parents_operands(values, derived):
+    # a check reading only the parent's operands is made on the parent, where
+    # the child's own value of one would be ignored: evaluate refuses it instead
+    parent = checks.Scope({"delta": 1.0, "muB": 1.0, "t": 1e-12})
+    report = checks.evaluate(("frequency_condition",), {"Jp": None}, parent=parent)
+    assert report.checks[0].residual == 0.0 and "frequency_condition" in parent.results
+    with pytest.raises(ValueError, match=r"^\['delta'\] rebind the parent's operands$"):
+        checks.evaluate(("frequency_condition",), values, derived=derived, parent=parent)
+
+
 def test_a_nan_residual_neither_raises_nor_hides_a_violation():
-    checks.require([float("nan"), 1e-13], 1e-12, "unused")
-    # a first residual of NaN is never the largest: the next one's violation raises
+    # the residuals |delta - muB|, ||Jp |0>|| and ||Jm |0>||, with Jp and Jm
+    # each a spin-1/2 raising operator of the given step entry
+    names = ("frequency_condition", "vacuum_annihilated", "bottom_state_annihilated")
+
+    def scope(delta, up, down, t):
+        jp, jm = (_place_ladders(np.array(entry))[0] for entry in (up, down))
+        return {"delta": delta, "muB": 0.0, "Jp": jp, "Jm": jm, "t": t}
+
+    report = checks.require(names, scope(float("nan"), [1e-13], [0.0], 1e-12), "unused")
+    assert [c.name for c in report] == list(names)
+    # a first residual of NaN is never the largest: the largest violation raises, not the last
     with pytest.raises(ArithmeticError, match=r"^violated: 2\.000e-11$"):
-        checks.require([float("nan"), 2e-11, 1e-11], 1e-12, "violated: {:.3e}")
+        checks.require(names, scope(float("nan"), [2e-11], [1e-11], 1e-12), "violated: {:.3e}")
     # a batch's rows that exceed the tolerance run apart
     with pytest.raises(operators.Diverged) as info:
-        checks.require([np.array([np.nan, 0.0]), np.array([1.0, 0.0])], 0.5, "{:.3e}")
+        checks.require(names, scope(np.array([np.nan, 0.0]), [[1.0], [0.0]], [0.0], 0.5), "{:.3e}")
     assert info.value.args[0].tolist() == [True, False]
 
 

@@ -44,6 +44,19 @@ class TestVerifyExitCodes:
         assert rc == 1
         assert "negative norm" in out
 
+    @pytest.mark.parametrize("turns", ["1e12", "1e13", "1e300"])
+    def test_phase_valued_q_near_one_passes(self, capsys, turns):
+        # q = exp(2*pi*i/turns): the q-bracket is regular as arg q -> 0
+        rc = main(["verify", "--family", "hermitian_f", "--j", "5/2", "--q-phase", turns])
+        assert rc == 0
+        assert "24/24 checks passed" in capsys.readouterr().out
+
+    def test_phase_valued_q_near_minus_one_is_a_usage_error(self, capsys):
+        argv = ["verify", "--family", "hermitian_f", "--j", "5/2", "--q-phase", "2.0000000000001"]
+        rc = main(argv)
+        assert rc == 2
+        assert "singular q-bracket at q = -1" in capsys.readouterr().err
+
     def test_validation_error_bad_spin(self, capsys):
         rc = main(["verify", "--family", "su2", "--j", "0.4"])
         err = capsys.readouterr().err

@@ -66,6 +66,16 @@ class TestQNumber:
         with pytest.raises(ParameterError):
             q_number(2.0, complex(np.cos(np.pi), np.sin(np.pi)))
 
+    @pytest.mark.parametrize("turns", [1e12, 1e13, 1e300])
+    def test_phase_near_one_tends_to_x(self, turns):
+        # arg q = 2*pi/turns: the sine form is regular as arg q -> 0, as [x]_1 = x
+        assert q_number(2.5, cmath.rect(1.0, 2.0 * np.pi / turns)) == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("turns", [2.0000000000001, -2.0000000000001])
+    def test_phase_near_minus_one_singular(self, turns):
+        with pytest.raises(ParameterError, match="^singular q-bracket at q = -1$"):
+            q_number(2.5, cmath.rect(1.0, 2.0 * np.pi / turns))
+
     def test_rejects_negative_real_and_off_circle(self):
         with pytest.raises(ParameterError):
             q_number(1.0, -2.0)

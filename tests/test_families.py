@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from spinphase import (
-    CheckReport,
     Operator,
     Su2Rep,
     build_deformation,
+    build_hermitian_deformation,
     build_phase_operator,
     build_q_oscillator,
     build_scaled_deformation,
@@ -94,45 +94,22 @@ def test_two_mode_verify_computes_each_ladder_commutator_once(monkeypatch):
     assert calls == [25, 25]  # [J0, J+~] and [J0, J-~] in the builder, nowhere else
 
 
-def test_polar_decompose_adds_its_reconstructions():
-    report = CheckReport()
-    polar_decompose(build_su2("5/2"), build_phase_operator("5/2", 0.3), report=report)
-    assert [c.name for c in report] == [
-        "polar_raising_left", "polar_raising_right", "polar_lowering_left", "polar_lowering_right"
-    ]
-    assert all(c.passed and c.category == "phase" for c in report)
-
-
 def _corrupt(rep: Su2Rep) -> Su2Rep:
     """rep with J+ no longer a weighted shift (J- stays its adjoint)."""
     jp = Operator(rep.Jp.mat + 0.1 * np.eye(rep.dim))
     return Su2Rep(rep.twoj, jp, jp.adjoint(), rep.J0)
 
 
-def test_polar_decompose_records_its_failure_or_raises():
-    # given a report the failed reconstruction is a failed check; without one it raises
+def test_polar_decompose_raises_on_a_failed_reconstruction():
     rep, phase = _corrupt(build_su2("5/2")), build_phase_operator("5/2")
-    report = CheckReport()
-    polar_decompose(rep, phase, report=report)
-    assert len(report) == 4 and not report.all_pass
     with pytest.raises(ArithmeticError, match="polar reconstruction failed: residual "):
         polar_decompose(rep, phase)
 
 
-def test_casimir_adds_its_orderings_and_still_raises():
-    report = CheckReport()
-    casimir(build_su2(2), report=report)
-    assert [c.name for c in report] == ["casimir_orderings", "casimir_scalar"]
-    assert report.all_pass
-    with pytest.raises(ArithmeticError, match="casimir orderings disagree"):
+def test_casimir_raises_on_disagreeing_orderings():
+    assert casimir(build_su2(2)).label == "C"
+    with pytest.raises(ArithmeticError, match="^casimir orderings disagree; representation"):
         casimir(_corrupt(build_su2(2)))
-
-
-def test_casimir_records_its_failure_given_a_report():
-    report = CheckReport()
-    casimir(_corrupt(build_su2(2)), report=report)
-    assert [c.name for c in report] == ["casimir_orderings", "casimir_scalar"]
-    assert not report.all_pass
 
 
 def test_ladder_violation_still_raises():
@@ -179,6 +156,82 @@ def test_witten_relation_violation_still_raises(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="Witten defining relations violated"):
         build_witten(build_su2("3/2"), 1.2)
+
+
+LADDER_NAMES = ["j0_ladder_raising", "j0_ladder_lowering"]
+WITTEN_NAMES = ["witten_relation_raising", "witten_relation_pair", "witten_relation_lowering"]
+SCALED_NAMES = ["scaled_ladder", "structure_relation", *LADDER_NAMES]
+# each builder at a point where its relations hold, and the checks its triple records
+BUILDERS = {
+    "split": (lambda rep: build_split_deformation(
+        rep, discrete_antiderivative(qbracket_structure(1.3), rep.j)),
+        [*LADDER_NAMES, "adjoint_pair"]),
+    "split_left": (lambda rep: build_split_deformation(
+        rep, discrete_antiderivative(qbracket_structure(1.3), rep.j), "left"), LADDER_NAMES),
+    "hermitian": (lambda rep: build_hermitian_deformation(rep, qbracket_structure(1.3)),
+                  [*LADDER_NAMES, "adjoint_pair"]),
+    "suq2": (lambda rep: build_suq2(rep, 1.3), [*LADDER_NAMES, "adjoint_pair"]),
+    "witten": (lambda rep: build_witten(rep, 1.2), [*WITTEN_NAMES, "adjoint_pair"]),
+    "scaled": (lambda rep: build_scaled_deformation(rep, lambda c, m: 1.0 + 0.1 * m), SCALED_NAMES),
+    "scaled_constant": (lambda rep: build_scaled_deformation(rep, lambda c, m: 2.0),
+                        [*SCALED_NAMES, "adjoint_pair"]),
+    "jordan_schwinger": (lambda rep: jordan_schwinger(build_q_oscillator(3), build_q_oscillator(3)),
+                         [*LADDER_NAMES, "adjoint_pair"]),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_each_builder_records_the_checks_it_gates(builder):
+    build, names = BUILDERS[builder]
+    triple = build(build_su2("3/2"))
+    assert [c.name for c in triple.checks] == names
+    assert triple.checks.all_pass and triple.hermitian_pair == ("adjoint_pair" in names)
+
+
+LADDER_MESSAGE = r"^\[J0~, J\+-~\] = \+-J\+-~ violated: residual \d\.\d{3}e[+-]\d\d$"
+
+
+@pytest.mark.parametrize(
+    "builder, message",
+    [
+        # the ladder gate raises before the split's structure gate and SU_q(2)'s casimir gate
+        ("split", LADDER_MESSAGE),
+        ("split_left", LADDER_MESSAGE),
+        ("hermitian", LADDER_MESSAGE),
+        ("suq2", LADDER_MESSAGE),
+        ("scaled", r"^scaled-deformation identities violated: \d\.\d{3}e[+-]\d\d$"),
+        ("jordan_schwinger", r"^Jordan-Schwinger ladder relations violated: \d\.\d{3}e[+-]\d\d$"),
+        ("witten", None),  # Witten's relations are r-commutators: its gate holds
+    ],
+)
+def test_each_gate_raises_on_a_broken_commutator(monkeypatch, builder, message):
+    build, names = BUILDERS[builder]
+    original = checks.commutator  # the declared identities call it
+    monkeypatch.setattr(checks, "commutator", lambda a, b: original(a, b) + identity(a.dim))
+    if message is None:
+        assert [c.name for c in build(build_su2("3/2")).checks] == names
+        return
+    with pytest.raises(ArithmeticError, match=message) as info:
+        build(build_su2("3/2"))
+    assert type(info.value) is ArithmeticError
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: build_suq2(build_su2(5), 3.0), r"SU_q\(2\) casimir identity violated"),
+        (lambda: build_split_deformation(
+            build_su2("35/2"), discrete_antiderivative(qbracket_structure(1.3), "35/2")),
+         r"split map violates its structure relation: \d\.\d{3}e[+-]\d\d"),
+    ],
+)
+def test_a_later_gate_raises_after_the_ladder_gate(monkeypatch, build, message):
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        build()
+    original = checks.commutator  # with the ladder relations broken too, their gate is first
+    monkeypatch.setattr(checks, "commutator", lambda a, b: original(a, b) + identity(a.dim))
+    with pytest.raises(ArithmeticError, match=LADDER_MESSAGE):
+        build()
 
 
 @pytest.mark.parametrize(
