@@ -258,14 +258,20 @@ T_W = call(_larger, t, 64.0 * float(np.finfo(float).eps) * dim * (
 
 class Scope(dict):
     """Operands by name: ``values``, each ``derived`` tree computed on first read,
-    then the ``parent``'s; a parent keeps in ``results`` the checks made on it."""
+    then the ``parent``'s, which they may not rebind (ValueError: the parent's
+    would win); ``results`` keeps the checks made on it, from ``made`` on."""
 
     __slots__ = ("derived", "parent", "results", "_known")
 
-    def __init__(self, values: dict, derived: dict = {}, parent: Scope | None = None) -> None:
+    def __init__(self, values: dict, derived: dict = {}, parent: Scope | None = None,
+                 made: Iterable[CheckResult] = ()) -> None:
         super().__init__(parent or ())  # what the parent has read and computed so far
         self.update(values)
-        self.derived, self.parent, self.results, self._known = derived, parent, {}, None
+        self.derived, self.parent, self._known = derived, parent, None
+        self.results = {c.name: c for c in made}
+        known = parent.known() if parent is not None else ()
+        if known and not (known.isdisjoint(values) and known.isdisjoint(derived)):
+            raise ValueError(f"{sorted(known & {*values, *derived})} rebind the parent's operands")
 
     def known(self) -> frozenset:  # the names it binds or derives
         self._known = self._known or frozenset(self).union(self.derived)
@@ -292,23 +298,18 @@ def _schedule(names: tuple[str, ...], derived: tuple[str, ...], known: frozenset
             for i, (c, read) in enumerate(zip(checks, reads))]
 
 
-def evaluate(names: tuple[str, ...], values: dict, *, derived: dict = {},
-             parent: Scope | None = None, details: dict | None = None,
-             given: Iterable[CheckResult] = ()) -> CheckReport:
-    """A report of the checks called ``names``, in order: as ``given`` holds one
-    (a builder's), else evaluated on ``values``, ``derived`` and ``parent``'s
-    operands with the detail ``details`` may map its name to.  One reading
-    only the parent's operands is made once per parent, which values and
-    derived may not rebind (ValueError)."""
+def evaluate(names: tuple[str, ...], scope: dict, *, details: dict | None = None) -> CheckReport:
+    """A report of the checks called ``names``, in order, on ``scope`` (a
+    ``Scope``, or a plain dict of values), with the detail ``details`` may map
+    a name to.  A check already in the results of the scope it runs on is
+    reported as made; one reading only the parent's operands runs on the
+    parent, so once per parent."""
     report = CheckReport()
-    scope = Scope(values, derived, parent) if derived or parent else values  # never popped
-    get, made = scope.__getitem__, {c.name: c for c in given} if given else {}
-    known = None if parent is None else parent.known()
-    if known and not (known.isdisjoint(values) and known.isdisjoint(derived)):  # else shadowed
-        raise ValueError(f"{sorted(known & {*values, *derived})} rebind the parent's operands")
-    for check, on_parent, done in _schedule(names, tuple(derived), known):
-        name, lookup = check.name, parent.__getitem__ if on_parent else get
-        kept = made.get(name) or on_parent and parent.results.get(name)
+    scope = scope if isinstance(scope, Scope) else Scope(scope)
+    known = None if scope.parent is None else scope.parent.known()
+    for check, on_parent, done in _schedule(names, tuple(scope.derived), known):
+        name, at = check.name, scope.parent if on_parent else scope
+        kept, lookup = at.results.get(name), at.__getitem__
         if kept:
             report.checks.append(kept)
         elif not check.when or lookup(check.when):
@@ -318,9 +319,8 @@ def evaluate(names: tuple[str, ...], values: dict, *, derived: dict = {},
             except check.fails_on as exc:
                 res, detail = float("inf"), str(exc)
             detail = detail if isinstance(detail, str) else detail(lookup)
-            kept = report.add(name, res, lookup(check.tol), detail, check.category, check.mode)
-            if on_parent:
-                parent.results[name] = kept
+            kept = at.results[name] = report.add(name, res, lookup(check.tol), detail,
+                                                 check.category, check.mode)
         for n in done:
             scope.pop(n, None)
     return report

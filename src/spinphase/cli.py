@@ -31,7 +31,7 @@ from . import __version__
 from .operators import AlgebraError, ParameterError
 from .report import CheckReport
 from .families import FAMILY_TABLE
-from .scenarios import FAMILIES, Scenario, build_bundle, resolve_scenario
+from .scenarios import FAMILIES, FamilyBundle, Scenario, build_bundle, resolve_scenario
 from .serialize import (
     dumps,
     format_float,
@@ -167,18 +167,25 @@ def _report_payload(sc: Scenario, report: CheckReport) -> dict:
     }
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _built(args: argparse.Namespace) -> FamilyBundle | None:
+    """The built scenario of ``args``; None, once printed, for an AlgebraError of
+    the build that is no ParameterError (the caller exits 1, not 2)."""
     sc = resolve_scenario(_scenario_values(args), _default_tol())
     try:
-        bundle = build_bundle(sc)
+        return build_bundle(sc)
     except ParameterError:
         raise
     except AlgebraError as exc:
-        print(f"spinphase build: {exc}", file=sys.stderr)
+        print(f"spinphase {args.command}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
+    if (bundle := _built(args)) is None:
         return 1
     payload = {
         "version": __version__,
-        "scenario": sc.to_jsonable(),
+        "scenario": bundle.scenario.to_jsonable(),
         "metadata": bundle.metadata,
         "provenance": bundle.provenance,
         "operators": {name: operator_to_jsonable(op) for name, op in bundle.operators.items()},
@@ -220,16 +227,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise ParameterError(f"--elements expects 'row,col', got {spec!r}") from exc
             elements.append((row, col))
-    sc = resolve_scenario(_scenario_values(args), _default_tol())
-    try:
-        bundle = build_bundle(sc)
-    except ParameterError:
-        raise
-    except AlgebraError as exc:
-        print(f"spinphase evolve: {exc}", file=sys.stderr)
+    if (bundle := _built(args)) is None:
         return 1
     t_grid = np.linspace(0.0, args.t_max, args.steps)
-    traj = trajectory(bundle.evolve_target, bundle.hamiltonian, t_grid, elements)
+    traj = trajectory(bundle.operands["Jp"], bundle.hamiltonian, t_grid, elements)
     _write_text(args.out, trajectory_csv_lines(traj.times, traj.element_tracks))
     return 0
 
@@ -338,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         path = getattr(args, "out", None) or getattr(args, "report", None)
         if path and not os.path.exists(os.path.dirname(path) or "."):  # before any work
             raise ParameterError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ParameterError(f"cannot write {path}: {os.strerror(errno.ENOTDIR)}")
         if path and os.path.isdir(path):
             raise ParameterError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         return handlers[args.command](args)

@@ -194,7 +194,7 @@ class DeformedTriple:
     Jp: Operator
     Jm: Operator
     J0: Operator
-    provenance: dict
+    provenance: dict | None  # None: su2's undeformed triple
     hermitian_pair: bool
     checks: CheckReport = field(default_factory=CheckReport)
 

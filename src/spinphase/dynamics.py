@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checks import MODULI, MOTION, UD, UNSHIFTED, Jm, Jp, Scope, U, evaluate
+from .checks import MODULI, MOTION, UD, UNSHIFTED, Jm, Jp, Scope, U, call, evaluate, operands
 from .operators import (
     DEFAULT_TOL,
     NotDiagonalError,
@@ -208,19 +208,27 @@ SPIN_DERIVATION = (
 )
 # the weights a spin ladder reads: J+~ = U G and J-~ = K U^dag
 SPIN_WEIGHTS = {"G": UD @ Jp, "K": Jm @ U}
+# U's equation of motion, R = [U, J0], the polar moduli, and the corner term
+# and I, made on a frame's first check: a build or an evolve forms none of them
+_phase, _rep = operands("phase rep")
+_FRAME_DERIVED = {
+    **MOTION, "R": UNSHIFTED, **MODULI, "corner": call(lambda phase: phase.boundary, _phase),
+    "I": call(lambda rep: identity(rep.dim), _rep),
+}
 
 
 def spin_motion(rep: Su2Rep, phase: PhaseOperator, h: Hamiltonian, tol: Tolerance) -> Scope:
-    """The operands of a spin scenario's checks that no ladder enters: the su2
-    ladder (J+, J-, Jz), U and the moduli of its polar decomposition, and U's
-    equation of motion under the dipole H with the corner
-    (2j+1) e^{i(2j+1)theta0} |-j><j|, derived operands computed on first use."""
-    rate = float(h.params["muB"])
+    """The operands of a spin scenario's checks that no ladder enters: the
+    representation ``rep`` and its su2 ladder (J+, J-, Jz), U and the moduli of
+    its polar decomposition, and U's equation of motion under the dipole
+    ``hamiltonian`` H with the corner (2j+1) e^{i(2j+1)theta0} |-j><j|, derived
+    operands computed on first use."""
     values = {
-        "U": phase.U, "corner": phase.boundary, "H": h.op, "rate": rate, "I": identity(rep.dim),
-        "J+": rep.Jp, "J-": rep.Jm, "Jz": rep.J0, "tol": tol, "t": tol.for_dim(rep.dim),
+        "U": phase.U, "phase": phase, "H": h.op, "rate": float(h.params["muB"]), "J+": rep.Jp,
+        "J-": rep.Jm, "Jz": rep.J0, "tol": tol, "t": tol.for_dim(rep.dim), "rep": rep,
+        "hamiltonian": h,
     }
-    return Scope(values, {**MOTION, "R": UNSHIFTED, **MODULI})
+    return Scope(values, _FRAME_DERIVED)
 
 
 def derive_ladder_dynamics_from_phase(
@@ -256,4 +264,4 @@ def derive_ladder_dynamics_from_phase(
     if jp_t.dim != dim or phase.dim != dim:
         raise ShapeError("triple or phase dimension does not match the representation")
     motion = spin_motion(rep, phase, h, tol)
-    return evaluate(SPIN_DERIVATION, {"Jp": jp_t, "Jm": jm_t}, derived=SPIN_WEIGHTS, parent=motion)
+    return evaluate(SPIN_DERIVATION, Scope({"Jp": jp_t, "Jm": jm_t}, SPIN_WEIGHTS, motion))

@@ -11,9 +11,10 @@ made); ``build`` and ``evolve`` form none of the derived ones, and
 
 Every deformed ladder factors as J+~ = U G with only the diagonal weight G
 depending on the deformation, so a spin scenario is built on a *phase
-frame* (``spin_frame``) that reads only (j, theta0, muB, tol), whose
-operands (``dynamics.spin_motion``) carry every check no ladder enters,
-evaluated once per frame.  A sweep's points on one frame run as a batch: q,
+frame* (``spin_frame``) that reads only (j, theta0, muB, tol): the parent
+``checks.Scope`` of its scenarios' checks, whose operands
+(``dynamics.spin_motion``) carry every check no ladder enters, evaluated
+once per frame.  A sweep's points on one frame run as a batch: q,
 q_phase, r or f_coeff is a list, the weights and every operator reading
 them hold a row per point, and each residual is a row of dense norms.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -52,11 +52,11 @@ from .dynamics import (
     spin_motion,
     two_mode_hamiltonian,
 )
-from .operators import Operator, Tolerance, from_diagonal, identity, per_point, psd_sqrt, _kron
+from .operators import Operator, Tolerance, from_diagonal, identity, per_point, _kron
 from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
-from .phase import POLAR, PhaseOperator, build_phase_operator
+from .phase import POLAR, build_phase_operator
 from .report import CheckReport
-from .su2 import Su2Rep, _place_ladders, build_su2
+from .su2 import _place_ladders, build_su2
 
 if TYPE_CHECKING:
     from .scenarios import Scenario
@@ -65,34 +65,17 @@ __all__ = [
     "FAMILY_TABLE",
     "Family",
     "FamilyBundle",
-    "SpinFrame",
     "spin_frame",
     "structure_function_for",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SpinFrame:
-    """What a spin scenario shares with every deformation at the same (j,
-    theta0, muB, tol): the representation, the phase operator, the dipole
-    Hamiltonian and, made on first use, the checks' operands no ladder enters.
-    Its operators are immutable, so one frame serves any number of scenarios."""
-
-    rep: Su2Rep
-    phase: PhaseOperator
-    hamiltonian: Hamiltonian
-    tol: Tolerance
-
-    @cached_property
-    def motion(self) -> Scope:
-        """The operands and checks no ladder enters (``dynamics.spin_motion``)."""
-        return spin_motion(self.rep, self.phase, self.hamiltonian, self.tol)
-
-
-def spin_frame(j: Fraction, theta0: float, muB: float, tol: Tolerance) -> SpinFrame:
-    """The phase frame of every spin scenario at (j, theta0, muB, tol)."""
+def spin_frame(j: Fraction, theta0: float, muB: float, tol: Tolerance) -> Scope:
+    """The phase frame of every spin scenario at (j, theta0, muB, tol): the scope
+    of ``dynamics.spin_motion``, binding ``rep`` and ``hamiltonian`` too.  Its
+    operators are immutable, so one frame serves any number of scenarios."""
     rep = build_su2(j)
-    return SpinFrame(
+    return spin_motion(
         rep, build_phase_operator(rep.j, theta0), dipole_hamiltonian(rep.J0, muB), tol
     )
 
@@ -100,17 +83,16 @@ def spin_frame(j: Fraction, theta0: float, muB: float, tol: Tolerance) -> SpinFr
 @dataclass(frozen=True)
 class FamilyBundle:
     """Everything the CLI commands need about a constructed scenario, and what
-    its checks read: their ``operands`` by name, a spin family's phase
-    ``frame`` and the checks its builder made (``given``)."""
+    its checks read: their ``operands`` by name (``evolve`` samples ``Jp``), a
+    spin family's phase ``frame`` and the checks its builder made (``given``)."""
 
     scenario: Scenario
     operators: dict
     provenance: dict | None
     metadata: dict
     hamiltonian: Hamiltonian
-    evolve_target: Operator
     operands: dict
-    frame: SpinFrame | None = None
+    frame: Scope | None = None
     given: CheckReport | tuple = ()
 
 
@@ -121,7 +103,7 @@ class Family(NamedTuple):
     and the details that replace a declared check's."""
 
     params: tuple[str, ...]
-    build: Callable[[Scenario, SpinFrame | None], FamilyBundle]
+    build: Callable[[Scenario, Scope | None], FamilyBundle]
     names: tuple[str, ...]
     derived: dict
     details: dict | None = None
@@ -138,90 +120,80 @@ def structure_function_for(sc: Scenario):
 # --- builds ---------------------------------------------------------------
 
 
-def _spin_bundle(
-    sc: Scenario, frame: SpinFrame, triple: DeformedTriple, ops: dict, provenance: dict | None,
-    **extra,
-) -> FamilyBundle:
+def _spin_bundle(sc: Scenario, frame: Scope, triple: DeformedTriple, ops: dict | None = None,
+                 **extra) -> FamilyBundle:
+    """The bundle writing out ``ops`` (J+~, J-~ and J0~ as Jp, Jm and J0 by
+    default) with the triple's provenance, none for su2's undeformed triple."""
     meta = {"basis": "ascending_m", "j": str(sc.j), "theta0": sc.theta0}
+    prov = triple.provenance and triple.provenance | {"hermitian_pair": triple.hermitian_pair}
     values = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "lam": -1j * sc.muB,
-              "hermitian": triple.hermitian_pair, "rep": frame.rep, "triple": triple,
-              "q": sc.q, **extra}
-    return FamilyBundle(sc, ops, provenance, meta, frame.hamiltonian, triple.Jp, values, frame,
-                        triple.checks)
+              "hermitian": triple.hermitian_pair, "triple": triple, "q": sc.q, **extra}
+    return FamilyBundle(sc, ops or {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}, prov,
+                        meta, frame["hamiltonian"], values, frame, triple.checks)
 
 
-def _deformed_bundle(
-    sc: Scenario, frame: SpinFrame, triple: DeformedTriple, **extra
-) -> FamilyBundle:
-    ops = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}
-    prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
-    return _spin_bundle(sc, frame, triple, ops, prov, **extra)
+def _build_su2(sc: Scenario, frame: Scope) -> FamilyBundle:
+    rep = frame["rep"]
+    return _spin_bundle(sc, frame, DeformedTriple(rep.Jp, rep.Jm, rep.J0, None, True))
 
 
-def _build_su2(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
-    rep = frame.rep
-    undeformed = DeformedTriple(rep.Jp, rep.Jm, rep.J0, {"map": "su2", "params": {}}, True)
-    return _spin_bundle(sc, frame, undeformed, {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0}, None)
+def _build_suq2(sc: Scenario, frame: Scope) -> FamilyBundle:
+    triple = build_suq2(frame["rep"], sc.q, sc.tol)
+    return _spin_bundle(sc, frame, triple, f=structure_function_for(sc))
 
 
-def _build_suq2(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
-    triple = build_suq2(frame.rep, sc.q, sc.tol)
-    return _deformed_bundle(sc, frame, triple, f=structure_function_for(sc))
+def _build_witten(sc: Scenario, frame: Scope) -> FamilyBundle:
+    triple = build_witten(frame["rep"], sc.r, sc.tol)
+    return _spin_bundle(sc, frame, triple, {"W0": triple.J0, "Wp": triple.Jp, "Wm": triple.Jm})
 
 
-def _build_witten(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
-    triple = build_witten(frame.rep, sc.r, sc.tol)
-    ops = {"W0": triple.J0, "Wp": triple.Jp, "Wm": triple.Jm}
-    return _spin_bundle(sc, frame, triple, ops, triple.provenance | {"hermitian_pair": True})
-
-
-def _build_ab_map(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
+def _build_ab_map(sc: Scenario, frame: Scope) -> FamilyBundle:
     f = structure_function_for(sc)
     g = per_point(lambda fn: discrete_antiderivative(fn, sc.j), f)
-    triple = build_split_deformation(frame.rep, g, sc.split, tol=sc.tol)
-    return _deformed_bundle(sc, frame, triple, f=f, g=g, split=sc.split)
+    triple = build_split_deformation(frame["rep"], g, sc.split, tol=sc.tol)
+    return _spin_bundle(sc, frame, triple, f=f, g=g, split=sc.split)
 
 
-def _build_f_deform(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
+def _build_f_deform(sc: Scenario, frame: Scope) -> FamilyBundle:
     weight = per_point(lambda coeff: lambda c, m: 1.0 + coeff * m, sc.f_coeff)
-    triple = build_scaled_deformation(frame.rep, weight, sc.tol)
-    return _deformed_bundle(sc, frame, triple)
+    triple = build_scaled_deformation(frame["rep"], weight, sc.tol)
+    return _spin_bundle(sc, frame, triple)
 
 
-def _build_hermitian_f(sc: Scenario, frame: SpinFrame) -> FamilyBundle:
+def _build_hermitian_f(sc: Scenario, frame: Scope) -> FamilyBundle:
     f = structure_function_for(sc)
-    return _deformed_bundle(sc, frame, build_hermitian_deformation(frame.rep, f, sc.tol), f=f)
+    return _spin_bundle(sc, frame, build_hermitian_deformation(frame["rep"], f, sc.tol), f=f)
 
 
 def _oscillator_bundle(sc: Scenario, osc, a: Operator, adag: Operator, ops: dict,
-                       **meta) -> FamilyBundle:
+                       levels, **meta) -> FamilyBundle:
     meta = {"basis": "fock_ascending", "s": sc.s, "phi0": sc.phi0, **meta}
     ham = number_hamiltonian(osc.N, sc.omega)
     values = {
         "U": osc.U.U, "I": identity(osc.s + 1), "corner": osc.U.boundary, "Jp": a, "Jm": adag,
-        "J0": osc.N, "L": ONE, "tol": sc.tol, "radicands": getattr(osc, "radicands", None),
+        "J0": osc.N, "L": ONE, "radicands": levels,
         "H": ham.op, "lam": -1j * sc.omega, "rate": sc.omega, "hermitian": True,
         "t": sc.tol.for_dim(osc.s + 1),
     }
-    return FamilyBundle(sc, ops, None, meta, ham, a, values)
+    return FamilyBundle(sc, ops, None, meta, ham, values)
 
 
-def _build_oscillator(sc: Scenario, frame: SpinFrame | None) -> FamilyBundle:
+def _build_oscillator(sc: Scenario, frame: Scope | None) -> FamilyBundle:
     osc = build_finite_oscillator(sc.s, sc.phi0, sc.tol)
     ops = {"N": osc.N, "a": osc.a, "adag": osc.adag, "U": osc.U.U}
-    return _oscillator_bundle(sc, osc, osc.a, osc.adag, ops)
+    return _oscillator_bundle(sc, osc, osc.a, osc.adag, ops, osc.N.diagonal().real)
 
 
-def _build_q_oscillator(sc: Scenario, frame: SpinFrame | None) -> FamilyBundle:
+def _build_q_oscillator(sc: Scenario, frame: Scope | None) -> FamilyBundle:
     qosc = build_q_oscillator(sc.s, sc.phi0, sc.tol)
     ops = {"a_q": qosc.a_q, "a_qdag": qosc.a_qdag, "Nprime": qosc.Nprime, "U": qosc.U.U}
     return _oscillator_bundle(
-        sc, qosc, qosc.a_q, qosc.a_qdag, ops,
+        sc, qosc, qosc.a_q, qosc.a_qdag, ops, qosc.radicands,
         n0=qosc.n0, q_arg=qosc.q_arg, radicands=list(qosc.radicands),
     )
 
 
-def _build_jordan_schwinger(sc: Scenario, frame: SpinFrame | None) -> FamilyBundle:
+def _build_jordan_schwinger(sc: Scenario, frame: Scope | None) -> FamilyBundle:
     mode = build_q_oscillator(sc.s, sc.phi0, sc.tol)  # modes A and B are alike
     triple = jordan_schwinger(mode, mode, sc.tol)
     ham = two_mode_hamiltonian(sc.s, sc.omega1, sc.omega2)
@@ -240,7 +212,7 @@ def _build_jordan_schwinger(sc: Scenario, frame: SpinFrame | None) -> FamilyBund
         "radicands": mode.radicands, "t": sc.tol.for_dim(triple.dim),
     }
     # the builder's ladder relations and adjoint pair are reported as made
-    return FamilyBundle(sc, ops, prov, meta, ham, triple.Jp, values, None, triple.checks)
+    return FamilyBundle(sc, ops, prov, meta, ham, values, None, triple.checks)
 
 
 # --- the checks each family reports ---------------------------------------
@@ -256,7 +228,7 @@ def _spin(*names: str) -> tuple[str, ...]:
             *_EIGEN)
 
 
-_rep, _f, _g, _q, _tol = operands("rep f g q tol")
+_rep, _f, _g, _q = operands("rep f g q")
 # what a spin family's checks may derive (its bound operands take precedence),
 # no name a frame check reads: the weights G and K, su2's structure and
 # casimir, and for the q-bracket families, with f = [2x]_q bound by the build,
@@ -346,7 +318,7 @@ FAMILY_TABLE = {
                           _QBRACKET_DERIVED),
     "oscillator": Family(("s", "phi0", "omega"), _build_oscillator, _oscillator(
         "polar_product", "number_ladder_commutator", "adjoint_pair"),
-        {**MOTION, "G": call(lambda n, tol: psd_sqrt(n, tol), J0, _tol)}, _OSCILLATOR_DETAILS,
+        {**MOTION, "G": _ROOT}, _OSCILLATOR_DETAILS,
     ),
     "q_oscillator": Family(("s", "phi0", "omega"), _build_q_oscillator, _oscillator(
         "radicand_positivity", "polar_product", "adjoint_pair", "number_ladder_commutator"),

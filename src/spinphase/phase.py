@@ -89,8 +89,9 @@ def polar_decompose(
     """
     values = {"U": phase.U, "J+": rep.Jp, "J-": rep.Jm, "tol": tol, "t": tol.for_dim(rep.dim)}
     scope = Scope(values, {"Ud": UD, **MODULI})
+    moduli = scope["Mp"], scope["Mm"]  # the gate drops them after their last check
     require(POLAR, scope, "polar reconstruction failed: residual {:.3e}")
-    return scope["Mp"], scope["Mm"]
+    return moduli
 
 
 def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float:
@@ -100,5 +101,5 @@ def phase_number_commutator_residual(rep: Su2Rep, phase: PhaseOperator) -> float
     [U^dag, J0] is minus its adjoint.
     """
     values = {"U": phase.U, "Jz": rep.J0, "corner": phase.boundary, "t": 0.0}  # no verdict
-    return evaluate(("phase_number_commutator",), values, derived={"Ud": UD, "R": UNSHIFTED}
-                    ).checks[0].residual
+    scope = Scope(values, {"Ud": UD, "R": UNSHIFTED})
+    return evaluate(("phase_number_commutator",), scope).checks[0].residual

@@ -23,7 +23,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Any
 
-from .families import FAMILY_TABLE, FamilyBundle, SpinFrame, spin_frame
+from .checks import Scope
+from .families import FAMILY_TABLE, FamilyBundle, spin_frame
 from .operators import ParameterError, Tolerance
 from .su2 import parse_spin
 
@@ -170,7 +171,7 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
     )
 
 
-def build_bundle(sc: Scenario, frame: SpinFrame | None = None) -> FamilyBundle:
+def build_bundle(sc: Scenario, frame: Scope | None = None) -> FamilyBundle:
     """Construct the family's operators; algebraic failures propagate.
 
     A spin family is built on ``frame``, which must be the phase frame of

@@ -117,6 +117,7 @@ def casimir(rep: Su2Rep, tol: Tolerance = DEFAULT_TOL) -> Operator:
     values = {"Jp": rep.Jp, "Jm": rep.Jm, "J0": rep.J0, "t": tol.for_dim(rep.dim),
               "S": from_diagonal([rep.casimir_value] * rep.dim)}
     scope = Scope(values, CASIMIR)
+    c = scope["C"]  # the gate drops it after its last check
     require(("casimir_orderings", "casimir_scalar"), scope,
             "casimir orderings disagree; representation is corrupt")
-    return scope["C"].relabel("C")
+    return c.relabel("C")

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from .checks import evaluate
-from .families import FAMILY_TABLE, SpinFrame, spin_frame
+from .checks import Scope, evaluate
+from .families import FAMILY_TABLE, spin_frame
 from .operators import AlgebraError, Diverged, NegativeNormError, SplitError
 from .report import CheckReport
 from .scenarios import FamilyBundle, Scenario, build_bundle
@@ -40,13 +40,13 @@ _BATCHED = ("q", "q_phase", "r", "f_coeff")
 def collect_checks(bundle: FamilyBundle) -> CheckReport:
     """Run the family's checks on an already-built bundle, its phase frame's
     once per frame."""
-    family, frame = FAMILY_TABLE[bundle.scenario.family], bundle.frame
-    return evaluate(family.names, bundle.operands, derived=family.derived,
-                    parent=frame and frame.motion, details=family.details, given=bundle.given)
+    family = FAMILY_TABLE[bundle.scenario.family]
+    scope = Scope(bundle.operands, family.derived, bundle.frame, bundle.given)
+    return evaluate(family.names, scope, details=family.details)
 
 
 def run_verify(
-    sc: Scenario, frame: SpinFrame | None = None
+    sc: Scenario, frame: Scope | None = None
 ) -> tuple[CheckReport, FamilyBundle | None]:
     """Build the scenario (a spin one on ``frame``; see build_bundle) and run
     its checks.

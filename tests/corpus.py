@@ -18,12 +18,14 @@ on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
 controls, the inputs on which a builder or a check suite raises (every
 builder gate the CLI can reach), a phase-valued q near 1, parameters
-at which a ladder or SU_q(2)'s casimir table overflows, usage errors,
-output paths that cannot be written (a missing directory, or a directory
-itself), parameters at which the hamiltonian, the corner phase or the
+at which a ladder or SU_q(2)'s casimir table overflows, usage errors (one
+under an environment variable), output paths that cannot be written (a
+missing directory, a directory itself, a path under a file, or a file name
+too long), parameters at which the hamiltonian, the corner phase or the
 scaled tolerance overflows, and spins or s whose dimension no float holds.
 Temporary paths print as ``$TMP``: in the argv, the outcome and the stderr
-line alike.
+line alike.  Leading ``NAME=value`` words of an argv set environment
+variables for that request only.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 from spinphase.cli import main
 
@@ -76,7 +80,15 @@ def corpus(tmp: str) -> list[list[str]]:
         json.dump({"family": "su2", "j": "1/2", "thta0": 1}, fh)
     with open(boolean, "w", encoding="utf-8") as fh:
         json.dump({"family": "oscillator", "s": True}, fh)
+    split, not_object = os.path.join(tmp, "split.json"), os.path.join(tmp, "list.json")
+    with open(split, "w", encoding="utf-8") as fh:
+        json.dump({"family": "ab_map", "j": "1", "q": 1.3, "split": "diagonal"}, fh)
+    with open(not_object, "w", encoding="utf-8") as fh:
+        json.dump([1, 2], fh)
     unwritable = os.path.join(tmp, "missing", "x.json")
+    under_file = os.path.join(tmp, "afile", "x.json")
+    with open(os.path.join(tmp, "afile"), "w", encoding="utf-8"):
+        pass
     report = os.path.join(tmp, "report.json")
 
     scenarios = spin_scenarios(f_deform)
@@ -186,6 +198,19 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--family", "hermitian_f", "--j", "1", "--q-phase", "3", "--param", "q:1.1:2:3"],
         ["verify", "--scenario", misspelt],
         ["verify", "--scenario", boolean],
+        ["verify", "--family", "su2"],
+        ["verify", "--family", "oscillator"],
+        ["verify", "--family", "oscillator", "--s", "0"],
+        ["verify", "--family", "hermitian_f", "--j", "1", "--q-phase", "2"],
+        ["verify", "--scenario", split],
+        ["verify", "--scenario", not_object],
+        ["SPINPHASE_TOL=-1", "verify", "--family", "su2", "--j", "1"],
+        ["sweep", "--family", "su2", "--param", "j:1:2:2", "--param", "muB:1:2:2",
+         "--param", "theta0:0:1:2"],
+        ["sweep", "--family", "suq2", "--j", "1", "--param", "q:1:2"],
+        ["sweep", "--family", "suq2", "--j", "1", "--param", "q:a:2:3"],
+        ["sweep", "--family", "suq2", "--j", "1", "--param", "q:1:2:1"],
+        ["sweep", "--family", "oscillator", "--param", "s:1:2:3"],
         # output paths that cannot be written
         ["verify", "--family", "su2", "--j", "1", "--report", unwritable],
         ["build", "--family", "su2", "--j", "1", "--out", unwritable],
@@ -195,6 +220,9 @@ def corpus(tmp: str) -> list[list[str]]:
         # an existing directory as the output path
         ["verify", "--family", "su2", "--j", "1", "--report", tmp],
         ["sweep", "--family", "su2", "--j", "1", "--param", "muB:0:1:2", "--out", tmp],
+        # a path under a regular file, and a file name too long to create
+        ["build", "--family", "su2", "--j", "1", "--out", under_file],
+        ["build", "--family", "su2", "--j", "1", "--out", os.path.join(tmp, "a" * 300 + ".json")],
     ]
 
     argvs += [
@@ -226,14 +254,20 @@ def corpus(tmp: str) -> list[list[str]]:
     return argvs
 
 
+def _is_assignment(word: str) -> bool:
+    return "=" in word and word.split("=", 1)[0].isupper()
+
+
 def run(argv: list[str], report: str) -> tuple[str, str]:
     """(outcome, sha256 over stdout, the last stderr line and the report)."""
     if os.path.exists(report):
         os.remove(report)
+    assignments = list(itertools.takewhile(_is_assignment, argv))
+    env = mock.patch.dict(os.environ, [word.split("=", 1) for word in assignments])
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), env:
         try:
-            outcome = f"exit={main(argv)}"
+            outcome = f"exit={main(argv[len(assignments):])}"
         except Exception as exc:  # the outcome is recorded, not handled
             outcome = f"raise={type(exc).__name__}: {exc}"
         except SystemExit as exc:

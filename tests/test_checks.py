@@ -64,12 +64,12 @@ def test_only_the_table_runs_a_tree_and_every_gate_names_its_checks():
                                              ({}, {"delta": checks.call(float, 2.0)})])
 def test_a_child_scope_may_not_rebind_its_parents_operands(values, derived):
     # a check reading only the parent's operands is made on the parent, where
-    # the child's own value of one would be ignored: evaluate refuses it instead
+    # the child's own value of one would be ignored: the child scope refuses it instead
     parent = checks.Scope({"delta": 1.0, "muB": 1.0, "t": 1e-12})
-    report = checks.evaluate(("frequency_condition",), {"Jp": None}, parent=parent)
+    report = checks.evaluate(("frequency_condition",), checks.Scope({"Jp": None}, parent=parent))
     assert report.checks[0].residual == 0.0 and "frequency_condition" in parent.results
     with pytest.raises(ValueError, match=r"^\['delta'\] rebind the parent's operands$"):
-        checks.evaluate(("frequency_condition",), values, derived=derived, parent=parent)
+        checks.Scope(values, derived, parent)
 
 
 def test_a_nan_residual_neither_raises_nor_hides_a_violation():
@@ -107,7 +107,7 @@ def test_a_derived_operand_is_dropped_after_its_last_check():
     values = {"Cd": rep.Jp @ rep.Jm + rep.J0 @ rep.J0 - rep.J0, "Jp": rep.Jp, "t": 1e-12,
               "hermitian": True}
     derived = {"C": checks.call(casimir), "Jm": checks.call(lowering)}
-    report = checks.evaluate(("casimir_orderings", "adjoint_pair"), values, derived=derived)
+    report = checks.evaluate(("casimir_orderings", "adjoint_pair"), checks.Scope(values, derived))
     assert report.all_pass and alive == [False]
 
 
@@ -115,7 +115,8 @@ def test_given_checks_are_reported_as_made_and_when_gates_a_check():
     rep = build_su2("3/2")
     values = {"J0": rep.J0, "Jp": rep.Jp, "Jm": rep.Jm, "t": 1e-12, "hermitian": False}
     made = checks.evaluate(("j0_ladder_raising",), values)
-    report = checks.evaluate(("j0_ladder_raising", "adjoint_pair"), values, given=made)
+    report = checks.evaluate(("j0_ladder_raising", "adjoint_pair"),
+                             checks.Scope(values, made=made))
     assert report.checks == made.checks and report.checks[0] is made.checks[0]
     report = checks.evaluate(("adjoint_pair",), {**values, "hermitian": True})
     assert [c.name for c in report] == ["adjoint_pair"] and report.all_pass

@@ -880,6 +880,33 @@ _OUTPUT_FLAGS = [
 ]
 
 
+# usage errors, each with the one stderr line it prints: ``{tmp}`` is the
+# test's temporary directory, holding split.json ({"family": "ab_map", ...,
+# "split": "diagonal"}) and list.json ([1, 2])
+_USAGE_ERRORS = [
+    (["verify", "--family", "su2"], "family su2 requires --j"),
+    (["verify", "--family", "oscillator"], "family oscillator requires --s"),
+    (["verify", "--family", "oscillator", "--s", "0"], "s must be >= 1, got 0"),
+    (["verify", "--family", "hermitian_f", "--j", "1", "--q-phase", "2"],
+     "--q-phase is the root order p in q = exp(i*2*pi/p); need p > 2, got 2.0"),
+    (["verify", "--scenario", "{tmp}/split.json"],
+     "split must be 'left' or 'symmetric', got 'diagonal'"),
+    (["verify", "--scenario", "{tmp}/list.json"], "scenario file must hold a JSON object"),
+    (["sweep", "--family", "su2", "--param", "j:1:2:2", "--param", "muB:1:2:2",
+      "--param", "theta0:0:1:2"], "at most two swept parameters are supported"),
+    (["sweep", "--family", "suq2", "--j", "1", "--param", "q:1:2"],
+     "--param expects name:start:stop:count, got 'q:1:2'"),
+    (["sweep", "--family", "suq2", "--j", "1", "--param", "q:a:2:3"],
+     "bad sweep grid in 'q:a:2:3'"),
+    (["sweep", "--family", "suq2", "--j", "1", "--param", "q:1:2:1"],
+     "sweep count must be >= 2, got 1"),
+    (["sweep", "--family", "oscillator", "--param", "s:1:2:3"],
+     "swept s values must be positive integers, got 1.5"),
+    (["build", "--family", "su2", "--j", "1", "--out", "{tmp}/" + "a" * 300 + ".json"],
+     "cannot write {tmp}/" + "a" * 300 + ".json: File name too long"),
+]
+
+
 class TestRejectedInput:
     @staticmethod
     def _assert_usage_error(rc, captured, command):
@@ -1010,6 +1037,34 @@ class TestRejectedInput:
         self._assert_refused_before_any_work(
             capsys, monkeypatch, argv, str(tmp_path), "Is a directory"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message", _USAGE_ERRORS,
+        ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else None,
+    )
+    def test_usage_error_message(self, tmp_path, capsys, argv, message):
+        (tmp_path / "split.json").write_text(
+            '{"family": "ab_map", "j": "1", "q": 1.3, "split": "diagonal"}')
+        (tmp_path / "list.json").write_text("[1, 2]")
+        rc = main([arg.format(tmp=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, argv[0])
+        assert captured.err == f"spinphase {argv[0]}: {message.format(tmp=tmp_path)}\n"
+
+    def test_negative_tol_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPINPHASE_TOL", "-1")
+        rc = main(["verify", "--family", "su2", "--j", "1"])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, "verify")
+        assert captured.err == "spinphase verify: SPINPHASE_TOL must be nonnegative, got -1.0\n"
+
+    @pytest.mark.parametrize("argv", _OUTPUT_FLAGS, ids=lambda argv: argv[0])
+    def test_output_under_a_file_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        (tmp_path / "afile").write_text("")
+        path = str(tmp_path / "afile" / "x.json")
+        self._assert_refused_before_any_work(capsys, monkeypatch, argv, path, "Not a directory")
 
     @pytest.mark.parametrize(
         "flags, message",

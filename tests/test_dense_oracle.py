@@ -40,7 +40,7 @@ def _run(values):
         bundle = build_bundle(sc)
     except ArithmeticError as exc:  # a builder's relation check, on either core
         return type(exc), str(exc)
-    ops = {**bundle.operators, "H": bundle.hamiltonian.op, "target": bundle.evolve_target}
+    ops = {**bundle.operators, "H": bundle.hamiltonian.op, "target": bundle.operands["Jp"]}
     report = collect_checks(bundle)
     checks = [(c.name, c.residual.hex(), c.tol.hex(), c.passed) for c in report]
     return ops, checks

@@ -262,7 +262,7 @@ class TestTrajectory:
     )
     def test_samples_equal_evolve_bit_for_bit(self, values):
         bundle = build_bundle(resolve_scenario(values))
-        o, h = bundle.evolve_target, bundle.hamiltonian
+        o, h = bundle.operands["Jp"], bundle.hamiltonian
         grid = [0.0, 1e-300, 0.1, 1.0, np.pi, 17.25, 1e6, 1e300]
         elements = list(zip(*np.nonzero(o.mat))) + [(0, 0), (o.dim - 1, 0)]
         traj = trajectory(o, h, grid, elements)
@@ -277,7 +277,7 @@ class TestTrajectory:
     def test_memory_scales_with_output_not_dimension(self):
         # dim 961: a steps x dim phase array would take about 300 MB
         bundle = build_bundle(resolve_scenario({"family": "jordan_schwinger", "s": 30}))
-        o, h = bundle.evolve_target, bundle.hamiltonian
+        o, h = bundle.operands["Jp"], bundle.hamiltonian
         element = tuple(int(i) for i in np.argwhere(o.mat)[0])
         grid = np.linspace(0.0, 10.0, 20000)
         tracemalloc.start()
