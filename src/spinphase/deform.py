@@ -31,6 +31,7 @@ import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -54,7 +55,6 @@ from .su2 import Su2Rep, _place_ladders, parse_spin
 
 __all__ = [
     "StructureFunction",
-    "GridFunction",
     "DeformedTriple",
     "q_number",
     "linear_structure",
@@ -135,55 +135,17 @@ def _grid(twoj: int) -> list[float]:
     return [lo + k for k in range(twoj + 2)]
 
 
-def _grid_index(x: float, twoj: int) -> int | None:
-    """The index of x on the grid {-j-1, ..., j}, or None when x is off it."""
-    if not np.isfinite(x):
-        return None
-    key = round(2.0 * x)
-    idx = (key + twoj + 2) // 2
-    on_grid = abs(key - 2.0 * x) <= 1e-9 and (key + twoj) % 2 == 0 and 0 <= idx < twoj + 2
-    return idx if on_grid else None
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """g on the half-integer grid {-j-1, ..., j} with g(x) - g(x-1) = f(x).
-
-    The difference equation leaves one constant free; the split map reads
-    it back as g(-j-1) (see ``build_split_deformation``).
-    """
-
-    twoj: int
-    values: tuple[float, ...]
-
-
-def discrete_antiderivative(
-    f: StructureFunction,
-    j: float | int | str | Fraction,
-    anchor_value: float = 0.0,
-    anchor_point: float | None = None,
-) -> GridFunction:
-    """Solve g(x) - g(x-1) = f(x) on {-j-1, ..., j} by recursion.
-
-    The anchor defaults to g(-j-1) = anchor_value, the lowest-weight
-    consistency point; any other grid point may anchor instead.
-    """
-    twoj = int(parse_spin(j) * 2)
-    xs = _grid(twoj)
-    a_idx = 0 if anchor_point is None else _grid_index(float(anchor_point), twoj)
-    if a_idx is None:
-        raise ParameterError(f"anchor point {anchor_point} is off the grid")
+def discrete_antiderivative(f: StructureFunction, j: float | int | str | Fraction) -> np.ndarray:
+    """g on the grid x = -j-1, ..., j with g(x) - g(x-1) = f(x) and g(-j-1) = 0, as a
+    read-only array: the running sum of f's steps, left to right."""
+    xs = _grid(int(parse_spin(j) * 2))
     steps = [f(x) for x in xs[1:]]
     bad = [x for x, v in zip(xs[1:], steps) if not np.isfinite(v)]
     if bad:
         raise ParameterError(f"structure function is not finite at x={bad[0]}")
-    vals = [0.0] * len(xs)
-    vals[a_idx] = float(anchor_value)
-    for k in range(a_idx + 1, len(xs)):
-        vals[k] = vals[k - 1] + steps[k - 1]
-    for k in range(a_idx - 1, -1, -1):
-        vals[k] = vals[k + 1] - steps[k]
-    return GridFunction(twoj, tuple(vals))
+    g = np.array([*accumulate(steps, initial=0.0)])
+    g.flags.writeable = False
+    return g
 
 
 @dataclass(frozen=True)
@@ -209,10 +171,10 @@ class DeformedTriple:
 
 
 LADDER = ("j0_ladder_raising", "j0_ladder_lowering")
-# a q-casimir with g on the grid {-j-1, ..., j} (``gv``): J-~ J+~ + g(J0) = J+~ J-~ + g(J0 - 1)
+# a q-casimir with g on the grid {-j-1, ..., j}: J-~ J+~ + g(J0) = J+~ J-~ + g(J0 - 1)
 QCASIMIR = {
-    "C": Jm @ Jp + call(lambda gv: from_diagonal(gv[..., 1:]), *operands("gv")),
-    "Cd": Jp @ Jm + call(lambda gv: from_diagonal(gv[..., :-1]), *operands("gv")),
+    "C": Jm @ Jp + call(lambda g: from_diagonal(g[..., 1:]), *operands("g")),
+    "Cd": Jp @ Jm + call(lambda g: from_diagonal(g[..., :-1]), *operands("g")),
 }
 
 
@@ -267,14 +229,16 @@ def build_deformation(
 
 
 def build_split_deformation(
-    rep: Su2Rep, g: GridFunction, split: str = "symmetric", tol: Tolerance = DEFAULT_TOL
+    rep: Su2Rep, g: np.ndarray, split: str = "symmetric", tol: Tolerance = DEFAULT_TOL
 ) -> DeformedTriple:
     """Deform via one-sided diagonal weights: J+~ = J+ A(J0), J-~ = B(J0) J-.
 
-    The product A*B is pinned by g through
+    g holds its values on x = -j-1, ..., j (``discrete_antiderivative``), a
+    row per point in a batch, and pins the product A*B through
     A(m)B(m) = (p - g(m)) / (C - m(m+1)) on the raising support m < j, where
-    [J+~, J-~] = f(J0) at m = -j forces p = g(-j-1), so g may be anchored
-    anywhere.  The split chooses how to distribute the product:
+    [J+~, J-~] = f(J0) at m = -j forces p = g(-j-1), so only g's differences
+    matter: g + c gives the same map.  The split chooses how to distribute
+    the product:
 
     - "left": A carries the whole product, B = 1 (breaks hermitian pairing);
     - "symmetric": A = B = sqrt(A*B), requiring the product nonnegative.
@@ -283,10 +247,12 @@ def build_split_deformation(
     """
     if split not in ("left", "symmetric"):
         raise ParameterError(f"unknown split {split!r}")
+    if (n := np.shape(g)[-1]) != rep.dim + 1:
+        raise ShapeError(f"g has {n} values, a spin-{rep.j} split map reads {rep.dim + 1}")
+    g = np.asarray(g)
     support = rep.m_values()[:-1]
     t = tol.for_dim(rep.dim)
-    values = np.asarray(per_point(lambda gf: gf.values, g))
-    ab = (values[..., :1] - values[..., 1:-1]) / (rep.casimir_value - support * (support + 1.0))
+    ab = (g[..., :1] - g[..., 1:-1]) / (rep.casimir_value - support * (support + 1.0))
     if split == "left":
         a, b = ab, np.ones_like(ab)
     else:
@@ -302,7 +268,7 @@ def build_split_deformation(
     provenance = {"map": "ab_map", "params": {"split": split}}
     triple = build_deformation(rep, su2 * a, su2 * b, provenance=provenance, tol=tol)
     # [J+~, J-~] = f(J0) with f recovered from g's shifts
-    values = {"B": triple.bracket, "F": from_diagonal(np.diff(values)), "t": t}
+    values = {"B": triple.bracket, "F": from_diagonal(np.diff(g)), "t": t}
     require(("structure_relation",), values, "split map violates its structure relation: {:.3e}")
     return triple
 
@@ -364,7 +330,7 @@ def build_suq2(rep: Su2Rep, q: float, tol: Tolerance = DEFAULT_TOL) -> DeformedT
     if _holds(~np.isfinite(g).all(-1)):
         raise ParameterError(f"q={q} overflows SU_q(2)'s casimir at j={rep.j}")
     # the casimir in both orderings with g(x) = [x]_q [x+1]_q, and j(j+1)_q
-    values = {"Jp": triple.Jp, "Jm": triple.Jm, "gv": g, "t": tol.for_dim(rep.dim),
+    values = {"Jp": triple.Jp, "Jm": triple.Jm, "g": g, "t": tol.for_dim(rep.dim),
               "S": from_diagonal(g[..., -1:].repeat(rep.dim, axis=-1))}
     require(("casimir_orderings", "casimir_scalar"), Scope(values, QCASIMIR),
             "SU_q(2) casimir identity violated")
@@ -429,18 +395,19 @@ def build_scaled_deformation(
 ) -> DeformedTriple:
     """Deform all three generators by one diagonal factor: X~ = X w(C, J0).
 
-    ``weight`` takes (casimir eigenvalue, m) and must not vanish for m in
-    {-j-1, ..., j+1}, since the verified algebra involves ratios of its
-    shifts.  Both commutation identities of the scaled algebra are asserted,
-    as is the reduction [J0, J+-~] = +-J+-~ against the *undeformed* J0.
+    ``weight`` takes (casimir eigenvalue, m) and must be finite and not
+    vanish for m in {-j-1, ..., j+1}, since the verified algebra involves
+    ratios of its shifts (else ParameterError).  Both commutation identities
+    of the scaled algebra are asserted, as is the reduction
+    [J0, J+-~] = +-J+-~ against the *undeformed* J0.
     """
     dim, jv, c_val = rep.dim, float(rep.j), rep.casimir_value
     w = np.array(per_point(lambda fn: [float(fn(c_val, -jv + k)) for k in range(-1, dim + 1)],
                            weight))
-    vanishing = np.abs(w) <= tol.for_dim(dim)
-    if _holds(vanishing.any(axis=-1)):
-        m = -jv + np.flatnonzero(vanishing)[0] - 1.0
-        raise ParameterError(f"singular F: weight vanishes at m={m}")
+    for bad, message in ((~np.isfinite(w), "the scaled map's weight is not finite"),
+                         (np.abs(w) <= tol.for_dim(dim), "singular F: weight vanishes")):
+        if _holds(bad.any(axis=-1)):
+            raise ParameterError(f"{message} at m={-jv + np.flatnonzero(bad)[0] - 1.0}")
 
     def w_at(shift: int) -> np.ndarray:
         """w(J0 + shift) on the diagonal of J0; w[k] is w(C, m) at m = -j-1+k."""

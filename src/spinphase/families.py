@@ -149,7 +149,7 @@ def _build_witten(sc: Scenario, frame: Scope) -> FamilyBundle:
 
 def _build_ab_map(sc: Scenario, frame: Scope) -> FamilyBundle:
     f = structure_function_for(sc)
-    g = per_point(lambda fn: discrete_antiderivative(fn, sc.j), f)
+    g = np.asarray(per_point(lambda fn: discrete_antiderivative(fn, sc.j), f))
     triple = build_split_deformation(frame["rep"], g, sc.split, tol=sc.tol)
     return _spin_bundle(sc, frame, triple, f=f, g=g, split=sc.split)
 
@@ -228,7 +228,7 @@ def _spin(*names: str) -> tuple[str, ...]:
             *_EIGEN)
 
 
-_rep, _f, _g, _q = operands("rep f g q")
+_rep, _f, _q = operands("rep f q")
 # what a spin family's checks may derive (its bound operands take precedence),
 # no name a frame check reads: the weights G and K, su2's structure and
 # casimir, and for the q-bracket families, with f = [2x]_q bound by the build,
@@ -243,8 +243,8 @@ _QBRACKET_DERIVED = {
     "B": call(lambda triple: triple.bracket, *operands("triple")),
     "F": call(lambda f, rep: from_diagonal(
         per_point(lambda fn: [fn(float(m)) for m in rep.m_values()], f)), _f, _rep),
-    "g": call(lambda f, rep: per_point(lambda fn: discrete_antiderivative(fn, rep.j), f), _f, _rep),
-    "gv": call(lambda g: np.asarray(per_point(lambda gf: gf.values, g)), _g),  # on {-j-1, ..., j}
+    "g": call(lambda f, rep: np.asarray(
+        per_point(lambda fn: discrete_antiderivative(fn, rep.j), f)), _f, _rep),
     **QCASIMIR,
     "other": call(lambda split: "left" if split == "symmetric" else "symmetric",
                   *operands("split")),

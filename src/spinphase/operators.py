@@ -153,8 +153,9 @@ def _starts(dim: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
 class Operator:
     """A dim x dim complex operator with an optional label; ``Operator(mat)``
     copies a square matrix.  Operators and their read-only ``mat`` are
-    immutable (assigning an attribute raises ``AttributeError``), so they can
-    be shared freely between threads."""
+    immutable (assigning an attribute raises ``AttributeError``), so one phase
+    frame's operators, with their cached ``mat`` and facts, serve every
+    scenario and batch on that frame."""
 
     __slots__ = ("dim", "label", "_offsets", "_data", "_dense", "_facts")
     __array_ufunc__ = None  # an array times an operator is the operator's __rmul__

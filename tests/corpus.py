@@ -18,11 +18,12 @@ on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
 controls, the inputs on which a builder or a check suite raises (every
 builder gate the CLI can reach), a phase-valued q near 1, parameters
-at which a ladder or SU_q(2)'s casimir table overflows, usage errors (one
-under an environment variable), output paths that cannot be written (a
-missing directory, a directory itself, a path under a file, or a file name
-too long), parameters at which the hamiltonian, the corner phase or the
-scaled tolerance overflows, and spins or s whose dimension no float holds.
+at which a ladder, SU_q(2)'s casimir table or the scaled map's weight
+overflows, usage errors (one under an environment variable), output paths
+that cannot be written (a missing directory, a directory itself, a path
+under a file, or a file name too long), parameters at which the
+hamiltonian, the corner phase or the scaled tolerance overflows, and spins
+or s whose dimension no float holds.
 Temporary paths print as ``$TMP``: in the argv, the outcome and the stderr
 line alike.  Leading ``NAME=value`` words of an argv set environment
 variables for that request only.
@@ -75,6 +76,9 @@ def corpus(tmp: str) -> list[list[str]]:
     f_huge = os.path.join(tmp, "f_huge.json")
     with open(f_huge, "w", encoding="utf-8") as fh:
         json.dump({"f_coeff": 1e150}, fh)
+    f_inf = os.path.join(tmp, "f_inf.json")
+    with open(f_inf, "w", encoding="utf-8") as fh:
+        json.dump({"f_coeff": 1e308}, fh)
     misspelt, boolean = os.path.join(tmp, "misspelt.json"), os.path.join(tmp, "boolean.json")
     with open(misspelt, "w", encoding="utf-8") as fh:
         json.dump({"family": "su2", "j": "1/2", "thta0": 1}, fh)
@@ -111,8 +115,10 @@ def corpus(tmp: str) -> list[list[str]]:
         ["--family", "hermitian_f", "--j", "5", "--q", "3"],
         ["--family", "hermitian_f", "--j", "15/2", "--q", "2"],
         ["--scenario", left, "--j", "15/2", "--q", "2"],
-        # the scaled map's gate, at weights whose identities overflow
+        # the scaled map's gate, at weights whose identities overflow, and
+        # weights w = 1 + f_coeff*m that are themselves not finite
         ["--family", "f_deform", "--j", "5/2", "--scenario", f_huge],
+        ["--family", "f_deform", "--j", "5/2", "--scenario", f_inf],
         # a phase-valued q near 1, where the q-bracket tends to x
         ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e12"],
         ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e13"],
@@ -138,6 +144,12 @@ def corpus(tmp: str) -> list[list[str]]:
     ]
     argvs += [["verify", *sc, "--report", report] for sc in verify_only]
     argvs.append(["build", "--family", "suq2", "--j", "1/2", "--q", "1e300"])
+    argvs += [
+        ["build", "--family", "f_deform", "--j", "5/2", "--scenario", f_inf],
+        ["evolve", "--family", "f_deform", "--j", "5/2", "--scenario", f_inf,
+         "--t-max", "2.5", "--steps", "20"],
+        ["sweep", "--family", "f_deform", "--j", "5/2", "--param", "f_coeff:0.01:1e308:2"],
+    ]
 
     # the benchmark's slowest request, dim 961 (its build JSON would be ~100 MB)
     two_mode = ["--family", "jordan_schwinger", "--s", "30", "--phi0", "0.7"]

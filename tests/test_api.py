@@ -8,7 +8,7 @@ import spinphase
 
 API = [
     "AlgebraError", "BadSpinError", "CheckReport", "CheckResult", "DEFAULT_TOL",
-    "DeformedTriple", "FiniteOscillator", "GridFunction", "Hamiltonian", "NegativeNormError",
+    "DeformedTriple", "FiniteOscillator", "Hamiltonian", "NegativeNormError",
     "NotDiagonalError", "NotPSDError", "Operator", "ParameterError", "PhaseOperator",
     "QOscillator", "ShapeError", "SplitError", "StructureFunction", "Su2Rep", "Tolerance",
     "Trajectory", "build_deformation", "build_finite_oscillator",

@@ -503,10 +503,12 @@ class TestSweepRowsAreVerifies:
             ({"family": "suq2", "j": "3/2"}, ["q:1.3:1e300:3"]),
             # a row that runs, then two whose casimir table overflows
             ({"family": "suq2", "j": "1/2"}, ["q:1.3:1e300:3"]),
+            # a row that runs, then one whose scaled weight is not finite
+            ({"family": "f_deform", "j": "5/2"}, ["f_coeff:0.01:1e308:2"]),
         ],
         ids=[
             "f_deform-singular", "hermitian_f-negative-norm", "witten-r-1", "ab_map-left",
-            "witten-overflow", "suq2-overflow", "suq2-casimir-overflow",
+            "witten-overflow", "suq2-overflow", "suq2-casimir-overflow", "f_deform-non-finite",
         ],
     )
     def test_edge_grid_row_is_the_verify_of_its_point(self, capsys, tmp_path, base, grids):
@@ -538,6 +540,14 @@ class TestSweepRowsAreVerifies:
         assert errors == [
             f"q={q} overflows SU_q(2)'s casimir at j=1/2" for q in ("1e+299", "5.5e+299", "1e+300")
         ]
+
+    def test_non_finite_weight_points_are_error_rows(self, capsys):
+        rc = main(["sweep", "--family", "f_deform", "--j", "5/2",
+                   "--param", "f_coeff:0.01:1e308:2"])
+        captured = capsys.readouterr()
+        errors = [row.rsplit(",", 1)[1] for row in captured.out.splitlines()[1:]]
+        assert rc == 1 and captured.err == ""
+        assert errors == ["", "the scaled map's weight is not finite at m=-3.5"]
 
     def test_raising_point_ends_the_sweep_as_before(self, capsys):
         # q > ~2.58 at j = 5 violates the SU_q(2) casimir identity inside the builder
@@ -1089,6 +1099,20 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         self._assert_usage_error(rc, captured, command)
         assert captured.err == f"spinphase {command}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["build", "verify", "evolve"])
+    def test_non_finite_scaled_weight(self, tmp_path, capsys, command):
+        # w = 1 + f_coeff*m is +-inf at |m| >= 2 for j = 5/2: no NaN output, no numpy warning
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"f_coeff": 1e308}')
+        extra = ["--t-max", "1", "--steps", "3"] if command == "evolve" else []
+        rc = main([command, "--family", "f_deform", "--j", "5/2", "--scenario", str(scenario),
+                   *extra])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err == (
+            f"spinphase {command}: the scaled map's weight is not finite at m=-3.5\n"
+        )
 
     def test_non_finite_tol_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINPHASE_TOL", "inf")

@@ -1,6 +1,7 @@
 """Deformation maps: q-numbers, the g-solution, and every builder's algebra."""
 
 import cmath
+import itertools
 import re
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from spinphase import (
     NegativeNormError,
     Operator,
     ParameterError,
+    ShapeError,
     SplitError,
     StructureFunction,
     Tolerance,
@@ -95,13 +97,14 @@ class TestQNumber:
 
 class TestDiscreteAntiderivative:
     def test_linear_anchored_at_zero(self):
-        g = discrete_antiderivative(linear_structure(), 1, anchor_value=0.0, anchor_point=0.0)
-        for x, gx in zip((-2.0, -1.0, 0.0, 1.0), g.values):
+        g = discrete_antiderivative(linear_structure(), 1)
+        g = g - g[2]  # g(0) = 0
+        for x, gx in zip((-2.0, -1.0, 0.0, 1.0), g):
             assert gx == pytest.approx(x * (x + 1.0), abs=1e-14)
 
     def test_default_anchor_is_lowest_point(self):
         g = discrete_antiderivative(linear_structure(), Fraction(3, 2))
-        assert g.values[0] == 0.0  # g(-5/2)
+        assert g[0] == 0.0  # g(-5/2)
 
     def test_qbracket_matches_product_form(self):
         q = 1.3
@@ -111,30 +114,38 @@ class TestDiscreteAntiderivative:
         def oracle(x):
             return q_number(x, q) * q_number(x + 1.0, q)
 
-        # equal up to the anchor constant; g.values runs over x = -3, ..., 2
-        offset = g.values[3] - oracle(0.0)
-        for x, gx in zip((-3.0, -2.0, -1.0, 0.0, 1.0, 2.0), g.values):
+        # equal up to the anchor constant; g runs over x = -3, ..., 2
+        offset = g[3] - oracle(0.0)
+        for x, gx in zip((-3.0, -2.0, -1.0, 0.0, 1.0, 2.0), g):
             assert gx - oracle(x) == pytest.approx(offset, abs=1e-11)
 
     def test_zero_function_constant(self):
-        g = discrete_antiderivative(StructureFunction(lambda x: 0.0), 1, anchor_value=4.0)
-        assert all(v == 4.0 for v in g.values)
+        g = discrete_antiderivative(StructureFunction(lambda x: 0.0), 1) + 4.0
+        assert all(v == 4.0 for v in g)
 
     @pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(1), Fraction(5, 2)])
     def test_shift_relation_exact(self, j):
         f = qbracket_structure(1.7)
         g = discrete_antiderivative(f, j)
-        xs = [-float(j) + k for k in range(len(g.values) - 1)]  # x = -j, ..., j
-        assert max(abs(b - a - f(x)) for x, a, b in zip(xs, g.values, g.values[1:])) < 1e-13
+        xs = [-float(j) + k for k in range(len(g) - 1)]  # x = -j, ..., j
+        assert max(abs(b - a - f(x)) for x, a, b in zip(xs, g, g[1:])) < 1e-13
 
-    def test_off_grid_lookup_rejected(self):
-        with pytest.raises(ParameterError, match="off the grid"):
-            discrete_antiderivative(linear_structure(), 1, anchor_point=0.5)
-
-    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
-    def test_non_finite_point_is_off_the_grid(self, x):
-        with pytest.raises(ParameterError, match="off the grid"):
-            discrete_antiderivative(linear_structure(), 1, anchor_point=x)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        j=st.sampled_from([Fraction(1, 2), Fraction(5, 2), Fraction(25, 2), Fraction(50)]),
+        q=st.one_of(
+            st.floats(min_value=1e-3, max_value=1e3, exclude_min=True, exclude_max=True),
+            st.floats(min_value=1e-3, max_value=3.0).map(lambda a: cmath.rect(1.0, a)),
+        ),
+    )
+    def test_running_sum_of_the_steps(self, j, q):
+        # bit for bit the left-to-right sum g(x) = g(x-1) + f(x) from g(-j-1) = 0
+        f = qbracket_structure(q)
+        g = discrete_antiderivative(f, j)
+        steps = [f(-float(j) + k) for k in range(int(2 * j) + 1)]  # x = -j, ..., j
+        want = np.array(list(itertools.accumulate(steps, initial=0.0)))
+        assert g.dtype == np.float64 and not g.flags.writeable
+        assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
 
     def test_non_finite_structure_function_rejected(self):
         blows_up = StructureFunction(lambda x: 1.0 / x if x != 0 else float("inf"))
@@ -162,7 +173,8 @@ class TestSplitDeformation:
     def test_identity_deformation(self):
         # f(x) = 2x with g = x(x+1) and constant p = C gives A = B = 1
         rep = build_su2(1)
-        g = discrete_antiderivative(linear_structure(), 1, anchor_value=0.0, anchor_point=0.0)
+        g = discrete_antiderivative(linear_structure(), 1)
+        g = g - g[2]  # g(0) = 0
         triple = build_split_deformation(rep, g, "symmetric")
         assert residual(triple.Jp, rep.Jp) < 1e-14
         assert residual(triple.Jm, rep.Jm) < 1e-14
@@ -221,17 +233,25 @@ class TestSplitDeformation:
         )
 
     @pytest.mark.parametrize("split", ["left", "symmetric"])
-    def test_any_anchor_gives_the_same_split(self, split):
-        # p = g(-j-1) moves with the anchor constant, so A*B does not change
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    def test_any_anchor_gives_the_same_split(self, split, c):
+        # p = g(-j-1) moves with the constant added to g, so A*B does not change
         rep = build_su2(2)
-        f = qbracket_structure(1.3)
-        default = build_split_deformation(rep, discrete_antiderivative(f, 2), split)
-        anchored = build_split_deformation(
-            rep, discrete_antiderivative(f, 2, anchor_point=0.0), split
-        )
+        g = discrete_antiderivative(qbracket_structure(1.3), 2)
+        default = build_split_deformation(rep, g, split)
+        anchored = build_split_deformation(rep, g + c, split)
         t = TOL.for_dim(rep.dim)
         assert residual(anchored.Jp, default.Jp) < t
         assert residual(anchored.Jm, default.Jm) < t
+
+    @pytest.mark.parametrize("j_g, n", [(2, 6), (Fraction(1, 2), 3)])
+    def test_g_of_another_spin_rejected(self, j_g, n):
+        # a spin-1 map reads g on x = -2, ..., 1: four values
+        g = discrete_antiderivative(qbracket_structure(1.3), j_g)
+        for wrong in (g, np.stack([g, g])):  # a lone g, and a batch of rows
+            with pytest.raises(ShapeError, match=f"^g has {n} values, a spin-1 split map reads 4$"):
+                build_split_deformation(build_su2(1), wrong)
 
     def test_unknown_split_rejected(self):
         rep = build_su2(1)
@@ -414,6 +434,26 @@ class TestScaledDeformation:
         with pytest.raises(ParameterError):
             build_scaled_deformation(rep, lambda c, m: 1.0 + m)
 
+    @pytest.mark.parametrize(
+        "weight, m",
+        [
+            (lambda c, m: 1.0 + 1e308 * m, "-3.5"),  # -inf from m = -2 down, +inf from m = 2
+            (lambda c, m: 1.0 + float("nan") * m, "-3.5"),
+            (lambda c, m: float("inf") if m == 2.5 else 1.0, "2.5"),
+        ],
+    )
+    def test_non_finite_weight_rejected(self, weight, m):
+        # j = 5/2 reads w on m = -7/2, ..., 7/2
+        message = f"^the scaled map's weight is not finite at m={m}$"
+        with pytest.raises(ParameterError, match=message):
+            build_scaled_deformation(build_su2("5/2"), weight)
+
+    def test_non_finite_weight_of_a_batch_runs_apart(self):
+        weights = [lambda c, m, k=k: 1.0 + k * m for k in (0.01, 1e308, 0.02)]
+        with pytest.raises(Diverged) as info:
+            build_scaled_deformation(build_su2("5/2"), weights)
+        assert info.value.args[0].tolist() == [False, True, False]
+
     def test_generic_weight_breaks_adjoint_pairing(self):
         rep = build_su2(1)
         triple = build_scaled_deformation(rep, lambda c, m: 1.0 + 0.1 * m)
@@ -426,19 +466,19 @@ class TestDeformedCasimir:
 
     @staticmethod
     def _orderings(triple, g):
-        up = triple.Jm @ triple.Jp + from_diagonal(g.values[1:])
-        return up, triple.Jp @ triple.Jm + from_diagonal(g.values[:-1])
+        up = triple.Jm @ triple.Jp + from_diagonal(g[1:])
+        return up, triple.Jp @ triple.Jm + from_diagonal(g[:-1])
 
     def test_undeformed_with_classical_g(self):
-        g = discrete_antiderivative(
-            linear_structure(), "3/2", anchor_value=0.75, anchor_point=0.5
-        )  # g(1/2) = 3/4 puts g(x) = x(x+1) on the half-integer grid
+        g = discrete_antiderivative(linear_structure(), "3/2")
+        g = g + (0.75 - g[3])  # g(1/2) = 3/4 puts g(x) = x(x+1) on the half-integer grid
         c, _ = self._orderings(build_suq2(build_su2("3/2"), 1.0), g)
         assert np.allclose(c.mat, (1.5 * 2.5) * np.eye(4), atol=1e-13)  # j(j+1)*I
 
     def test_suq2_casimir_scalar_and_central(self):
         q = 1.3
-        g = discrete_antiderivative(qbracket_structure(q), 1, anchor_value=0.0, anchor_point=0.0)
+        g = discrete_antiderivative(qbracket_structure(q), 1)
+        g = g - g[2]  # g(0) = 0
         triple = build_suq2(build_su2(1), q)
         c, _ = self._orderings(triple, g)
         assert np.allclose(c.mat, q_number(1.0, q) * q_number(2.0, q) * np.eye(3), atol=1e-13)
@@ -549,8 +589,8 @@ def _ref_split(j, g, split):
     c_val = float(Fraction(j)) * (float(Fraction(j)) + 1.0)
     ab = {}
     for m in [float(m) for m in ms[:-1]]:
-        g_m = g.values[round(m + float(Fraction(j))) + 1]  # values[k] is g(-j-1+k)
-        ab[round(2 * m)] = (g.values[0] - g_m) / (c_val - m * (m + 1.0))
+        g_m = g[round(m + float(Fraction(j))) + 1]  # g[k] is g(-j-1+k)
+        ab[round(2 * m)] = (g[0] - g_m) / (c_val - m * (m + 1.0))
     if split == "left":
         a_weight, b_weight = ab, {k: 1.0 for k in ab}
     else:
