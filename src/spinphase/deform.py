@@ -221,11 +221,16 @@ def build_deformation(
     raising, steps = np.asarray(raising, dtype=np.complex128), rep.dim - 1  # a row per point
     if raising.shape[-1] != steps or (lowering is not None and np.shape(lowering)[-1] != steps):
         raise ShapeError(f"a spin-{rep.j} ladder has {rep.dim - 1} steps")
+    _require_finite(rep, provenance["map"], raising, lowering)
+    return _build(rep, raising, lowering, provenance=provenance, tol=tol)
+
+
+def _require_finite(rep: Su2Rep, name: str, raising: np.ndarray, lowering=None) -> None:
+    """ParameterError at the first ladder step m -> m+1 whose entry is not finite."""
     bad = ~np.isfinite(raising) | ~np.isfinite(raising if lowering is None else lowering)
     if _holds(bad.any(axis=-1)):
         m = rep.m_values()[np.flatnonzero(bad)[0]]
-        raise ParameterError(f"the {provenance['map']} ladder is not finite at m={m:g} -> m+1")
-    return _build(rep, raising, lowering, provenance=provenance, tol=tol)
+        raise ParameterError(f"the {name} ladder is not finite at m={m:g} -> m+1")
 
 
 def build_split_deformation(
@@ -397,7 +402,8 @@ def build_scaled_deformation(
 
     ``weight`` takes (casimir eigenvalue, m) and must be finite and not
     vanish for m in {-j-1, ..., j+1}, since the verified algebra involves
-    ratios of its shifts (else ParameterError).  Both commutation identities
+    ratios of its shifts (else ParameterError); so must the ladder entries
+    and J0~'s, the su2 entries and m times w.  Both commutation identities
     of the scaled algebra are asserted, as is the reduction
     [J0, J+-~] = +-J+-~ against the *undeformed* J0.
     """
@@ -422,8 +428,14 @@ def build_scaled_deformation(
         "D1": from_diagonal(1.0 - w_at(1) / w_at(-1)),
     }
     su2 = rep.ladder_entries()
-    return _build(rep, su2 * w_at(0)[..., :-1], su2 * w_at(0)[..., 1:],
-                  from_diagonal(rep.m_values() * w_at(0), "J0~"), operands=operands,
+    with np.errstate(over="ignore"):  # an entry that overflows is refused below
+        raising, lowering = su2 * w_at(0)[..., :-1], su2 * w_at(0)[..., 1:]
+        j0 = rep.m_values() * w_at(0)
+    _require_finite(rep, "f_deform", raising, lowering)
+    if _holds(np.isinf(j0).any(axis=-1)):  # a finite w times m: never NaN
+        m = rep.m_values()[np.isinf(j0)][0]
+        raise ParameterError(f"the f_deform J0~ is not finite at m={m:g}")
+    return _build(rep, raising, lowering, from_diagonal(j0, "J0~"), operands=operands,
                   provenance={"map": "f_deform", "params": {}}, tol=tol,
                   names=("scaled_ladder", "scaled_structure", *LADDER),
                   message="scaled-deformation identities violated: {:.3e}")

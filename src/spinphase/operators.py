@@ -16,11 +16,13 @@ for ``@``, commutators, the Heisenberg derivative and ``apply``): each entry
 is then the one rounded product BLAS gives, with zeros made +0.0.  numpy's
 complex multiply may fuse where BLAS does not, and 0 * inf is NaN only in
 the dense sum, so any other product materializes both operands and calls
-BLAS.  Norms stay dense: ``Operator.norm`` (and so ``residual``)
-materializes the operator for ``np.linalg.norm``, whose summation order sets
-the last bits of every printed residual.  The one exception is an operator
-stored as diagonals whose entries and fill are all zero: its norm is 0.0,
-the dense norm of signed zeros, without the matrix.
+BLAS.  Norms stay dense: ``Operator.norm`` (and so ``residual``) hands
+``np.linalg.norm`` the dense matrix, whose summation order sets the last
+bits of every printed residual.  An operator stored as diagonals is laid out
+for it in one zeroed buffer per thread, grown to the largest dim * dim (a
+batch's rows times that) and never shrunk, whose written entries go back to
++0.0 after the norm; an operator whose entries and fill are all zero has
+norm 0.0, the dense norm of signed zeros, without the buffer.
 
 That summation order is fixed only at a fixed BLAS thread count: above 10000
 entries (dim >= 101) OpenBLAS splits the norm's ``ddot`` across its threads,
@@ -36,6 +38,7 @@ goes to BLAS: rows whose facts or branches differ run apart (``Diverged``).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
@@ -250,15 +253,14 @@ class Operator:
         """Frobenius norm (a batch's: each row's dense norm).  A row of zero entries
         and fill has norm 0.0 without its dense matrix, the dense norm of signed zeros."""
         data = self._data
-        if self._offsets is not None and data.ndim > 1:
+        if self._offsets is None:
+            return float(np.linalg.norm(self._dense))
+        if data.ndim > 1:
             rows, norms = data.any(axis=-1), np.zeros(len(data))  # NaN is nonzero
             if rows.any():
-                dense = _dense_matrix(self.dim, self._offsets, data[rows])
-                norms[rows] = [*map(np.linalg.norm, dense)]
+                norms[rows] = _dense_norms(self.dim, self._offsets, data[rows])
             return norms
-        if self._offsets is not None and not np.count_nonzero(data):
-            return 0.0
-        return float(np.linalg.norm(self._array()))
+        return float(_dense_norms(self.dim, self._offsets, data)) if np.count_nonzero(data) else 0.0
 
     def _check_dim(self, other: "Operator") -> None:
         if self.dim != other.dim:
@@ -325,17 +327,47 @@ def _positions(dim: int, offsets: tuple[int, ...]) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.intp), *flat])
 
 
-def _dense_matrix(dim: int, offsets: tuple[int, ...], data: np.ndarray) -> np.ndarray:
+def _signed_fill(data: np.ndarray) -> bool:
+    """Whether the fill (each row's last entry) has bytes other than +0.0 + 0.0j."""
+    fill = data[..., -1]
+    return fill.tobytes() != bytes(fill.nbytes)
+
+
+def _dense_matrix(dim: int, offsets: tuple[int, ...], data: np.ndarray, out=None) -> np.ndarray:
     """The dense matrix of entries ``data`` on ``offsets``, the last entry the fill
-    everywhere else; a batch's data gives a matrix per row."""
+    everywhere else; a batch's data gives a matrix per row.  Written into ``out``,
+    a zeroed array of shape data.shape[:-1] + (dim * dim,), when given."""
     shape = data.shape[:-1]
-    m = np.zeros(shape + (dim * dim,), dtype=np.complex128)
+    m = np.zeros(shape + (dim * dim,), dtype=np.complex128) if out is None else out
     cols, flat = data.T, m.T  # the last axis first: one indexing for a lone operator and a batch
-    fill = cols[-1:]
-    if fill.tobytes() != bytes(fill.nbytes):  # a fill other than +0.0 + 0.0j
-        flat[...] = fill
+    if _signed_fill(data):
+        flat[...] = cols[-1:]
     flat[_positions(dim, offsets)] = cols[:-1]
     return m.reshape(shape + (dim, dim))
+
+
+_scratch = threading.local()  # a thread's norms share its ``buffer``, no other thread's
+
+
+def _dense_norms(dim: int, offsets: tuple[int, ...], data: np.ndarray):
+    """np.linalg.norm of the dense matrix of ``data`` (for a batch, a list of each
+    row's), laid out in this thread's buffer and zeroed again after.  The buffer
+    grows to the largest size asked for and never shrinks; it is calloc'd
+    (``np.zeros``), so the pages no norm writes stay the kernel's zero page."""
+    shape = data.shape[:-1]
+    size = math.prod(shape) * dim * dim
+    buffer = getattr(_scratch, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _scratch.buffer = np.zeros(size, dtype=np.complex128)
+    out = buffer[:size].reshape(shape + (dim * dim,))
+    try:
+        dense = _dense_matrix(dim, offsets, data, out)
+        return [*map(np.linalg.norm, dense)] if shape else np.linalg.norm(dense)
+    finally:
+        if _signed_fill(data):
+            out[...] = 0.0
+        else:
+            out.T[_positions(dim, offsets)] = 0.0
 
 
 @lru_cache(maxsize=4096)

@@ -18,15 +18,23 @@ on deformed families, sweeps whose points on one frame part ways (error
 rows, a failed construction, a branch only some points take), zero-rate
 controls, the inputs on which a builder or a check suite raises (every
 builder gate the CLI can reach), a phase-valued q near 1, parameters
-at which a ladder, SU_q(2)'s casimir table or the scaled map's weight
-overflows, usage errors (one under an environment variable), output paths
-that cannot be written (a missing directory, a directory itself, a path
-under a file, or a file name too long), parameters at which the
+at which a ladder, SU_q(2)'s casimir table or the scaled map's weight or
+ladder overflows, usage errors (one under an environment variable), output
+paths that cannot be written (a missing directory, a directory itself, a
+path under a file, or a file name too long), parameters at which the
 hamiltonian, the corner phase or the scaled tolerance overflows, and spins
 or s whose dimension no float holds.
 Temporary paths print as ``$TMP``: in the argv, the outcome and the stderr
 line alike.  Leading ``NAME=value`` words of an argv set environment
 variables for that request only.
+
+``--reverse`` runs the argv in reverse order, still in one process.  A
+request's bytes must not depend on what ran before it, so the sorted lines
+of the two orders are the same::
+
+    PYTHONPATH=src python3 tests/corpus.py | sort > forward.txt
+    PYTHONPATH=src python3 tests/corpus.py --reverse | sort > reverse.txt
+    diff forward.txt reverse.txt
 """
 
 from __future__ import annotations
@@ -79,6 +87,9 @@ def corpus(tmp: str) -> list[list[str]]:
     f_inf = os.path.join(tmp, "f_inf.json")
     with open(f_inf, "w", encoding="utf-8") as fh:
         json.dump({"f_coeff": 1e308}, fh)
+    f_over = os.path.join(tmp, "f_over.json")
+    with open(f_over, "w", encoding="utf-8") as fh:
+        json.dump({"f_coeff": 5e307}, fh)
     misspelt, boolean = os.path.join(tmp, "misspelt.json"), os.path.join(tmp, "boolean.json")
     with open(misspelt, "w", encoding="utf-8") as fh:
         json.dump({"family": "su2", "j": "1/2", "thta0": 1}, fh)
@@ -115,10 +126,12 @@ def corpus(tmp: str) -> list[list[str]]:
         ["--family", "hermitian_f", "--j", "5", "--q", "3"],
         ["--family", "hermitian_f", "--j", "15/2", "--q", "2"],
         ["--scenario", left, "--j", "15/2", "--q", "2"],
-        # the scaled map's gate, at weights whose identities overflow, and
-        # weights w = 1 + f_coeff*m that are themselves not finite
+        # the scaled map's gate, at weights whose identities overflow,
+        # weights w = 1 + f_coeff*m that are themselves not finite, and
+        # finite weights whose ladder entries overflow
         ["--family", "f_deform", "--j", "5/2", "--scenario", f_huge],
         ["--family", "f_deform", "--j", "5/2", "--scenario", f_inf],
+        ["--family", "f_deform", "--j", "5/2", "--scenario", f_over],
         # a phase-valued q near 1, where the q-bracket tends to x
         ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e12"],
         ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e13"],
@@ -146,6 +159,7 @@ def corpus(tmp: str) -> list[list[str]]:
     argvs.append(["build", "--family", "suq2", "--j", "1/2", "--q", "1e300"])
     argvs += [
         ["build", "--family", "f_deform", "--j", "5/2", "--scenario", f_inf],
+        ["build", "--family", "f_deform", "--j", "5/2", "--scenario", f_over],
         ["evolve", "--family", "f_deform", "--j", "5/2", "--scenario", f_inf,
          "--t-max", "2.5", "--steps", "20"],
         ["sweep", "--family", "f_deform", "--j", "5/2", "--param", "f_coeff:0.01:1e308:2"],
@@ -293,15 +307,19 @@ def run(argv: list[str], report: str) -> tuple[str, str]:
     return outcome, digest.hexdigest()
 
 
-def main_corpus() -> int:
+def main_corpus(args: list[str]) -> int:
+    if args not in ([], ["--reverse"]):
+        print("usage: corpus.py [--reverse]", file=sys.stderr)
+        return 2
     warnings.simplefilter("always")
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")
-        for argv in corpus(tmp):
+        argvs = corpus(tmp)
+        for argv in reversed(argvs) if args else argvs:
             outcome, digest = run(argv, report)
             print(f"{digest[:16]} {outcome} | {' '.join(argv)}".replace(tmp, "$TMP"))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_corpus())
+    sys.exit(main_corpus(sys.argv[1:]))

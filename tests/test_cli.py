@@ -1114,6 +1114,27 @@ class TestRejectedInput:
             f"spinphase {command}: the scaled map's weight is not finite at m=-3.5\n"
         )
 
+    @pytest.mark.parametrize(
+        "coeff, message",
+        [
+            # every w = 1 + f_coeff*m finite, |w| <= 1.75e308, but sqrt(5) w(-2.5) is not
+            ("5e307", "the f_deform ladder is not finite at m=-2.5 -> m+1"),
+            # finite ladder entries, but J0~'s m w(m) = -2.5 w(-2.5) is not
+            ("3e307", "the f_deform J0~ is not finite at m=-2.5"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["build", "verify", "evolve"])
+    def test_overflowing_scaled_entries(self, tmp_path, capsys, coeff, message, command):
+        # no Infinity entries, no NaN residuals and no numpy warning
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(f'{{"f_coeff": {coeff}}}')
+        extra = ["--t-max", "1", "--steps", "3"] if command == "evolve" else []
+        rc = main([command, "--family", "f_deform", "--j", "5/2", "--scenario", str(scenario),
+                   *extra])
+        captured = capsys.readouterr()
+        self._assert_usage_error(rc, captured, command)
+        assert captured.err == f"spinphase {command}: {message}\n"
+
     def test_non_finite_tol_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINPHASE_TOL", "inf")
         rc = main(["verify", "--family", "su2", "--j", "1"])

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -450,6 +451,27 @@ class TestScaledDeformation:
 
     def test_non_finite_weight_of_a_batch_runs_apart(self):
         weights = [lambda c, m, k=k: 1.0 + k * m for k in (0.01, 1e308, 0.02)]
+        with pytest.raises(Diverged) as info:
+            build_scaled_deformation(build_su2("5/2"), weights)
+        assert info.value.args[0].tolist() == [False, True, False]
+
+    @pytest.mark.parametrize(
+        "coeff, message",
+        [
+            (5e307, r"^the f_deform ladder is not finite at m=-2.5 -> m\+1$"),
+            (3e307, r"^the f_deform J0~ is not finite at m=-2.5$"),
+        ],
+    )
+    def test_overflowing_entry_of_a_finite_weight_rejected(self, coeff, message):
+        # w = 1 + coeff*m is finite on m = -7/2, ..., 7/2; an su2 entry or m times it is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is refused, not warned about
+            with pytest.raises(ParameterError, match=message):
+                build_scaled_deformation(build_su2("5/2"), lambda c, m: 1.0 + coeff * m)
+
+    @pytest.mark.parametrize("coeff", [5e307, 3e307])
+    def test_overflowing_entries_of_a_batch_run_apart(self, coeff):
+        weights = [lambda c, m, k=k: 1.0 + k * m for k in (0.01, coeff, 0.02)]
         with pytest.raises(Diverged) as info:
             build_scaled_deformation(build_su2("5/2"), weights)
         assert info.value.args[0].tolist() == [False, True, False]

@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from spinphase import (
     zero,
 )
 from spinphase import operators
+from spinphase.cli import main
 from spinphase.operators import Diverged, _product, _structured
 
 TOL = Tolerance()
@@ -216,6 +219,32 @@ def assert_same_bits(got, want):
         assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
+def assert_scratch_zeroed():
+    """This thread's norm buffer, if it has one, is +0.0 bytes throughout."""
+    buffer = getattr(operators._scratch, "buffer", None)
+    assert buffer is None or not buffer.view(np.uint8).any()
+
+
+def _norm_operands(dim):
+    """Operators stored as diagonals at dim: a +0.0, a -0j and a NaN fill, and a
+    batch of three rows."""
+    rng = np.random.default_rng(dim)
+    diagonals = {k: rng.standard_normal(dim - abs(k)) + 1j * rng.standard_normal(dim - abs(k))
+                 for k in (0, 1, -31, 100)}
+    lone = Operator._from_diagonals(dim, diagonals)
+    rows = rng.standard_normal((3, dim - 1))
+    rows[1] = 0.0  # a zero row takes no buffer
+    with np.errstate(invalid="ignore"):
+        nan_fill = np.inf * build_su2((dim - 1) / 2).Jp  # 0 * inf: NaN off the diagonal
+    return [lone, lone.adjoint(), nan_fill, Operator._from_diagonals(dim, {-1: rows})]
+
+
+def _dense_norm(op):
+    """np.linalg.norm of op.mat, a norm per row for a batch, read from a copy."""
+    mat = operators._dense_matrix(op.dim, op._offsets, op._data)
+    return np.array([np.linalg.norm(m) for m in mat] if mat.ndim > 2 else np.linalg.norm(mat))
+
+
 def banded(op):
     """op stored as its 2 dim - 1 diagonals: every entry of a dense operator,
     held the way the package holds its own operators."""
@@ -400,12 +429,64 @@ class TestStructuredCore:
                 (1j * rep.Jp, 1j * rep.Jm),  # zero real parts
             ]
             for a, b in pairs:
+                got = residual(a, b)
+                assert_scratch_zeroed()
                 want = float(np.linalg.norm(a.mat - b.mat))
-                assert_same_bits(np.array([residual(a, b)]), np.array([want]))
-            norms = [zero(rep.dim).adjoint(), -zero(rep.dim), u - u, nan_fill, has_inf, u, 1j * rep.J0]
+                assert_same_bits(np.array([got]), np.array([want]))
+            norms = [zero(rep.dim).adjoint(), -zero(rep.dim), u - u, nan_fill, has_inf, u,
+                     u.adjoint(), 1j * rep.J0]
             for op in norms:
+                got = op.norm()
+                assert_scratch_zeroed()
                 want = float(np.linalg.norm(op.mat))
-                assert_same_bits(np.array([op.norm()]), np.array([want]))
+                assert_same_bits(np.array([got]), np.array([want]))
+
+    def test_norms_across_dims_reuse_one_zeroed_buffer(self):
+        # the buffer grows to 961 * 961, then serves 169 from its prefix, then 961 again
+        for dim in (961, 169, 961):
+            for op in _norm_operands(dim):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got, want = op.norm(), _dense_norm(op)
+                assert_scratch_zeroed()
+                assert_same_bits(np.asarray(got), want)
+        # the batch's two nonzero rows at 961: the buffer kept that size for 169
+        assert operators._scratch.buffer.size >= 2 * 961 * 961
+
+    def test_each_thread_norms_in_its_own_buffer(self):
+        # two threads at once, dims 961 and 169, each gets the serial bits
+        ops = {dim: _norm_operands(dim)[0] for dim in (961, 169)}
+        serial = {dim: op.norm() for dim, op in ops.items()}
+        start, buffers, results = threading.Barrier(2), {}, {}
+
+        def work(dim):
+            start.wait()
+            results[dim] = [ops[dim].norm() for _ in range(20)]
+            buffers[dim] = operators._scratch.buffer
+
+        threads = [threading.Thread(target=work, args=(dim,)) for dim in ops]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert set(results) == set(buffers) == set(ops)
+        for dim, got in results.items():
+            assert_same_bits(np.array(got), np.full(20, serial[dim]))
+            assert buffers[dim].size == dim * dim and not buffers[dim].view(np.uint8).any()
+        assert buffers[961] is not buffers[169]
+
+    def test_two_mode_verify_builds_no_dense_matrix(self, capsys):
+        # a warm verify at s = 30 (dim 961) allocates less than a quarter of one dim x dim
+        # complex matrix: its norms lay their operands out in the thread's buffer
+        argv = ["verify", "--family", "jordan_schwinger", "--s", "30", "--phi0", "0.7"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 961 * 961 * 16 / 4
 
     def test_zero_difference_builds_no_dense_matrix(self, monkeypatch):
         rep = build_su2("25/2")
