@@ -52,24 +52,9 @@ _CATEGORIES = ("algebra", "phase", "dynamics", "derivation")
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="JSON scenario file; flags override its values")
-    p.add_argument("--family", choices=FAMILIES, help="operator family")
-    p.add_argument("--j", help="spin as a fraction like 3/2 or a decimal")
-    p.add_argument("--s", type=int, help="oscillator truncation level (dim s+1)")
-    p.add_argument("--q", type=float, help="real deformation parameter q > 0")
-    p.add_argument(
-        "--q-phase",
-        dest="q_phase",
-        type=float,
-        help="phase-valued q as the root order p in q = exp(i*2*pi/p)",
-    )
-    p.add_argument("--r", type=float, help="Witten deformation parameter (r > 0, r != 1)")
-    p.add_argument("--theta0", type=float, help="phase reference angle (default 0)")
-    p.add_argument("--phi0", type=float, help="oscillator reference angle (default 0)")
-    p.add_argument("--muB", type=float, help="dipole coupling mu*B (default 1)")
-    p.add_argument("--omega", type=float, help="oscillator frequency (default 1)")
-    p.add_argument("--omega1", type=float, help="first mode frequency (default 1)")
-    p.add_argument("--omega2", type=float, help="second mode frequency (default 2)")
-    p.add_argument("--tol", type=float, help="absolute tolerance (default 1e-12, scaled by dim)")
+    for f in dataclasses.fields(Scenario):  # each field's flag as Scenario declares it
+        if flag := f.metadata["flag"]:
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=f.metadata["type"], **flag)
 
 
 @functools.cache  # one argparse tree per process; parse_args leaves it unchanged

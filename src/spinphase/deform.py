@@ -181,7 +181,7 @@ QCASIMIR = {
 def _build(
     rep: Su2Rep, raising, lowering=None, j0: Operator | None = None, *, provenance: dict,
     tol: Tolerance, names: tuple = LADDER, labels: tuple = ("J+~", "J-~"), operands: dict = {},
-    message: str = "[J0~, J+-~] = +-J+-~ violated: residual {:.3e}",
+    message: str = "[J0~, J+-~] = +-J+-~ violated: residual {:.3e}", finite: bool = False,
 ) -> DeformedTriple:
     """The one spin builder: J+~ and J-~ placed from their step entries (see
     ``build_deformation``) and J0~ = ``j0`` (J0 when None), returned once the
@@ -190,11 +190,19 @@ def _build(
     (``J0t``), the tolerance ``t`` or Witten's ``t_w``, the dimension ``dim``
     and ``operands``.  The triple records them and adjoint_pair,
     J-~ = (J+~)^dagger, where it holds within tolerance: always, with residual
-    0, for a pair built hermitian (``lowering`` None)."""
+    0, for a pair built hermitian (``lowering`` None).  With ``finite``, a
+    residual that is not finite is a ParameterError, and numpy does not warn."""
     t, j0 = tol.for_dim(rep.dim), rep.J0 if j0 is None else j0
     jp, jm = _place_ladders(raising, lowering, labels)
     scope = Scope({"Jp": jp, "Jm": jm, "J0": rep.J0, "J0t": j0, "t": t, "dim": rep.dim,
                    "hermitian": True, **operands}, {"t_w": T_W})
+    if finite:  # the checks stay on the scope, and require reports them as made
+        with np.errstate(over="ignore", invalid="ignore"):
+            gate = evaluate(names, scope)
+        for c in gate:
+            if _holds(~np.isfinite(c.residual)):
+                raise ParameterError(f"the {provenance['map']} identities are not finite: "
+                                     f"{c.name} has residual {c.residual}")
     checks, adjoint = require(names, scope, message), evaluate(("adjoint_pair",), scope)
     if hermitian := _holds(adjoint.checks[0].residual <= t, branch=True):
         checks.extend(adjoint)
@@ -405,7 +413,8 @@ def build_scaled_deformation(
     ratios of its shifts (else ParameterError); so must the ladder entries
     and J0~'s, the su2 entries and m times w.  Both commutation identities
     of the scaled algebra are asserted, as is the reduction
-    [J0, J+-~] = +-J+-~ against the *undeformed* J0.
+    [J0, J+-~] = +-J+-~ against the *undeformed* J0; one whose products
+    overflow to a residual that is not finite is a ParameterError too.
     """
     dim, jv, c_val = rep.dim, float(rep.j), rep.casimir_value
     w = np.array(per_point(lambda fn: [float(fn(c_val, -jv + k)) for k in range(-1, dim + 1)],
@@ -437,5 +446,5 @@ def build_scaled_deformation(
         raise ParameterError(f"the f_deform J0~ is not finite at m={m:g}")
     return _build(rep, raising, lowering, from_diagonal(j0, "J0~"), operands=operands,
                   provenance={"map": "f_deform", "params": {}}, tol=tol,
-                  names=("scaled_ladder", "scaled_structure", *LADDER),
+                  names=("scaled_ladder", "scaled_structure", *LADDER), finite=True,
                   message="scaled-deformation identities violated: {:.3e}")

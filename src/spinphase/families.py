@@ -90,23 +90,39 @@ class FamilyBundle:
     operators: dict
     provenance: dict | None
     metadata: dict
-    hamiltonian: Hamiltonian
     operands: dict
     frame: Scope | None = None
     given: CheckReport | tuple = ()
+
+    @property
+    def hamiltonian(self) -> Hamiltonian:
+        """H, bound once: on a spin family's phase frame, else among the operands."""
+        return (self.frame or self.operands)["hamiltonian"]
+
+
+class Rule(NamedTuple):
+    """A family's own requirement: ``holds`` of the parsed Scenario fields
+    ``reads`` (as keywords), else a usage error of ``message`` formatted with
+    them and ``family``."""
+
+    reads: tuple[str, ...]
+    holds: Callable[..., bool]
+    message: str
 
 
 class Family(NamedTuple):
     """One operator family: the Scenario fields it reads (in report order), its
     build function (given the scenario and, for a spin family, its phase
-    frame), the names of the checks it reports, the operands they may derive
-    and the details that replace a declared check's."""
+    frame), the names of the checks it reports, the operands they may derive,
+    the details that replace a declared check's and the rules its fields obey
+    (``scenarios.resolve_scenario`` holds them in order)."""
 
     params: tuple[str, ...]
     build: Callable[[Scenario, Scope | None], FamilyBundle]
     names: tuple[str, ...]
     derived: dict
     details: dict | None = None
+    rules: tuple[Rule, ...] = ()
 
 
 def structure_function_for(sc: Scenario):
@@ -129,7 +145,7 @@ def _spin_bundle(sc: Scenario, frame: Scope, triple: DeformedTriple, ops: dict |
     values = {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "lam": -1j * sc.muB,
               "hermitian": triple.hermitian_pair, "triple": triple, "q": sc.q, **extra}
     return FamilyBundle(sc, ops or {"Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0}, prov,
-                        meta, frame["hamiltonian"], values, frame, triple.checks)
+                        meta, values, frame, triple.checks)
 
 
 def _build_su2(sc: Scenario, frame: Scope) -> FamilyBundle:
@@ -172,10 +188,10 @@ def _oscillator_bundle(sc: Scenario, osc, a: Operator, adag: Operator, ops: dict
     values = {
         "U": osc.U.U, "I": identity(osc.s + 1), "corner": osc.U.boundary, "Jp": a, "Jm": adag,
         "J0": osc.N, "L": ONE, "radicands": levels,
-        "H": ham.op, "lam": -1j * sc.omega, "rate": sc.omega, "hermitian": True,
-        "t": sc.tol.for_dim(osc.s + 1),
+        "H": ham.op, "hamiltonian": ham, "lam": -1j * sc.omega, "rate": sc.omega,
+        "hermitian": True, "t": sc.tol.for_dim(osc.s + 1),
     }
-    return FamilyBundle(sc, ops, None, meta, ham, values)
+    return FamilyBundle(sc, ops, None, meta, values)
 
 
 def _build_oscillator(sc: Scenario, frame: Scope | None) -> FamilyBundle:
@@ -207,12 +223,12 @@ def _build_jordan_schwinger(sc: Scenario, frame: Scope | None) -> FamilyBundle:
     prov = triple.provenance | {"hermitian_pair": triple.hermitian_pair}
     delta = sc.omega2 - sc.omega1
     values = {
-        "Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "H": ham.op, "lam": -1j * delta,
-        "delta": delta, "muB": sc.muB, "rate": delta, "UA": mode.U.U, "I": identity(mode.s + 1),
-        "radicands": mode.radicands, "t": sc.tol.for_dim(triple.dim),
+        "Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "H": ham.op, "hamiltonian": ham,
+        "lam": -1j * delta, "delta": delta, "muB": sc.muB, "rate": delta, "UA": mode.U.U,
+        "I": identity(mode.s + 1), "radicands": mode.radicands, "t": sc.tol.for_dim(triple.dim),
     }
     # the builder's ladder relations and adjoint pair are reported as made
-    return FamilyBundle(sc, ops, prov, meta, ham, values, None, triple.checks)
+    return FamilyBundle(sc, ops, prov, meta, values, None, triple.checks)
 
 
 # --- the checks each family reports ---------------------------------------
@@ -298,24 +314,34 @@ _TWO_MODE_FACTORS = {
 }
 
 
+_REAL_Q = Rule(("q",), lambda q: q is not None and q > 0, "{family} requires real q > 0, got {q}")
+
 FAMILY_TABLE = {
     "su2": Family(("j", "theta0", "muB"), _build_su2, _spin(
         *LADDER, "structure_relation", *_ANNIHILATION, "casimir_orderings", "casimir_scalar",
         "casimir_central"), _SPIN_DERIVED, {"structure_relation": "[J+, J-] = 2 J0"},
     ),
     "suq2": Family(("j", "q", "theta0", "muB"), _build_suq2, _spin(*_QBRACKET, "adjoint_pair"),
-                   _QBRACKET_DERIVED),
+                   _QBRACKET_DERIVED, rules=(_REAL_Q,)),
     "witten": Family(("j", "r", "theta0", "muB"), _build_witten,
-                     _spin(*WITTEN, "adjoint_pair", *_ANNIHILATION), _SPIN_DERIVED),
+                     _spin(*WITTEN, "adjoint_pair", *_ANNIHILATION), _SPIN_DERIVED, rules=(
+        Rule(("r",), lambda r: r is not None, "witten requires --r"),
+        Rule(("r",), lambda r: r > 0 and r != 1.0, "witten requires r > 0 and r != 1, got {r}"))),
     "ab_map": Family(("j", "q", "theta0", "muB", "split"), _build_ab_map,
                      _spin(*_QBRACKET, "adjoint_pair", "alternate_split_structure"),
-                     _QBRACKET_DERIVED),
+                     _QBRACKET_DERIVED, rules=(_REAL_Q, Rule(
+        ("split",), lambda split: split in ("left", "symmetric"),
+        "split must be 'left' or 'symmetric', got {split!r}"))),
     "f_deform": Family(("j", "theta0", "muB", "f_coeff"), _build_f_deform,
                        _spin(*LADDER, *_ANNIHILATION, "structure_relation", "adjoint_pair"),
                        _SPIN_DERIVED),
     "hermitian_f": Family(("j", "q", "q_phase", "theta0", "muB"), _build_hermitian_f,
                           _spin(*_QBRACKET, "matches_suq2_representation", "adjoint_pair"),
-                          _QBRACKET_DERIVED),
+                          _QBRACKET_DERIVED, rules=(
+        Rule(("q_phase",), lambda q_phase: q_phase is None or q_phase > 2,
+             "--q-phase is the root order p in q = exp(i*2*pi/p); need p > 2, got {q_phase}"),
+        Rule(("q", "q_phase"), lambda q, q_phase: q_phase is not None or q is not None and q > 0,
+             "hermitian_f requires --q > 0 or --q-phase, got q={q}"))),
     "oscillator": Family(("s", "phi0", "omega"), _build_oscillator, _oscillator(
         "polar_product", "number_ladder_commutator", "adjoint_pair"),
         {**MOTION, "G": _ROOT}, _OSCILLATOR_DETAILS,

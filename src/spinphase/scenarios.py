@@ -2,14 +2,15 @@
 
 A scenario names a family (su2, suq2, witten, ab_map, f_deform, hermitian_f,
 oscillator, q_oscillator, jordan_schwinger) plus the parameters the family
-needs.  ``families.FAMILY_TABLE`` is the one place that states which
-parameters each family reads: the family list, the report's scenario block,
-the parameters a scenario keeps and the ones a sweep may vary all derive
-from it, and its entries build the family's operators.  Scenario files are
-flat JSON whose keys are Scenario fields (of any family; the CLI flag names,
-q_phase for --q-phase); flags override file values, defaults are the
-Scenario field defaults, and every numeric value, j and s included, must be
-a finite number and no JSON boolean.
+needs.  ``Scenario`` declares each field once: its default, type, flag help
+(split and f_coeff have no flag) and whether a phase frame's batch holds it
+per point; the CLI's flags and ``verify.verify_points`` read it.
+``families.FAMILY_TABLE`` states what each family reads and requires: the
+report's scenario block, the fields a scenario keeps, the ones a sweep may
+vary and each family's rules (``families.Rule``) derive from it.  Scenario
+files are flat JSON whose keys are Scenario fields (of any family; the CLI
+flag names, q_phase for --q-phase); flags override file values, and every
+numeric value, j and s included, must be a finite number and no JSON boolean.
 Validation failures raise ParameterError/BadSpinError (CLI exit 2);
 mathematically impossible constructions surface later as check failures
 (CLI exit 1).
@@ -39,25 +40,36 @@ __all__ = [
 FAMILIES = tuple(FAMILY_TABLE)
 
 
+def _field(default=MISSING, *, type=float, batched=False, factory=MISSING, **flag) -> Any:
+    """A Scenario field: its default (or ``factory``), the ``type`` its value
+    parses as, its flag's other ``add_argument`` options (no ``help``, no
+    flag) and whether a frame's batch holds it per point (else it keys the frame)."""
+    return field(default=default, default_factory=factory,
+                 metadata={"type": type, "flag": flag, "batched": batched})
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Validated parameters for one family."""
+    """Validated parameters for one family, each field declared once."""
 
-    family: str
-    j: Fraction | None = None
-    s: int | None = None
-    q: float | None = None
-    q_phase: float | None = None
-    r: float | None = None
-    theta0: float = 0.0
-    phi0: float = 0.0
-    muB: float = 1.0
-    omega: float = 1.0
-    omega1: float = 1.0
-    omega2: float = 2.0
-    split: str = "symmetric"
-    f_coeff: float = 0.1
-    tol: Tolerance = field(default_factory=Tolerance)
+    family: str = _field(type=str, choices=FAMILIES, help="operator family")
+    j: Fraction | None = _field(None, type=str, help="spin as a fraction like 3/2 or a decimal")
+    s: int | None = _field(None, type=int, help="oscillator truncation level (dim s+1)")
+    q: float | None = _field(None, help="real deformation parameter q > 0", batched=True)
+    q_phase: float | None = _field(
+        None, help="phase-valued q as the root order p in q = exp(i*2*pi/p)", batched=True)
+    r: float | None = _field(None, help="Witten deformation parameter (r > 0, r != 1)",
+                             batched=True)
+    theta0: float = _field(0.0, help="phase reference angle (default 0)")
+    phi0: float = _field(0.0, help="oscillator reference angle (default 0)")
+    muB: float = _field(1.0, help="dipole coupling mu*B (default 1)")
+    omega: float = _field(1.0, help="oscillator frequency (default 1)")
+    omega1: float = _field(1.0, help="first mode frequency (default 1)")
+    omega2: float = _field(2.0, help="second mode frequency (default 2)")
+    split: str = _field("symmetric", type=str)
+    f_coeff: float = _field(0.1, batched=True)
+    tol: Tolerance = _field(factory=Tolerance,
+                            help="absolute tolerance (default 1e-12, scaled by dim)")
 
     def to_jsonable(self) -> dict:
         """Fully resolved flat form, keys mirroring the CLI flags."""
@@ -71,6 +83,11 @@ class Scenario:
 
 
 _KEYS = tuple(f.name for f in fields(Scenario))
+_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
+_NUMBERS = tuple(f.name for f in fields(Scenario) if f.metadata["type"] is float)
+# the numbers some family's rule reads, parsed (and refused) before any rule runs
+_RULED = tuple(name for name in _NUMBERS
+               if any(name in rule.reads for fam in FAMILY_TABLE.values() for rule in fam.rules))
 
 
 def _as_float(values: dict, key: str) -> float | None:
@@ -87,7 +104,12 @@ def _as_float(values: dict, key: str) -> float | None:
 
 
 def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
-    """Merge raw values (file + flags, flags already layered on top)."""
+    """Merge raw values (file + flags, flags already layered on top).
+
+    Checks fire in one order: j or s, the numbers any family's rule reads, the
+    family's rules, the tolerance and the dimension, then the other numbers.
+    A family keeps the fields it reads (a phase-valued q replacing the real
+    one); every other field keeps its default."""
     for key, value in values.items():
         if key not in _KEYS:
             raise ParameterError(f"unknown scenario key {key!r}; choose from {', '.join(_KEYS)}")
@@ -95,23 +117,17 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
             raise ParameterError(f"{key} expects a number, got {value!r}")
     family = values.get("family")
     if family not in FAMILIES:
-        raise ParameterError(
-            f"unknown family {family!r}; choose one of {', '.join(FAMILIES)}"
-        )
+        raise ParameterError(f"unknown family {family!r}; choose one of {', '.join(FAMILIES)}")
 
-    params = FAMILY_TABLE[family].params
-    merged = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
-    merged.update({k: v for k, v in values.items() if v is not None})
-
-    j = None
-    s = None
-    if "j" in params:
-        if merged["j"] is None:
-            raise ParameterError(f"family {family} requires --j")
+    entry = FAMILY_TABLE[family]
+    merged = {**_DEFAULTS, **{k: v for k, v in values.items() if v is not None}}
+    j = s = None
+    key = "j" if "j" in entry.params else "s"  # the size: a spin family's j, else s
+    if merged[key] is None:
+        raise ParameterError(f"family {family} requires --{key}")
+    if key == "j":
         j = parse_spin(merged["j"])
     else:
-        if merged["s"] is None:
-            raise ParameterError(f"family {family} requires --s")
         try:
             s = int(merged["s"])
             if isinstance(merged["s"], float) and s != merged["s"]:
@@ -121,54 +137,27 @@ def resolve_scenario(values: dict, default_tol: float = 1e-12) -> Scenario:
         if s < 1:
             raise ParameterError(f"s must be >= 1, got {s}")
 
-    q = _as_float(merged, "q")
-    q_phase = _as_float(merged, "q_phase")
-    r = _as_float(merged, "r")
+    parsed = {"j": j, "s": s, "split": str(merged["split"]),
+              **{name: _as_float(merged, name) for name in _RULED}}
+    for rule in entry.rules:
+        args = {name: parsed[name] for name in rule.reads}
+        if not rule.holds(**args):
+            raise ParameterError(rule.message.format(family=family, **args))
 
-    if family in ("suq2", "ab_map") and (q is None or q <= 0):
-        raise ParameterError(f"{family} requires real q > 0, got {q}")
-    if family == "witten":
-        if r is None:
-            raise ParameterError("witten requires --r")
-        if r <= 0 or r == 1.0:
-            raise ParameterError(f"witten requires r > 0 and r != 1, got {r}")
-    if family == "hermitian_f":
-        if q_phase is not None:
-            if q_phase <= 2:
-                raise ParameterError(
-                    f"--q-phase is the root order p in q = exp(i*2*pi/p); need p > 2, got {q_phase}"
-                )
-        elif q is None or q <= 0:
-            raise ParameterError(f"hermitian_f requires --q > 0 or --q-phase, got q={q}")
-    split = str(merged["split"])
-    if family == "ab_map" and split not in ("left", "symmetric"):
-        raise ParameterError(f"split must be 'left' or 'symmetric', got {split!r}")
-
-    tol_val = _as_float(merged, "tol")
-    tol = Tolerance(tol_val if tol_val is not None else default_tol)
+    parsed["tol"] = _as_float(merged, "tol")
+    tol = Tolerance(default_tol if parsed["tol"] is None else parsed["tol"])
     dim = 2 * j.numerator // j.denominator + 1 if j is not None else s + 1
     dim = dim**2 if family == "jordan_schwinger" else dim
     if dim > sys.float_info.max:
-        raise ParameterError(f"--{'j' if j is not None else 's'} is too large: its dimension is not"
-                             " a finite float")
+        raise ParameterError(f"--{key} is too large: its dimension is not a finite float")
     if not math.isfinite(tol.for_dim(dim)):
         raise ParameterError(f"--tol {tol.abs_tol!r} times the dimension {dim} is not finite")
 
-    # a family keeps only the deformation parameters it reads; a phase-valued
-    # q (hermitian_f --q-phase) replaces the real one
-    q_phase = q_phase if "q_phase" in params else None
-    reals = ("theta0", "phi0", "muB", "omega", "omega1", "omega2", "f_coeff")
-    return Scenario(
-        family=family,
-        j=j,
-        s=s,
-        q=q if "q" in params and q_phase is None else None,
-        q_phase=q_phase,
-        r=r if "r" in params else None,
-        split=split,
-        tol=tol,
-        **{key: _as_float(merged, key) for key in reals},
-    )
+    parsed.update({name: _as_float(merged, name) for name in _NUMBERS if name not in parsed})
+    kept = {name: parsed[name] for name in entry.params}
+    if kept.get("q_phase") is not None:  # a phase-valued q replaces the real one
+        kept["q"] = None
+    return Scenario(family=family, tol=tol, **kept)
 
 
 def build_bundle(sc: Scenario, frame: Scope | None = None) -> FamilyBundle:

@@ -15,7 +15,8 @@ J+~ = U G, and only the diagonal weight G reads the deformation.
 ``verify_points`` builds that frame once (its points get its error if it
 cannot be) and runs the scenarios sharing it as one *batch*: a deformation
 parameter is a list over the points, an operator reading G holds a row per
-point and each check is one numpy operation (``operators``).  Norms stay
+point and each check is one numpy operation (``operators``); ``Scenario``
+declares which fields a batch holds per point and which key its frame.  Norms stay
 dense, one per row, so a batch's report holds, check by check, a column of
 its points' lone residuals, bit for bit; rows that branch or raise apart
 run alone (``operators.Diverged``).
@@ -24,6 +25,7 @@ run alone (``operators.Diverged``).
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 
 from .checks import Scope, evaluate
 from .families import FAMILY_TABLE, spin_frame
@@ -32,9 +34,6 @@ from .report import CheckReport
 from .scenarios import FamilyBundle, Scenario, build_bundle
 
 __all__ = ["run_verify", "collect_checks", "verify_points"]
-
-# the Scenario fields a batch of one frame may vary, a list over its points
-_BATCHED = ("q", "q_phase", "r", "f_coeff")
 
 
 def collect_checks(bundle: FamilyBundle) -> CheckReport:
@@ -70,14 +69,16 @@ def verify_points(scenarios: list[Scenario]) -> list[tuple[list[int], CheckRepor
     bare ArithmeticError, in order, ends the call.  Spin scenarios of one family
     on one frame run as a batch: diverging rows run again apart, and a batch
     that raises, point by point."""
+    batched = [f.name for f in dataclasses.fields(Scenario) if f.metadata["batched"]]
+    frame_key = attrgetter(*(f.name for f in dataclasses.fields(Scenario) if f.name not in batched))
     groups: dict = {}
     for i, sc in enumerate(scenarios):
-        key = (sc.family, sc.split, sc.j, sc.theta0, sc.muB, sc.tol) if sc.j is not None else i
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(frame_key(sc) if sc.j is not None else i, []).append(i)
     outcomes: list = []
-    for key, group in groups.items():
+    for group in groups.values():
+        head = scenarios[group[0]]  # a spin frame reads only its j, theta0, muB and tol
         try:
-            frame, pending = (spin_frame(*key[2:]) if isinstance(key, tuple) else None), [group]
+            frame, pending = head.j and spin_frame(head.j, head.theta0, head.muB, head.tol), [group]
         except AlgebraError as exc:  # each of the frame's points gets the error row
             outcomes += [([i], exc.with_traceback(None)) for i in group]
             continue
@@ -86,7 +87,7 @@ def verify_points(scenarios: list[Scenario]) -> list[tuple[list[int], CheckRepor
             points = [scenarios[i] for i in rows]
             batch = points[0] if len(rows) == 1 else dataclasses.replace(points[0], **{
                 name: [getattr(sc, name) for sc in points]
-                for name in _BATCHED if getattr(points[0], name) is not None
+                for name in batched if getattr(points[0], name) is not None
             })
             try:
                 outcomes.append((rows, run_verify(batch, frame)[0]))

@@ -19,9 +19,11 @@ rows, a failed construction, a branch only some points take), zero-rate
 controls, the inputs on which a builder or a check suite raises (every
 builder gate the CLI can reach), a phase-valued q near 1, parameters
 at which a ladder, SU_q(2)'s casimir table or the scaled map's weight or
-ladder overflows, usage errors (one under an environment variable), output
-paths that cannot be written (a missing directory, a directory itself, a
-path under a file, or a file name too long), parameters at which the
+ladder overflows or whose identities do not evaluate finite, usage errors
+(one under an environment variable, one with two faults), each
+subcommand's ``--help`` at 80 columns, output paths that cannot be written
+(a missing directory, a directory itself, a path under a file, or a file
+name too long), parameters at which the
 hamiltonian, the corner phase or the scaled tolerance overflows, and spins
 or s whose dimension no float holds.
 Temporary paths print as ``$TMP``: in the argv, the outcome and the stderr
@@ -90,6 +92,9 @@ def corpus(tmp: str) -> list[list[str]]:
     f_over = os.path.join(tmp, "f_over.json")
     with open(f_over, "w", encoding="utf-8") as fh:
         json.dump({"f_coeff": 5e307}, fh)
+    f_nan = os.path.join(tmp, "f_nan.json")
+    with open(f_nan, "w", encoding="utf-8") as fh:
+        json.dump({"f_coeff": 2.5e307}, fh)
     misspelt, boolean = os.path.join(tmp, "misspelt.json"), os.path.join(tmp, "boolean.json")
     with open(misspelt, "w", encoding="utf-8") as fh:
         json.dump({"family": "su2", "j": "1/2", "thta0": 1}, fh)
@@ -128,10 +133,12 @@ def corpus(tmp: str) -> list[list[str]]:
         ["--scenario", left, "--j", "15/2", "--q", "2"],
         # the scaled map's gate, at weights whose identities overflow,
         # weights w = 1 + f_coeff*m that are themselves not finite, and
-        # finite weights whose ladder entries overflow
+        # finite weights whose ladder entries overflow; finite entries whose
+        # identities give NaN residuals
         ["--family", "f_deform", "--j", "5/2", "--scenario", f_huge],
         ["--family", "f_deform", "--j", "5/2", "--scenario", f_inf],
         ["--family", "f_deform", "--j", "5/2", "--scenario", f_over],
+        ["--family", "f_deform", "--j", "5/2", "--scenario", f_nan],
         # a phase-valued q near 1, where the q-bracket tends to x
         ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e12"],
         ["--family", "hermitian_f", "--j", "5/2", "--q-phase", "1e13"],
@@ -158,8 +165,10 @@ def corpus(tmp: str) -> list[list[str]]:
     argvs += [["verify", *sc, "--report", report] for sc in verify_only]
     argvs.append(["build", "--family", "suq2", "--j", "1/2", "--q", "1e300"])
     argvs += [
+        ["build", "--family", "f_deform", "--j", "5/2", "--scenario", f_huge],
         ["build", "--family", "f_deform", "--j", "5/2", "--scenario", f_inf],
         ["build", "--family", "f_deform", "--j", "5/2", "--scenario", f_over],
+        ["build", "--family", "f_deform", "--j", "5/2", "--scenario", f_nan],
         ["evolve", "--family", "f_deform", "--j", "5/2", "--scenario", f_inf,
          "--t-max", "2.5", "--steps", "20"],
         ["sweep", "--family", "f_deform", "--j", "5/2", "--param", "f_coeff:0.01:1e308:2"],
@@ -237,6 +246,8 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--family", "suq2", "--j", "1", "--param", "q:a:2:3"],
         ["sweep", "--family", "suq2", "--j", "1", "--param", "q:1:2:1"],
         ["sweep", "--family", "oscillator", "--param", "s:1:2:3"],
+        # two faults: the family's rule fires before the later field's parse
+        ["verify", "--family", "suq2", "--j", "1", "--theta0", "nan"],
         # output paths that cannot be written
         ["verify", "--family", "su2", "--j", "1", "--report", unwritable],
         ["build", "--family", "su2", "--j", "1", "--out", unwritable],
@@ -265,6 +276,10 @@ def corpus(tmp: str) -> list[list[str]]:
         ["sweep", "--family", "su2", "--j", "50", "--param", "muB:1:1e307:2"],
         ["verify", "--family", "su2", "--j", "1/2", "--tol", "1e308", "--report", report],
     ]
+
+    # each subcommand's help, its scenario flags generated from the declaration
+    argvs += [["COLUMNS=80", command, "--help"] for command in ("build", "verify", "evolve",
+                                                                 "sweep")]
 
     # exact spins and integral s whose dimension no float holds
     huge_s = os.path.join(tmp, "huge_s.json")

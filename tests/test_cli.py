@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import itertools
@@ -19,9 +20,9 @@ import spinphase
 from spinphase import operators
 from spinphase import cli, verify
 from spinphase.cli import _CATEGORIES, _summary_cells, main
-from spinphase.families import spin_frame
+from spinphase.families import FAMILY_TABLE, spin_frame
 from spinphase.report import CheckReport
-from spinphase.scenarios import resolve_scenario
+from spinphase.scenarios import Scenario, resolve_scenario
 from spinphase.serialize import format_float
 from spinphase.verify import run_verify
 
@@ -917,6 +918,40 @@ _USAGE_ERRORS = [
 ]
 
 
+def _flag_samples(f):
+    """Two valid texts for the flag of the Scenario field ``f``, neither the base value."""
+    flag = f.metadata["flag"]
+    if "choices" in flag:
+        return flag["choices"][-1], flag["choices"][-2]
+    return {int: ("3", "4"), str: ("3/2", "5/2")}.get(f.metadata["type"], ("2.5", "3.5"))
+
+
+class TestDeclaredFields:
+    """Every Scenario field with a flag (the cases come from the declaration):
+    the flag and a scenario-file key give the same Scenario, and the flag wins."""
+
+    FLAGGED = [f for f in dataclasses.fields(Scenario) if f.metadata["flag"]]
+
+    @staticmethod
+    def _resolve(tmp_path, file_values, flags):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(file_values))
+        args = cli._build_parser().parse_args(["verify", "--scenario", str(scenario), *flags])
+        return resolve_scenario(cli._scenario_values(args))
+
+    @pytest.mark.parametrize("f", FLAGGED, ids=lambda f: f.name)
+    def test_flag_and_file_agree_and_the_flag_wins(self, tmp_path, f):
+        family = next((fam for fam, entry in FAMILY_TABLE.items() if f.name in entry.params), "su2")
+        base = {"family": family, "j": "1", "s": 2, "q": 1.3, "r": 1.2}
+        text, other = _flag_samples(f)
+        flag = [f"--{f.name.replace('_', '-')}", text]
+        from_flag = self._resolve(tmp_path, base, flag)
+        assert from_flag == self._resolve(tmp_path, {**base, f.name: f.metadata["type"](text)}, [])
+        assert from_flag == self._resolve(
+            tmp_path, {**base, f.name: f.metadata["type"](other)}, flag)
+        assert from_flag != self._resolve(tmp_path, base, [])
+
+
 class TestRejectedInput:
     @staticmethod
     def _assert_usage_error(rc, captured, command):
@@ -1121,6 +1156,11 @@ class TestRejectedInput:
             ("5e307", "the f_deform ladder is not finite at m=-2.5 -> m+1"),
             # finite ladder entries, but J0~'s m w(m) = -2.5 w(-2.5) is not
             ("3e307", "the f_deform J0~ is not finite at m=-2.5"),
+            # finite entries whose gate identities overflow: a bare
+            # ArithmeticError, or a NaN report, before they were refused
+            ("1e150", "the f_deform identities are not finite: scaled_ladder has residual inf"),
+            ("2.5e307",
+             "the f_deform identities are not finite: scaled_ladder has residual nan"),
         ],
     )
     @pytest.mark.parametrize("command", ["build", "verify", "evolve"])
@@ -1134,6 +1174,15 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         self._assert_usage_error(rc, captured, command)
         assert captured.err == f"spinphase {command}: {message}\n"
+
+    def test_non_finite_scaled_identities_in_a_sweep_are_error_rows(self, capsys):
+        rc = main(["sweep", "--family", "f_deform", "--j", "5/2", "--param",
+                   "f_coeff:0.01:2.5e307:2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert lines[1].endswith(",true,")
+        assert lines[2].endswith(",false,the f_deform identities are not finite: "
+                                 "scaled_ladder has residual nan")
 
     def test_non_finite_tol_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SPINPHASE_TOL", "inf")

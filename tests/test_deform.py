@@ -460,6 +460,9 @@ class TestScaledDeformation:
         [
             (5e307, r"^the f_deform ladder is not finite at m=-2.5 -> m\+1$"),
             (3e307, r"^the f_deform J0~ is not finite at m=-2.5$"),
+            # finite entries whose gate identities overflow to inf or NaN
+            (1e150, r"^the f_deform identities are not finite: scaled_ladder has residual inf$"),
+            (2.5e307, r"^the f_deform identities are not finite: scaled_ladder has residual nan$"),
         ],
     )
     def test_overflowing_entry_of_a_finite_weight_rejected(self, coeff, message):
@@ -469,7 +472,7 @@ class TestScaledDeformation:
             with pytest.raises(ParameterError, match=message):
                 build_scaled_deformation(build_su2("5/2"), lambda c, m: 1.0 + coeff * m)
 
-    @pytest.mark.parametrize("coeff", [5e307, 3e307])
+    @pytest.mark.parametrize("coeff", [5e307, 3e307, 1e150, 2.5e307])
     def test_overflowing_entries_of_a_batch_run_apart(self, coeff):
         weights = [lambda c, m, k=k: 1.0 + k * m for k in (0.01, coeff, 0.02)]
         with pytest.raises(Diverged) as info:
