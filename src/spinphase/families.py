@@ -52,8 +52,8 @@ from .dynamics import (
     spin_motion,
     two_mode_hamiltonian,
 )
-from .operators import Operator, Tolerance, from_diagonal, identity, per_point, _kron
-from .oscillator import build_finite_oscillator, build_q_oscillator, jordan_schwinger
+from .operators import Tolerance, from_diagonal, identity, per_point, _kron
+from .oscillator import Oscillator, build_finite_oscillator, build_q_oscillator, jordan_schwinger
 from .phase import POLAR, build_phase_operator
 from .report import CheckReport
 from .su2 import _place_ladders, build_su2
@@ -181,13 +181,12 @@ def _build_hermitian_f(sc: Scenario, frame: Scope) -> FamilyBundle:
     return _spin_bundle(sc, frame, build_hermitian_deformation(frame["rep"], f, sc.tol), f=f)
 
 
-def _oscillator_bundle(sc: Scenario, osc, a: Operator, adag: Operator, ops: dict,
-                       levels, **meta) -> FamilyBundle:
+def _oscillator_bundle(sc: Scenario, osc: Oscillator, ops: dict, **meta) -> FamilyBundle:
     meta = {"basis": "fock_ascending", "s": sc.s, "phi0": sc.phi0, **meta}
     ham = number_hamiltonian(osc.N, sc.omega)
     values = {
-        "U": osc.U.U, "I": identity(osc.s + 1), "corner": osc.U.boundary, "Jp": a, "Jm": adag,
-        "J0": osc.N, "L": ONE, "radicands": levels,
+        "U": osc.U, "I": identity(osc.s + 1), "corner": osc.corner, "Jp": osc.a, "Jm": osc.adag,
+        "J0": osc.N, "L": ONE, "radicands": osc.weights,
         "H": ham.op, "hamiltonian": ham, "lam": -1j * sc.omega, "rate": sc.omega,
         "hermitian": True, "t": sc.tol.for_dim(osc.s + 1),
     }
@@ -196,17 +195,14 @@ def _oscillator_bundle(sc: Scenario, osc, a: Operator, adag: Operator, ops: dict
 
 def _build_oscillator(sc: Scenario, frame: Scope | None) -> FamilyBundle:
     osc = build_finite_oscillator(sc.s, sc.phi0, sc.tol)
-    ops = {"N": osc.N, "a": osc.a, "adag": osc.adag, "U": osc.U.U}
-    return _oscillator_bundle(sc, osc, osc.a, osc.adag, ops, osc.N.diagonal().real)
+    return _oscillator_bundle(sc, osc, {"N": osc.N, "a": osc.a, "adag": osc.adag, "U": osc.U})
 
 
 def _build_q_oscillator(sc: Scenario, frame: Scope | None) -> FamilyBundle:
-    qosc = build_q_oscillator(sc.s, sc.phi0, sc.tol)
-    ops = {"a_q": qosc.a_q, "a_qdag": qosc.a_qdag, "Nprime": qosc.Nprime, "U": qosc.U.U}
-    return _oscillator_bundle(
-        sc, qosc, qosc.a_q, qosc.a_qdag, ops, qosc.radicands,
-        n0=qosc.n0, q_arg=qosc.q_arg, radicands=list(qosc.radicands),
-    )
+    osc = build_q_oscillator(sc.s, sc.phi0, sc.tol)
+    nprime = from_diagonal(np.arange(osc.s + 1) - osc.params["n0"], "N'")
+    ops = {"a_q": osc.a, "a_qdag": osc.adag, "Nprime": nprime, "U": osc.U}
+    return _oscillator_bundle(sc, osc, ops, **osc.params, radicands=list(osc.weights))
 
 
 def _build_jordan_schwinger(sc: Scenario, frame: Scope | None) -> FamilyBundle:
@@ -224,8 +220,8 @@ def _build_jordan_schwinger(sc: Scenario, frame: Scope | None) -> FamilyBundle:
     delta = sc.omega2 - sc.omega1
     values = {
         "Jp": triple.Jp, "Jm": triple.Jm, "J0": triple.J0, "H": ham.op, "hamiltonian": ham,
-        "lam": -1j * delta, "delta": delta, "muB": sc.muB, "rate": delta, "UA": mode.U.U,
-        "I": identity(mode.s + 1), "radicands": mode.radicands, "t": sc.tol.for_dim(triple.dim),
+        "lam": -1j * delta, "delta": delta, "muB": sc.muB, "rate": delta, "UA": mode.U,
+        "I": identity(mode.s + 1), "radicands": mode.weights, "t": sc.tol.for_dim(triple.dim),
     }
     # the builder's ladder relations and adjoint pair are reported as made
     return FamilyBundle(sc, ops, prov, meta, values, None, triple.checks)

@@ -4,7 +4,8 @@ In the ascending-m basis the exponential phase operator is the cyclic shift
 raising m by one step, with a single corner element exp(i*(2j+1)*theta0)
 closing the cycle from the top state back to the bottom.  theta0 is the
 reference angle fixing the phase window [theta0, theta0 + 2*pi).  The
-oscillator's runs the same cycle the other way; ``_cyclic_phase`` builds both.
+oscillators' phase is this operator's adjoint at theta0 = -phi0: the same
+cycle run the other way (``oscillator``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -30,47 +30,45 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseOperator:
-    """The unitary exp(i*phi) together with its reference angle: a cyclic
-    shift closed by exp(i*dim*theta0) at its wrap-around entry, (0, dim-1)
-    for the spin's raising shift or, with ``lowering``, (dim-1, 0)."""
+    """The unitary exp(i*phi) together with its reference angle: the cyclic
+    shift raising the index by one, closed by exp(i*dim*theta0) at its
+    wrap-around entry (0, dim-1)."""
 
     dim: int
     theta0: float
     U: Operator
-    lowering: bool = False
 
     @property
     def corner_phase(self) -> complex:
         return complex(np.exp(1j * self.dim * self.theta0))
 
-    @cached_property
+    @property
     def boundary(self) -> Operator:
         """dim*exp(i*dim*theta0) at U's wrap-around entry: the boundary term
         of U's equation of motion dU/dt = -i*rate*(U - boundary)."""
-        row, col = (self.dim - 1, 0) if self.lowering else (0, self.dim - 1)
-        return matrix_unit(self.dim, row, col, self.dim * self.corner_phase)
+        return matrix_unit(self.dim, 0, self.dim - 1, self.dim * self.corner_phase)
 
     def adjoint(self) -> Operator:
         """exp(-i*phi); phi is hermitian, so this is just U-dagger."""
         return self.U.adjoint()
 
 
-def _cyclic_phase(dim: int, theta0: float, lowering: bool, label: str) -> PhaseOperator:
-    """The cyclic shift raising the index by one (lowering it, with
-    ``lowering``), closed by exp(i*dim*theta0) at its wrap-around entry."""
-    shift, name = (1, "phi0") if lowering else (-1, "theta0")
-    if not math.isfinite(dim * theta0):  # exp(i*dim*theta0) is finite where this is
+def _require_finite_corner(dim: int, angle: float, name: str) -> None:
+    """Reject the angle (the flag ``--name``) whose corner phase
+    exp(i*dim*angle) is not finite."""
+    if not math.isfinite(dim * angle):  # exp(i*dim*angle) is finite where this is
         raise ParameterError(
-            f"--{name}={theta0!r} makes the corner phase exp(i*{dim}*{name}) not finite"
+            f"--{name}={angle!r} makes the corner phase exp(i*{dim}*{name}) not finite"
         )
-    diagonals = {shift: np.ones(dim - 1), -shift * (dim - 1): [np.exp(1j * dim * theta0)]}
-    u = Operator._from_diagonals(dim, diagonals, label)
-    return PhaseOperator(dim, float(theta0), u, lowering)
 
 
 def build_phase_operator(j: float | int | str | Fraction, theta0: float = 0.0) -> PhaseOperator:
     """Cyclic-shift unitary with corner phase exp(i*(2j+1)*theta0)."""
-    return _cyclic_phase(int(parse_spin(j) * 2) + 1, theta0, False, "exp(i*phi)")
+    n, d = parse_spin(j).as_integer_ratio()  # 2j + 1 without Fraction arithmetic
+    dim = 2 * n // d + 1
+    _require_finite_corner(dim, theta0, "theta0")
+    diagonals = {-1: np.ones(dim - 1), dim - 1: [np.exp(1j * dim * theta0)]}
+    return PhaseOperator(dim, float(theta0), Operator._from_diagonals(dim, diagonals, "exp(i*phi)"))
 
 
 POLAR = ("polar_raising_left", "polar_raising_right", "polar_lowering_left", "polar_lowering_right")

@@ -273,6 +273,8 @@ def corpus(tmp: str) -> list[list[str]]:
         ["build", "--family", "su2", "--j", "1/2", "--theta0", "1e308"],
         ["evolve", "--family", "oscillator", "--s", "2", "--phi0=-1e308", "--t-max", "1",
          "--steps", "3"],
+        ["build", "--family", "q_oscillator", "--s", "2", "--phi0=1e308"],
+        ["verify", "--family", "jordan_schwinger", "--s", "2", "--phi0=-1e308"],
         ["sweep", "--family", "su2", "--j", "50", "--param", "muB:1:1e307:2"],
         ["verify", "--family", "su2", "--j", "1/2", "--tol", "1e308", "--report", report],
     ]

@@ -199,7 +199,7 @@ def test_criterion_7_oscillator_suite():
         assert eigenoperator_residual(osc.adag, h, 1j * omega) < tol
 
     qosc = build_q_oscillator(3)
-    assert np.allclose(qosc.radicands[1:], (1.0, 2.0, 1.0), atol=1e-12)
+    assert np.allclose(qosc.weights[1:], (1.0, 2.0, 1.0), atol=1e-12)
 
     s = 3
     muB = 1.0

@@ -8,9 +8,9 @@ import spinphase
 
 API = [
     "AlgebraError", "BadSpinError", "CheckReport", "CheckResult", "DEFAULT_TOL",
-    "DeformedTriple", "FiniteOscillator", "Hamiltonian", "NegativeNormError",
-    "NotDiagonalError", "NotPSDError", "Operator", "ParameterError", "PhaseOperator",
-    "QOscillator", "ShapeError", "SplitError", "StructureFunction", "Su2Rep", "Tolerance",
+    "DeformedTriple", "Hamiltonian", "NegativeNormError", "NotDiagonalError",
+    "NotPSDError", "Operator", "Oscillator", "ParameterError", "PhaseOperator",
+    "ShapeError", "SplitError", "StructureFunction", "Su2Rep", "Tolerance",
     "Trajectory", "build_deformation", "build_finite_oscillator",
     "build_hermitian_deformation", "build_phase_operator", "build_q_oscillator",
     "build_scaled_deformation", "build_split_deformation", "build_su2", "build_suq2",

@@ -21,7 +21,6 @@ from spinphase import (
     StructureFunction,
     Tolerance,
     build_deformation,
-    build_finite_oscillator,
     build_hermitian_deformation,
     build_phase_operator,
     build_scaled_deformation,
@@ -549,17 +548,11 @@ def _ref_su2(j):
     return jp, jp.adjoint(), j0, np.array([-jv + i for i in range(dim)])
 
 
-def _ref_phase(dim, theta0, raising):
+def _ref_phase(dim, theta0):
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(dim - 1):
-        if raising:
-            mat[i + 1, i] = 1.0
-        else:
-            mat[i, i + 1] = 1.0
-    if raising:
-        mat[0, dim - 1] = np.exp(1j * dim * theta0)
-    else:
-        mat[dim - 1, 0] = np.exp(1j * dim * theta0)
+        mat[i + 1, i] = 1.0
+    mat[0, dim - 1] = np.exp(1j * dim * theta0)
     return Operator(mat)
 
 
@@ -673,6 +666,4 @@ class TestBitwisePlacement:
     @pytest.mark.parametrize("theta0", [0.0, 0.7])
     def test_phase_operators(self, j, _, theta0):
         dim = int(2 * Fraction(j)) + 1
-        _assert_same_bits(build_phase_operator(j, theta0).U, _ref_phase(dim, theta0, True))
-        _assert_same_bits(build_finite_oscillator(dim - 1, theta0).U.U,
-                          _ref_phase(dim, theta0, False))
+        _assert_same_bits(build_phase_operator(j, theta0).U, _ref_phase(dim, theta0))

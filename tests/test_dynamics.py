@@ -351,5 +351,5 @@ class TestPhaseDerivation:
             assert eigenoperator_residual(osc.adag, h, 1j) < t
         qosc = build_q_oscillator(3)
         h = number_hamiltonian(qosc.N, 1.0)
-        assert eigenoperator_residual(qosc.a_q, h, -1j) < TOL.for_dim(4)
-        assert eigenoperator_residual(qosc.a_qdag, h, 1j) < TOL.for_dim(4)
+        assert eigenoperator_residual(qosc.a, h, -1j) < TOL.for_dim(4)
+        assert eigenoperator_residual(qosc.adag, h, 1j) < TOL.for_dim(4)

@@ -253,17 +253,31 @@ def test_negative_control_at_zero_rate(values, control_passes):
     assert report.named("phase_equation_without_boundary")[0].passed is control_passes
 
 
+_OSCILLATOR_BODY = [
+    "phase_equation_with_boundary",
+    "boundary_term_annihilated",
+    "ladder_dynamics_from_phase",
+    "phase_equation_without_boundary",
+    "raising_eigenoperator",
+    "lowering_eigenoperator",
+    "weight_conserved",
+]
+
+
 def test_oscillators_share_one_check_body():
-    # the plain and the q oscillator run the same derivation checks in order
+    # each oscillator report's every check, in order: its own algebra checks,
+    # then the derivation, the control and the dynamics both share
     names = {}
     for family in ("oscillator", "q_oscillator"):
         report = collect_checks(build_bundle(resolve_scenario({"family": family, "s": 5})))
-        names[family] = [c.name for c in report if c.category in ("derivation", "control")]
-    assert names["oscillator"] == names["q_oscillator"] == [
-        "phase_equation_with_boundary",
-        "boundary_term_annihilated",
-        "ladder_dynamics_from_phase",
-        "phase_equation_without_boundary",
+        names[family] = [c.name for c in report]
+    assert names["oscillator"] == [
+        "phase_unitarity", "polar_product", "number_ladder_commutator", "adjoint_pair",
+        *_OSCILLATOR_BODY,
+    ]
+    assert names["q_oscillator"] == [
+        "phase_unitarity", "radicand_positivity", "polar_product", "adjoint_pair",
+        "number_ladder_commutator", *_OSCILLATOR_BODY,
     ]
 
 

@@ -89,7 +89,7 @@ class TestOperator:
     def test_stored_entries_read_only(self):
         # a write to the diagonals would fall out of step with the cached mat
         rep = build_su2("5/2")
-        jp, u = rep.Jp, build_finite_oscillator(5, 0.3).U.U
+        jp, u = rep.Jp, build_finite_oscillator(5, 0.3).U
         made = [jp + rep.Jm, jp - jp, 2.0 * jp, -jp, jp / 1j, jp.adjoint(), jp @ rep.Jm,
                 commutator(rep.J0, jp), u @ u.adjoint(), jp.relabel("x"), zero(6), identity(6),
                 from_diagonal(np.ones(6))]
@@ -264,22 +264,22 @@ def _scaling_operands(dim):
     return [
         # diagonal x dense (J0 and N are real, U carries a complex corner)
         (rep.J0, rep.Jp, True),
-        (osc.N, osc.U.U, True),
+        (osc.N, osc.U, True),
         (real_diag, dense, True),
         # dense x diagonal
         (rep.Jm, rep.J0, True),
-        (osc.U.U, sqrt_n, True),
+        (osc.U, sqrt_n, True),
         (dense, real_diag, True),
         # diagonal x diagonal
         (rep.J0, rep.J0, True),
         (osc.N, sqrt_n, True),
         # the zero matrix, on either side
-        (zero(dim), osc.U.U, True),
+        (zero(dim), osc.U, True),
         (dense, zero(dim), True),
         # two off-diagonal ladders: each entry of J+ J- has one term, both real
         (rep.Jp, rep.Jm, True),
         # complex x complex: U's complex corner times a complex dense operator
-        (dense, osc.U.U, False),
+        (dense, osc.U, False),
     ]
 
 
@@ -314,20 +314,20 @@ class TestScalingProduct:
         for s in (2, 3, 12, 30, 31, 32, 40, 63, 64, 100):
             osc = build_finite_oscillator(s, phi0)
             sqrt_n = psd_sqrt(osc.N)
-            assert _structured(osc.U.U, sqrt_n)
-            assert_same_bits(_product(osc.U.U, sqrt_n).mat, osc.U.U.mat @ sqrt_n.mat)
+            assert _structured(osc.U, sqrt_n)
+            assert_same_bits(_product(osc.U, sqrt_n).mat, osc.U.mat @ sqrt_n.mat)
             qosc = build_q_oscillator(s, phi0)
-            weights = from_diagonal(np.sqrt(qosc.radicands))
-            assert_same_bits(_product(qosc.U.U, weights).mat, qosc.U.U.mat @ weights.mat)
+            weights = from_diagonal(np.sqrt(qosc.weights))
+            assert_same_bits(_product(qosc.U, weights).mat, qosc.U.mat @ weights.mat)
 
     def test_tiny_off_diagonal_entry_takes_dense_path(self):
         osc = build_finite_oscillator(40)
         m = np.diag(np.arange(1.0, 42.0)).astype(complex)
         m[0, 1] = 1e-300
         almost = Operator(m)
-        assert not _structured(almost, osc.U.U) and not _structured(osc.U.U, almost)
-        got = _product(almost, osc.U.U).mat
-        assert_same_bits(got, almost.mat @ osc.U.U.mat)
+        assert not _structured(almost, osc.U) and not _structured(osc.U, almost)
+        got = _product(almost, osc.U).mat
+        assert_same_bits(got, almost.mat @ osc.U.mat)
         assert got[0, 2] == 1e-300  # the off-diagonal entry times U[1, 2] = 1
 
     def test_complex_times_complex_stays_dense(self):
@@ -359,7 +359,7 @@ class TestScalingProduct:
     def test_two_nonzero_terms_in_one_entry_stay_dense(self):
         # U + U^dag has two diagonals at distance two, so each diagonal entry
         # of its square sums two nonzero terms: BLAS's sum, not an elementwise one
-        u = build_finite_oscillator(6).U.U
+        u = build_finite_oscillator(6).U
         hop = u + u.adjoint()
         assert not _structured(hop, hop)
         assert_same_bits(_product(hop, hop).mat, hop.mat @ hop.mat)
@@ -387,7 +387,7 @@ class TestStructuredCore:
     def test_elementwise_operations_match_dense(self, phi0):
         osc = build_finite_oscillator(9, phi0)
         rep = build_su2("9/2")
-        u, n, jp, jm = osc.U.U, osc.N, rep.Jp, rep.Jm
+        u, n, jp, jm = osc.U, osc.N, rep.Jp, rep.Jm
         for got, want in [
             (u.adjoint(), u.mat.conj().T),
             (jm, jp.mat.conj().T),
@@ -404,7 +404,7 @@ class TestStructuredCore:
     @pytest.mark.parametrize("phi0", [0.0, 4.9])
     def test_norms_are_the_dense_norms_bit_for_bit(self, phi0):
         rep = build_su2("25/2")
-        u = build_finite_oscillator(25, phi0).U.U
+        u = build_finite_oscillator(25, phi0).U
         blown = rep.Jp.diagonal(-1)
         blown[3] = np.inf
         with np.errstate(invalid="ignore"):
@@ -490,7 +490,7 @@ class TestStructuredCore:
 
     def test_zero_difference_builds_no_dense_matrix(self, monkeypatch):
         rep = build_su2("25/2")
-        u = build_finite_oscillator(25, 4.9).U.U
+        u = build_finite_oscillator(25, 4.9).U
 
         def refuse(*args):
             raise AssertionError("the dense matrix was built")
@@ -514,7 +514,7 @@ class TestStructuredCore:
         rep = build_su2(3)
         state = np.zeros(rep.dim)
         state[2] = 1.0
-        for op in (rep.Jp, rep.Jm, rep.J0, build_finite_oscillator(6, 0.3).U.U):
+        for op in (rep.Jp, rep.Jm, rep.J0, build_finite_oscillator(6, 0.3).U):
             assert_same_bits(op.apply(state), op.mat @ state.astype(complex))
         rng = np.random.default_rng(5)
         vec = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -538,7 +538,7 @@ class TestInputChecks:
     @staticmethod
     def _both_kinds():
         rep = build_su2(1)
-        return [rep.Jp, Operator(rep.Jp.mat), build_finite_oscillator(2, 0.3).U.U]
+        return [rep.Jp, Operator(rep.Jp.mat), build_finite_oscillator(2, 0.3).U]
 
     @pytest.mark.parametrize("offset", [3, 5, -3, -5, 100])
     def test_diagonal_off_the_matrix_is_empty(self, offset):
@@ -586,7 +586,7 @@ class TestBatchAxis:
     def test_rows_are_the_lone_operators(self, dim):
         rows = self._rows(dim, dim)
         rep = build_su2(f"{dim - 1}/2")
-        u = build_finite_oscillator(dim - 1, 0.7).U.U
+        u = build_finite_oscillator(dim - 1, 0.7).U
         scale = np.linspace(0.5, 2.0, len(rows))
 
         def ops(jp, s):
@@ -614,7 +614,7 @@ class TestBatchAxis:
         with pytest.raises(Diverged) as info:
             batch @ batch.adjoint()
         assert info.value.args[0].tolist() == [False, True, False, False, True, False, False]
-        phase = build_finite_oscillator(5, 0.7).U.U  # complex: the rows must be real
+        phase = build_finite_oscillator(5, 0.7).U  # complex: the rows must be real
         with pytest.raises(Diverged) as info:
             phase @ (1j * Operator._from_diagonals(6, {-1: self._rows(6, 2)}))
         assert info.value.args[0].all()

@@ -1,5 +1,7 @@
 """Finite oscillator, q-oscillator positivity, and the two-mode realization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,20 @@ from spinphase import (
     ParameterError,
     ShapeError,
     Tolerance,
+    build_deformation,
     build_finite_oscillator,
+    build_phase_operator,
     build_q_oscillator,
+    build_su2,
     commutator,
+    derive_ladder_dynamics_from_phase,
+    dipole_hamiltonian,
     identity,
     jordan_schwinger,
     residual,
+    two_mode_hamiltonian,
 )
+from spinphase.scenarios import build_bundle, resolve_scenario
 
 TOL = Tolerance()
 LEVELS = [1, 2, 3, 7]
@@ -23,7 +32,7 @@ class TestFiniteOscillator:
     def test_s2_phase_is_cyclic_permutation(self):
         osc = build_finite_oscillator(2)
         perm = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-        assert np.allclose(osc.U.U.mat, perm, atol=1e-15)
+        assert np.allclose(osc.U.mat, perm, atol=1e-15)
 
     def test_s2_annihilation_elements(self):
         osc = build_finite_oscillator(2)
@@ -39,7 +48,7 @@ class TestFiniteOscillator:
     @pytest.mark.parametrize("s", LEVELS)
     def test_phase_unitarity(self, s):
         osc = build_finite_oscillator(s, 0.4)
-        u = osc.U.U
+        u = osc.U
         t = TOL.for_dim(s + 1)
         assert residual(u @ u.adjoint(), identity(s + 1)) < t
 
@@ -68,7 +77,7 @@ class TestFiniteOscillator:
         # [U, N] = U - (s+1) e^{i(s+1)phi0} |s><0|, and sqrt(N) kills |s><0|
         phi0 = 0.3
         osc = build_finite_oscillator(s, phi0)
-        u = osc.U.U
+        u = osc.U
         dim = s + 1
         boundary = np.zeros((dim, dim), dtype=complex)
         boundary[dim - 1, 0] = dim * np.exp(1j * dim * phi0)
@@ -81,22 +90,25 @@ class TestFiniteOscillator:
 class TestQOscillator:
     def test_s3_radicands(self):
         qosc = build_q_oscillator(3)
-        assert np.allclose(qosc.radicands, (0.0, 1.0, 2.0, 1.0), atol=1e-12)
+        assert np.allclose(qosc.weights, (0.0, 1.0, 2.0, 1.0), atol=1e-12)
 
     def test_s3_ladder_elements(self):
         qosc = build_q_oscillator(3)
-        assert qosc.a_q.mat[0, 1] == pytest.approx(1.0)
-        assert qosc.a_q.mat[1, 2] == pytest.approx(np.sqrt(2.0))
-        assert qosc.a_q.mat[2, 3] == pytest.approx(1.0)
+        assert qosc.a.mat[0, 1] == pytest.approx(1.0)
+        assert qosc.a.mat[1, 2] == pytest.approx(np.sqrt(2.0))
+        assert qosc.a.mat[2, 3] == pytest.approx(1.0)
 
     def test_s3_shifted_number_operator(self):
-        qosc = build_q_oscillator(3)
-        assert np.allclose(qosc.Nprime.mat, np.diag([-1.0, 0.0, 1.0, 2.0]), atol=1e-15)
+        assert build_q_oscillator(3).params == {"n0": 1.0, "q_arg": np.pi / 2}
+        bundle = build_bundle(resolve_scenario({"family": "q_oscillator", "s": 3}))
+        nprime = bundle.operators["Nprime"]
+        assert nprime.label == "N'"
+        assert np.allclose(nprime.mat, np.diag([-1.0, 0.0, 1.0, 2.0]), atol=1e-15)
 
     @pytest.mark.parametrize("s", [2, 3, 4, 7])
     def test_positivity(self, s):
         qosc = build_q_oscillator(s)
-        assert min(qosc.radicands) >= -TOL.for_dim(s + 1)
+        assert min(qosc.weights) >= -TOL.for_dim(s + 1)
 
     def test_s1_hits_singular_bracket(self):
         # n0 = 1/2 and q = exp(i*pi) = -1: the smallest valid s is 2
@@ -105,11 +117,11 @@ class TestQOscillator:
 
     def test_adjoint_pair(self):
         qosc = build_q_oscillator(4)
-        assert np.array_equal(qosc.a_qdag.mat, qosc.a_q.mat.conj().T)
+        assert np.array_equal(qosc.adag.mat, qosc.a.mat.conj().T)
 
     def test_number_commutator_exact(self):
         qosc = build_q_oscillator(3)
-        assert residual(commutator(qosc.a_q, qosc.N), qosc.a_q) < TOL.for_dim(4)
+        assert residual(commutator(qosc.a, qosc.N), qosc.a) < TOL.for_dim(4)
 
 
 class TestJordanSchwinger:
@@ -144,3 +156,29 @@ class TestJordanSchwinger:
         eye = np.eye(s + 1)
         oracle = (np.kron(n, eye) - np.kron(eye, n)) / 2.0
         assert np.allclose(triple.J0.mat, oracle, atol=1e-15)
+
+    @pytest.mark.parametrize("s", [3, 12])
+    def test_sectors_are_spin_ladders(self, s):
+        # J+~ conserves n = n1 + n2: its block on sector n, ascending n1 (so
+        # ascending m = n1 - n/2), is the spin-k/2 deformation with entries
+        # sqrt(r[n1+1]) sqrt(r[n-n1]), and H = omega1 N1 + omega2 N2 is there
+        # a constant minus (omega2 - omega1) m: the spin frame at muB = omega2 - omega1
+        mode = build_q_oscillator(s)
+        r, jp = mode.weights, jordan_schwinger(mode, mode).Jp.mat
+        omega1, omega2 = 1.0, 2.5
+        h = two_mode_hamiltonian(s, omega1, omega2).op.mat
+        for n in range(2 * s + 1):
+            n1s = range(max(0, n - s), min(n, s) + 1)
+            idx = np.ix_(*[[n1 * (s + 1) + n - n1 for n1 in n1s]] * 2)
+            block = np.ascontiguousarray(jp[idx])
+            if len(n1s) == 1:  # n = 0 or 2s: one state, J+~ is zero there
+                assert block.view(np.uint64).tolist() == [[0, 0]]
+                continue
+            rep = build_su2(Fraction(len(n1s) - 1, 2))
+            entries = [np.sqrt(r[n1 + 1]) * np.sqrt(r[n - n1]) for n1 in n1s[:-1]]
+            triple = build_deformation(rep, entries, provenance={"map": "sector", "params": {}})
+            assert np.array_equal(block.view(np.uint64), triple.Jp.mat.view(np.uint64))
+            ham = dipole_hamiltonian(rep.J0, omega2 - omega1)
+            assert np.allclose(np.diag(h[idx] - ham.op.mat), h[idx][0, 0] - ham.op.mat[0, 0])
+            phase = build_phase_operator(rep.j, 0.7)
+            assert derive_ladder_dynamics_from_phase(rep, phase, triple, ham).all_pass

@@ -14,6 +14,7 @@ from spinphase import (
     build_q_oscillator,
     build_su2,
     commutator,
+    from_diagonal,
     identity,
     matrix_unit,
     phase_number_commutator_residual,
@@ -67,10 +68,16 @@ def _bits(op):
     return op._offsets, stored, np.ascontiguousarray(op.mat).view(np.uint64).tolist()
 
 
+def _plus_zeros(op):
+    """``_bits`` of op with each -0.0 made +0.0; adding +0.0 changes nothing else."""
+    stored = [] if op._offsets is None else (op._data + 0.0).view(np.uint64).tolist()
+    return op._offsets, stored, (op.mat + 0.0).view(np.uint64).tolist()
+
+
 class TestOneConstructor:
-    """The spin's and the oscillator's phase unitaries and their boundary
-    terms come from one constructor, bit for bit the matrices each family
-    used to build inline."""
+    """The spin's phase unitary and boundary term come from one constructor,
+    bit for bit the matrices each family used to build inline; the
+    oscillators' are its adjoints."""
 
     @pytest.mark.parametrize("theta0", [0, 0.0, -0.0, 0.7, np.pi / 2, 2 * np.pi, 1e3])
     def test_spin_raising_shift(self, theta0):
@@ -81,19 +88,25 @@ class TestOneConstructor:
             boundary = matrix_unit(dim, 0, dim - 1, dim * complex(np.exp(1j * dim * float(theta0))))
             assert _bits(phase.U) == _bits(u) and phase.U.label == "exp(i*phi)"
             assert _bits(phase.boundary) == _bits(boundary)
-            assert not phase.lowering
 
     @pytest.mark.parametrize("phi0", [0, 0.0, -0.0, 0.7, np.pi / 2, 2 * np.pi, 1e3])
     def test_oscillator_lowering_shift(self, phi0):
+        # U and its corner are the spin phase's adjoints at theta0 = -phi0 with
+        # every zero +0.0: the Fock-lowering shift the oscillators used to build
+        # by hand, bit for bit, and a = U sqrt(weights)
         for s in range(1, 101):
             dim = s + 1
+            spin = build_phase_operator(Fraction(s, 2), -phi0)
             u = Operator._from_diagonals(dim, {1: np.ones(s), -s: [np.exp(1j * dim * phi0)]})
-            boundary = matrix_unit(dim, s, 0, dim * np.exp(1j * dim * float(phi0)))
+            corner = matrix_unit(dim, s, 0, dim * np.exp(1j * dim * float(phi0)))
             builders = [build_finite_oscillator] + [build_q_oscillator] * (s > 1)
-            for phase in (build(s, phi0).U for build in builders):
-                assert _bits(phase.U) == _bits(u) and phase.U.label == "exp(i*Phi)"
-                assert _bits(phase.boundary) == _bits(boundary)
-                assert phase.lowering
+            for osc in (build(s, phi0) for build in builders):
+                for got, want, by_hand in ((osc.U, spin.adjoint(), u),
+                                           (osc.corner, spin.boundary.adjoint(), corner)):
+                    assert _bits(got) == _plus_zeros(got) == _plus_zeros(want) == _bits(by_hand)
+                assert osc.U.label == "exp(i*Phi)"
+                a = osc.U @ from_diagonal(np.sqrt(osc.weights))
+                assert _bits(osc.a) == _bits(a) and _bits(osc.adag) == _bits(a.adjoint())
 
     def test_a_hand_built_phase_has_the_spin_boundary(self):
         built = build_phase_operator("3/2", 0.7)
